@@ -27,6 +27,7 @@ from .functions import (
     diag_quadratic,
     oscillatory,
     quadratic,
+    row_gradient,
     sector_membership_scan,
     shifted_gradient,
 )

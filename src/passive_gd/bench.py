@@ -4,8 +4,8 @@ Every method sees the same seeded x0 sequence, so the per-method
 statistics form a paired comparison. Iteration counts are 1-based: the
 convergence check that passes is counted, so a sample that starts at the
 minimizer records 1. Samples that exhaust the iteration budget are
-recorded at the cap and flagged rather than dropped; non-finite iterates
-are treated the same way.
+recorded at the cap and flagged rather than dropped; samples with a
+non-finite iterate or a failed line search are treated the same way.
 
 The engine is vectorized across samples for one-dimensional functions
 that expose elementwise callables, and falls back to per-sample runs
@@ -219,9 +219,9 @@ def _armijo_gd_chunk(fv, gv, x0, trial, shrink, c, tol, max_iter):
             pending[p[ok]] = False
             a[p[~ok]] *= shrink
         if pending.any():
-            raise LineSearchError(
-                f"no acceptable step within {_MAX_BACKTRACKS} backtracks"
-            )
+            _deactivate(counts, flagged, idx, pending, max_iter)
+            keep = ~pending
+            idx, xi, gi, a = idx[keep], xi[keep], gi[keep], a[keep]
         xi = xi - a * gi
         bad = ~np.isfinite(xi)
         if bad.any():
@@ -262,9 +262,9 @@ def _armijo_gs_chunk(fv, gv, x0, trial, cap, shrink, c, tol, max_iter):
             pending[p[ok]] = False
             s[p[~ok]] *= shrink
         if pending.any():
-            raise LineSearchError(
-                f"no acceptable scheduling value within {_MAX_BACKTRACKS} backtracks"
-            )
+            _deactivate(counts, flagged, idx, pending, max_iter)
+            keep = ~pending
+            idx, xi, gi, s = idx[keep], xi[keep], gi[keep], s[keep]
         xi = xi - s * gv(s * xi)
         bad = ~np.isfinite(xi)
         if bad.any():
@@ -311,7 +311,7 @@ def _run_fallback(f: SectorFunction, method: MethodSpec, x0s, tol, max_iter):
     for i, x0 in enumerate(x0s):
         try:
             trace = runner(f, np.atleast_1d(x0), method.schedule, stops)
-        except DivergenceError:
+        except (DivergenceError, LineSearchError):
             counts[i] = max_iter
             flagged[i] = True
             continue
@@ -327,10 +327,14 @@ def _resolve_threads(threads: Optional[int]) -> int:
     if threads is not None:
         return max(1, threads)
     env = os.environ.get(THREADS_ENV_VAR, "")
+    if not env.strip():
+        return 1
     try:
         return max(1, int(env))
     except ValueError:
-        return 1
+        raise InvalidParameterError(
+            f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
+        ) from None
 
 
 def run_monte_carlo(
@@ -427,40 +431,77 @@ def default_config(m: float = 1.0, L: float = 100.0) -> dict:
     }
 
 
-def _schedule_from_config(doc: dict):
-    kind = doc.get("type")
+_REQUIRED = object()
+
+
+def _field(doc, key: str, where: str, cast=None, default=_REQUIRED):
+    """Read ``doc[key]`` through ``cast``; malformed input is an InvalidParameterError.
+
+    An optional key whose default is None may also be given as JSON null.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidParameterError(f"{where} must be a JSON object")
+    value = doc.get(key, default)
+    if value is _REQUIRED:
+        raise InvalidParameterError(f"{where} is missing the key {key!r}")
+    if cast is None or (value is None and default is None):
+        return value
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"{where}.{key} must be a number, got {value!r}"
+        ) from None
+
+
+def _schedule_from_config(doc, where: str):
+    kind = _field(doc, "type", where, default=None)
     if kind == "fixed-alpha":
-        return FixedAlpha(float(doc["alpha"]))
+        return FixedAlpha(_field(doc, "alpha", where, float))
     if kind == "fixed-s":
-        return FixedS(float(doc["s"]))
+        return FixedS(_field(doc, "s", where, float))
     params = ArmijoParams(
-        trial=doc.get("trial"),
-        shrink=float(doc.get("shrink", 0.5)),
-        decrease=float(doc.get("decrease", 1e-4)),
+        trial=_field(doc, "trial", where, float, None),
+        shrink=_field(doc, "shrink", where, float, 0.5),
+        decrease=_field(doc, "decrease", where, float, 1e-4),
     )
     if kind == "armijo-alpha":
         return ArmijoAlpha(params)
     if kind == "armijo-s":
-        cap = doc.get("cap")
-        return ArmijoS(params, cap=float(cap) if cap is not None else None)
+        return ArmijoS(params, cap=_field(doc, "cap", where, float, None))
     raise InvalidParameterError(f"unknown schedule type {kind!r}")
 
 
 def spec_from_config(doc: dict) -> tuple[SectorFunction, MonteCarloSpec]:
-    """Build the target function and Monte Carlo spec from a config document."""
-    fn = doc["function"]
-    f = builtin_function(fn["name"], float(fn.get("m", 1.0)), float(fn["L"]))
-    methods = tuple(
-        MethodSpec(m["label"], m["kind"], _schedule_from_config(m["schedule"]))
-        for m in doc["methods"]
+    """Build the target function and Monte Carlo spec from a config document.
+
+    A missing key or a value of the wrong type raises InvalidParameterError
+    naming it.
+    """
+    fn = _field(doc, "function", "config")
+    f = builtin_function(
+        _field(fn, "name", "function"),
+        _field(fn, "m", "function", float, 1.0),
+        _field(fn, "L", "function", float),
     )
+    method_docs = _field(doc, "methods", "config")
+    if not isinstance(method_docs, list):
+        raise InvalidParameterError("config.methods must be a JSON list")
+    methods = []
+    for i, m in enumerate(method_docs):
+        where = f"methods[{i}]"
+        methods.append(MethodSpec(
+            _field(m, "label", where),
+            _field(m, "kind", where),
+            _schedule_from_config(_field(m, "schedule", where), f"{where}.schedule"),
+        ))
     spec = MonteCarloSpec(
-        n_samples=int(doc["n_samples"]),
-        x0_low=float(doc["x0_low"]),
-        x0_high=float(doc["x0_high"]),
-        seed=int(doc["seed"]),
-        tol=float(doc["tol"]),
-        methods=methods,
-        max_iter=int(doc.get("max_iter", 10**6)),
+        n_samples=_field(doc, "n_samples", "config", int),
+        x0_low=_field(doc, "x0_low", "config", float),
+        x0_high=_field(doc, "x0_high", "config", float),
+        seed=_field(doc, "seed", "config", int),
+        tol=_field(doc, "tol", "config", float),
+        methods=tuple(methods),
+        max_iter=_field(doc, "max_iter", "config", int, 10**6),
     )
     return f, spec

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import verify as verify_mod
-from .errors import PassiveGdError
+from .errors import InvalidParameterError, PassiveGdError
 from .functions import BUILTIN_NAMES, builtin_function
 from .interconnect import run_transformed
 from .optim import (
@@ -276,10 +276,15 @@ def _slug(label: str) -> str:
 def _cmd_bench(args) -> int:
     if args.config:
         with open(args.config) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise InvalidParameterError(
+                    f"config {args.config} is not valid JSON: {exc}"
+                ) from None
     else:
         doc = bench_mod.default_config()
-    if args.seed is not None:
+    if args.seed is not None and isinstance(doc, dict):
         doc["seed"] = args.seed
     f, spec = bench_mod.spec_from_config(doc)
     out_dir = Path(args.out_dir)

@@ -24,6 +24,7 @@ __all__ = [
     "builtin_function",
     "BUILTIN_NAMES",
     "shifted_gradient",
+    "row_gradient",
     "cocoercivity_residual",
     "sector_membership_scan",
     "central_difference_gradient",
@@ -194,6 +195,25 @@ def shifted_gradient(f: SectorFunction, u) -> np.ndarray:
     """Gradient evaluated at ``u + minimizer``; maps zero to zero."""
     u = f.check_point(u)
     return np.asarray(f.gradient(u + f.minimizer), dtype=float)
+
+
+def row_gradient(f: SectorFunction) -> Callable[[np.ndarray], np.ndarray]:
+    """The gradient of ``f`` as a map over the rows of an ``(n, dim)`` block.
+
+    One-dimensional functions with an elementwise gradient take one
+    vectorized call per block; any other function takes one
+    ``f.gradient`` call per row. Each row's value is the one
+    ``f.gradient`` gives for that row.
+    """
+    if f.dim == 1 and f.elementwise_gradient is not None:
+        return f.elementwise_gradient
+    gradient = f.gradient
+
+    def per_row(points: np.ndarray) -> np.ndarray:
+        grads = [np.asarray(gradient(x), dtype=float) for x in points]
+        return np.array(grads).reshape(points.shape)
+
+    return per_row
 
 
 def cocoercivity_residual(f: SectorFunction, x) -> float:

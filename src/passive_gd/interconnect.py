@@ -34,7 +34,7 @@ from .errors import (
     InvalidParameterError,
     ShapeError,
 )
-from .functions import SectorFunction, shifted_gradient
+from .functions import SectorFunction, row_gradient, shifted_gradient
 from .lti import StateSpaceRealization, modified_gd_realization
 from .signals import Signal
 
@@ -52,6 +52,11 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
 BOUNDARY_MAX_ITER = 10_000
 _REL_TOL = 1e-12
+# Loop constants are 0-d arrays: numpy converts a Python float operand on
+# every call, which on a one-row block costs as much as the arithmetic.
+_ONE = np.array(1.0)
+_HALF = np.array(0.5)
+_ULP_FLOOR = np.array(8.0 * np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -145,6 +150,77 @@ def run_untransformed(loop: FeedbackLoop, steps: int) -> LoopTrace:
     )
 
 
+def _check_feedthrough(f: SectorFunction, d: float):
+    if d <= 0.0:
+        raise InvalidParameterError(f"feedthrough must be positive, got {d}")
+    if d * f.L >= 1.0:
+        raise ContractionError(
+            f"d*L = {d * f.L} >= 1: the standalone fixed point is not contractive"
+        )
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(a, a))
+
+
+def _solve_fixed_point(
+    f: SectorFunction,
+    d: float,
+    u: np.ndarray,
+    tol: float,
+    max_iter: int,
+    y: np.ndarray | None = None,
+    damping: bool = False,
+) -> np.ndarray:
+    """Solve y = grad_shift(u + d*y) for every row of the ``(n, dim)`` block ``u``.
+
+    ``y`` holds the start rows; by default each row starts at
+    grad_shift(u). Each row stops on its own once its update is within
+    ``tol`` and leaves the active set; the others keep iterating. With
+    ``damping`` every update is averaged 1/2 with the current iterate: at
+    d*L = 1 the plain iteration is only non-expansive, and the averaging
+    restores convergence wherever the local curvature is strictly below L.
+    """
+    grad = row_gradient(f)
+    d, tol = np.array(float(d)), np.array(float(tol))  # 0-d, as _ONE above
+    # The shift to the minimizer is hoisted out of the loop; for the zero
+    # minimizer of every built-in, (u + x*) + d*y is bitwise (u + d*y) + x*.
+    z = u + f.minimizer
+    if y is None:
+        y = grad(z)
+    n = len(u)
+    # Finished rows are copied out and the active block compacted only on
+    # iterations where some, but not all, rows finish; a block whose rows
+    # all finish together is returned as it stands.
+    out = rows = None
+    for _ in range(max_iter):
+        y_next = grad(z + d * y)
+        if damping:
+            y_next = _HALF * y + _HALF * y_next
+        # The tolerance is floored at a few ulps of the iterate magnitude;
+        # below that, rounding noise keeps the differences from shrinking.
+        floor = _ULP_FLOOR * (_ONE + _row_norms(y_next))
+        done = _row_norms(y_next - y) <= np.maximum(tol, floor)
+        n_done = np.count_nonzero(done)
+        if n_done == len(y_next):
+            if rows is None:
+                return y_next
+            out[rows] = y_next
+            return out
+        if n_done:
+            if rows is None:
+                out, rows = np.empty_like(y_next), np.arange(n)
+            out[rows[done]] = y_next[done]
+            keep = ~done
+            rows, z, y_next = rows[keep], z[keep], y_next[keep]
+        y = y_next
+    kind = "damped fixed point" if damping else "fixed point"
+    raise ConvergenceError(
+        f"{kind} did not reach tol={tol} within {max_iter} iterations "
+        f"for {len(y)} of {n} points"
+    )
+
+
 def evaluate_delta_bar(
     f: SectorFunction,
     d: float,
@@ -157,48 +233,8 @@ def evaluate_delta_bar(
     Requires d*L < 1 so the iteration contracts with factor d*L; the
     returned vector satisfies the fixed-point residual bound ``tol``.
     """
-    if d <= 0.0:
-        raise InvalidParameterError(f"feedthrough must be positive, got {d}")
-    if d * f.L >= 1.0:
-        raise ContractionError(
-            f"d*L = {d * f.L} >= 1: the standalone fixed point is not contractive"
-        )
-    u = f.check_point(u)
-    y = shifted_gradient(f, u)
-    for _ in range(max_iter):
-        y_next = shifted_gradient(f, u + d * y)
-        # The tolerance is floored at a few ulps of the iterate magnitude;
-        # below that, rounding noise keeps the differences from shrinking.
-        floor = 8.0 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(y_next)))
-        if np.linalg.norm(y_next - y) <= max(tol, floor):
-            return y_next
-        y = y_next
-    raise ConvergenceError(
-        f"fixed point did not reach tol={tol} within {max_iter} iterations"
-    )
-
-
-def _evaluate_delta_bar_damped(
-    f: SectorFunction,
-    d: float,
-    u: np.ndarray,
-    y0: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = BOUNDARY_MAX_ITER,
-) -> np.ndarray:
-    # At d*L = 1 the plain iteration is only non-expansive; averaging with
-    # damping 1/2 restores convergence wherever the local curvature is
-    # strictly below L.
-    y = y0.copy()
-    for _ in range(max_iter):
-        y_next = 0.5 * y + 0.5 * shifted_gradient(f, u + d * y)
-        floor = 8.0 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(y_next)))
-        if np.linalg.norm(y_next - y) <= max(tol, floor):
-            return y_next
-        y = y_next
-    raise ConvergenceError(
-        f"damped fixed point did not reach tol={tol} within {max_iter} iterations"
-    )
+    _check_feedthrough(f, d)
+    return _solve_fixed_point(f, d, f.check_point(u).reshape(1, -1), tol, max_iter)[0]
 
 
 def _on_branch(y_fp: np.ndarray, probe: np.ndarray) -> bool:
@@ -213,15 +249,16 @@ def delta_bar_operator(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ):
-    """Signal-to-signal form of the transformed nonlinearity (memoryless)."""
+    """Signal-to-signal form of the transformed nonlinearity (memoryless).
+
+    All time steps of a signal are solved together in one fixed point.
+    """
 
     def apply(u: Signal) -> Signal:
         if u.dim != f.dim:
             raise ShapeError(f"signal dim {u.dim} does not match function dim {f.dim}")
-        out = np.empty_like(u.samples)
-        for k in range(u.horizon):
-            out[k] = evaluate_delta_bar(f, d, u.samples[k], tol=tol, max_iter=max_iter)
-        return Signal(out)
+        _check_feedthrough(f, d)
+        return Signal(_solve_fixed_point(f, d, u.samples, tol, max_iter))
 
     return apply
 
@@ -294,7 +331,9 @@ def run_transformed(
             else:
                 y2[k] = np.linalg.solve(eye - d * f.hessian, f.hessian @ u2[k])
         elif at_boundary:
-            y_fp = _evaluate_delta_bar_damped(f, d, u2[k], probe, tol=tol)
+            y_fp = _solve_fixed_point(
+                f, d, u2[k : k + 1], tol, BOUNDARY_MAX_ITER, y=probe[None], damping=True
+            )[0]
             y2[k] = y_fp if _on_branch(y_fp, probe) else probe
         else:
             # The implicit relation can be multivalued away from the

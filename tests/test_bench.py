@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -137,6 +138,61 @@ def test_max_iter_cap_is_flagged():
     stats = run_monte_carlo(f, spec)
     assert stats[0].flagged > 0
     assert max(stats[0].count_histogram) == 5
+
+
+def _without_elementwise(f):
+    return dataclasses.replace(f, elementwise_value=None, elementwise_gradient=None)
+
+
+def _nan_outside(f, radius):
+    """``f`` with value NaN where |x| > radius, so no Armijo test passes there."""
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) > radius, np.nan, f.elementwise_value(x))
+
+    return dataclasses.replace(
+        f, value=lambda x: float(value(x)[0]), elementwise_value=value
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_line_search_is_flagged_not_raised():
+    # Samples outside the radius fail every backtrack; they are flagged at
+    # the cap while the other samples converge, in the vectorized engine
+    # and in the per-sample fallback alike.
+    f = _nan_outside(oscillatory(1.0, 100.0), 5e4)
+    methods = [m for m in default_methods(1.0, 100.0) if "armijo" in m.label]
+    spec = _small_spec(methods, n=40, seed=5)
+    x0 = np.random.default_rng(spec.seed).uniform(spec.x0_low, spec.x0_high, 40)
+    bad = int(np.sum(np.abs(x0) > 5e4))
+    assert 0 < bad < 40
+    vectorized = run_monte_carlo(f, spec)
+    fallback = run_monte_carlo(_without_elementwise(f), spec)
+    assert vectorized == fallback
+    for stat in vectorized:
+        assert stat.flagged == bad
+        assert stat.count_histogram[spec.max_iter] == bad
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_start_points_are_flagged():
+    # x0 in +-1e160 overflows f; the Armijo methods flag those samples.
+    f = oscillatory(1.0, 100.0)
+    spec = MonteCarloSpec(
+        n_samples=8,
+        x0_low=-1e160,
+        x0_high=1e160,
+        seed=0,
+        tol=1e-12,
+        methods=default_methods(1.0, 100.0),
+        max_iter=20,
+    )
+    vectorized = run_monte_carlo(f, spec)
+    assert vectorized == run_monte_carlo(_without_elementwise(f), spec)
+    armijo = [s for s in vectorized if "armijo" in s.label]
+    assert [s.count_histogram for s in armijo] == [{20: 8}, {20: 8}]
+    assert all(s.flagged == 8 for s in armijo)
 
 
 def test_determinism_across_thread_counts():

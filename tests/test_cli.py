@@ -183,3 +183,50 @@ def test_help_exits_zero():
 
 def test_usage_error_maps_to_one():
     assert main(["certify", "--m", "1"]) == 1
+
+
+def _assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_bench_config_missing_key(tmp_path, capsys):
+    doc = default_config()
+    del doc["function"]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    _assert_one_error_line(capsys, "'function'")
+
+
+def test_bench_config_missing_nested_key(tmp_path, capsys):
+    doc = default_config()
+    del doc["methods"][1]["schedule"]["s"]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    _assert_one_error_line(capsys, "methods[1].schedule", "'s'")
+
+
+def test_bench_config_not_json(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text("n_samples: 10\n")
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    _assert_one_error_line(capsys, "not valid JSON")
+
+
+def test_bench_config_not_an_object(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text("[1, 2]")
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    _assert_one_error_line(capsys, "JSON object")
+
+
+def test_bench_rejects_non_integer_thread_count(tmp_path, capsys, monkeypatch):
+    cfg = _small_bench_config(tmp_path, n=10)
+    monkeypatch.setenv("PASSIVE_GD_THREADS", "abc")
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    _assert_one_error_line(capsys, "PASSIVE_GD_THREADS", "'abc'")

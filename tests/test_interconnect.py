@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 from passive_gd.errors import (
     AlgebraicLoopError,
     ContractionError,
+    ConvergenceError,
     InvalidParameterError,
     ShapeError,
 )
@@ -17,7 +20,10 @@ from passive_gd.functions import (
     shifted_gradient,
 )
 from passive_gd.interconnect import (
+    BOUNDARY_MAX_ITER,
+    DEFAULT_TOL,
     FeedbackLoop,
+    _solve_fixed_point,
     delta_bar_operator,
     evaluate_delta_bar,
     loop_equivalence_report,
@@ -151,6 +157,69 @@ def test_delta_bar_operator_applies_per_sample():
     u = Signal(np.array([[1.0], [2.0], [-0.5]]))
     y = op(u)
     assert_allclose(y.samples, 200.0 * u.samples, rtol=1e-10)
+
+
+_DELTA_BAR_FUNCTIONS = {"oscillatory": oscillatory(1.0, 100.0), "quadratic": quadratic(100.0)}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_DELTA_BAR_FUNCTIONS)),
+    d=st.floats(1e-4, 0.0099),
+    samples=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=40),
+)
+def test_delta_bar_operator_equals_per_sample_solves(name, d, samples):
+    # One batched solve must reproduce every per-sample solve bit for bit;
+    # if any sample fails to converge, the batched solve fails too.
+    f = _DELTA_BAR_FUNCTIONS[name]
+    u = Signal(np.array(samples))
+    try:
+        expected = np.array([evaluate_delta_bar(f, d, uk) for uk in u.samples])
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            delta_bar_operator(f, d)(u)
+    else:
+        assert np.array_equal(delta_bar_operator(f, d)(u).samples, expected)
+
+
+def test_delta_bar_operator_nan_sample_raises():
+    u = Signal(np.array([[0.1], [np.nan], [-0.2]]))
+    with pytest.raises(ConvergenceError):
+        delta_bar_operator(oscillatory(1.0, 100.0), 0.005)(u)
+
+
+def test_delta_bar_operator_empty_signal():
+    y = delta_bar_operator(quadratic(100.0), 0.005)(Signal(np.zeros((0, 1))))
+    assert y.samples.shape == (0, 1)
+
+
+def test_damped_fixed_point_regression():
+    # Damped solves from a zero start at d*L = 1, recorded before the plain
+    # and damped solvers were merged; solved together as one block.
+    f = oscillatory(1.0, 100.0)
+    u = np.array([[0.004], [-0.02], [0.1]])
+    y = _solve_fixed_point(
+        f, 0.01, u, DEFAULT_TOL, BOUNDARY_MAX_ITER, y=np.zeros((3, 1)), damping=True
+    )
+    assert y[:, 0].tolist() == [0.41471839528339904, -1.8891846003792228, 17.868305399856077]
+
+
+def test_run_transformed_boundary_trace_regression():
+    # alpha = 2/L without a constant Hessian takes the damped branch every
+    # step; the trace was recorded before the solvers were merged.
+    trace = run_transformed(oscillatory(1.0, 100.0), 0.02, 0.01, np.array([3.0]), 6)
+    assert trace.states.samples[:, 0].tolist() == [
+        3.0, -0.4491264239378059, -0.18855987769902993, -0.03310546687094704,
+        -0.0007537593690365302, 6.9751220890807005e-06, -6.97993866956824e-08,
+    ]
+    assert trace.y2.samples[:, 0].tolist() == [
+        172.4563211968903, -13.028327311938797, -7.772720541404144,
+        -1.6175853750955251, -0.03803672455628054, 0.00035224607378881915,
+    ]
+    assert trace.u2.samples[:, 0].tolist() == [
+        1.275436788031097, -0.3188431508184179, -0.11083267228498848,
+        -0.016929613119991783, -0.00037339212347372474, 3.452661351192509e-06,
+    ]
 
 
 def test_run_transformed_matches_untransformed_for_quadratic():

@@ -28,6 +28,7 @@ from .functions import (
     oscillatory,
     quadratic,
     row_gradient,
+    row_value,
     sector_membership_scan,
     shifted_gradient,
 )

@@ -1,16 +1,22 @@
-"""Monte Carlo benchmark over uniformly sampled scalar initial conditions.
+"""Monte Carlo benchmark over uniformly sampled initial conditions.
 
-Every method sees the same seeded x0 sequence, so the per-method
-statistics form a paired comparison. Iteration counts are 1-based: the
-convergence check that passes is counted, so a sample that starts at the
-minimizer records 1. Samples that exhaust the iteration budget are
-recorded at the cap and flagged rather than dropped; samples with a
-non-finite iterate or a failed line search are treated the same way.
+Every method sees the same seeded x0 sequence, drawn from
+[x0_low, x0_high]^dim, so the per-method statistics form a paired
+comparison. Iteration counts are 1-based: the convergence check that
+passes is counted, so a sample that starts at the minimizer records 1.
+Samples that exhaust the iteration budget are recorded at the cap and
+flagged rather than dropped; samples with a non-finite iterate or a
+failed line search are treated the same way.
 
-The engine is vectorized across samples for one-dimensional functions
-that expose elementwise callables, and falls back to per-sample runs
-otherwise. A sample's arithmetic never depends on its neighbors, and the
-chunk layout is fixed, so results are bit-identical for any worker count.
+One batched engine runs every method on every objective. It iterates a
+block of samples at once, a flat ``(n,)`` array for one-dimensional
+functions and ``(n, dim)`` otherwise, and evaluates the objective
+through ``row_gradient``/``row_value``: one vectorized call per block for
+a one-dimensional built-in, one ``f.gradient``/``f.value`` call per row
+for any other function. Each sample follows the arithmetic of
+``gd_run``/``gsgd_run``, so its count is theirs. A sample's arithmetic
+never depends on its neighbors, and the chunk layout is fixed, so results
+are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -23,20 +29,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidParameterError, LineSearchError
-from .functions import SectorFunction, builtin_function
+from .errors import InvalidParameterError
+from .functions import SectorFunction, builtin_function, row_gradient, row_value
 from .optim import (
     ArmijoAlpha,
     ArmijoParams,
     ArmijoS,
     FixedAlpha,
     FixedS,
-    GradNorm,
-    MaxIter,
-    Termination,
+    MAX_BACKTRACKS,
     default_s_cap,
-    gd_run,
-    gsgd_run,
 )
 
 __all__ = [
@@ -55,7 +57,6 @@ __all__ = [
 
 THREADS_ENV_VAR = "PASSIVE_GD_THREADS"
 _CHUNK = 16384
-_MAX_BACKTRACKS = 100
 
 
 @dataclass(frozen=True)
@@ -141,186 +142,152 @@ def _summarize(label: str, counts: np.ndarray, flagged: np.ndarray) -> SummarySt
     )
 
 
-def _deactivate(counts, flagged, idx, bad, cap):
-    counts[idx[bad]] = cap
-    flagged[idx[bad]] = True
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-sample dot products of two blocks, bitwise ``np.dot`` of each row pair."""
+    if a.ndim == 1:
+        return a * b
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _fixed_gd_chunk(gv, x0, alpha, tol, max_iter):
-    x = x0.copy()
-    counts = np.ones(x.shape, dtype=np.int64)
-    flagged = np.zeros(x.shape, dtype=bool)
-    g = gv(x)
-    idx = np.nonzero(~(np.abs(g) < tol))[0]
-    gi = g[idx]
+def _converged(g: np.ndarray, tol: float) -> np.ndarray:
+    """The ``GradNorm`` test of each sample, as ``gd_run`` makes it."""
+    norm = np.abs(g) if g.ndim == 1 else np.sqrt(_row_dot(g, g))
+    return norm < tol
+
+
+def _col(t, x: np.ndarray):
+    """Per-sample values ``t`` shaped to scale the rows of the block ``x``."""
+    return t if x.ndim == 1 or np.ndim(t) == 0 else t[:, None]
+
+
+def _backtrack(accepts, fx: np.ndarray, start: float, shrink: float):
+    """Shrink each sample's trial value from ``start`` until ``accepts`` passes it.
+
+    ``accepts(rows, t)`` tests the trials of the samples ``rows`` at their
+    values ``t`` and returns the pass mask and the objective at each trial
+    point. A sample fails its search when its f(x) is not finite, since
+    no decrease can be measured from there, or when no trial passes
+    within MAX_BACKTRACKS backtracks. Returns the accepted values, the
+    objective at the accepted trial points and the failed mask.
+    """
+    t = np.full(fx.shape, start)
+    f_new = np.empty_like(fx)
+    failed = ~np.isfinite(fx)
+    rows = np.nonzero(~failed)[0]
+    for _ in range(MAX_BACKTRACKS + 1):
+        if rows.size == 0:
+            break
+        ok, f_trial = accepts(rows, t[rows])
+        f_new[rows[ok]] = f_trial[ok]
+        rows = rows[~ok]
+        t[rows] *= shrink
+    failed[rows] = True
+    return t, f_new, failed
+
+
+def _step_rule(f: SectorFunction, schedule, grad, value):
+    """The update rule of ``schedule`` over a block of active samples.
+
+    ``step(x, g, fx)`` takes the iterates, their gradients and, for the
+    Armijo rules, their objective values, and returns ``(t, d, f_new,
+    failed)`` for the update x <- x - t*d: the objective at the new
+    iterates and the samples whose search failed, both None for the fixed
+    rules. An accepted Armijo trial point is the new iterate, computed by
+    the same expression from the same operands, so its objective value
+    carries over to the next update and the scheduled search's
+    grad(s*x) is the update direction.
+    """
+    if isinstance(schedule, FixedAlpha):
+        alpha = schedule.alpha
+        return lambda x, g, fx: (alpha, g, None, None)
+    if isinstance(schedule, FixedS):
+        s = schedule.s
+        return lambda x, g, fx: (s, grad(s * x), None, None)
+    p = schedule.params
+    c = p.decrease
+    if isinstance(schedule, ArmijoAlpha):
+        start = p.trial if p.trial is not None else 2.0 / f.L
+
+        def armijo_alpha(x, g, fx):
+            gg = _row_dot(g, g)
+
+            def accepts(rows, a):
+                xr = x[rows]
+                f_trial = value(xr - _col(a, xr) * g[rows])
+                return f_trial <= fx[rows] - c * a * gg[rows], f_trial
+
+            a, f_new, failed = _backtrack(accepts, fx, start, p.shrink)
+            return a, g, f_new, failed
+
+        return armijo_alpha
+    cap = schedule.cap if schedule.cap is not None else default_s_cap(f)
+    start = min(p.trial if p.trial is not None else cap, cap)
+
+    def armijo_s(x, g, fx):
+        d = np.zeros_like(x)
+
+        def accepts(rows, s):
+            xr = x[rows]
+            sr = _col(s, xr)
+            gs = grad(sr * xr)
+            f_trial = value(xr - sr * gs)
+            ok = f_trial <= fx[rows] - c * s * _row_dot(g[rows], gs)
+            d[rows[ok]] = gs[ok]
+            return ok, f_trial
+
+        s, f_new, failed = _backtrack(accepts, fx, start, p.shrink)
+        return s, d, f_new, failed
+
+    return armijo_s
+
+
+def _keep(mask, *arrays):
+    """Each array's entries under ``mask``; None stays None."""
+    return [a if a is None else a[mask] for a in arrays]
+
+
+def _run_block(step, grad, value, x0: np.ndarray, tol: float, max_iter: int):
+    """Run one method on a block of samples; return per-sample counts and flags.
+
+    Only the active samples are carried from update to update. A sample
+    leaves the set when it converges, or is flagged at the cap when its
+    iterate turns non-finite or its line search fails; samples still
+    active after ``max_iter`` updates are flagged at the cap too.
+    """
+    counts = np.ones(len(x0), dtype=np.int64)
+    flagged = np.zeros(len(x0), dtype=bool)
+    g = grad(x0)
+    idx = np.nonzero(~_converged(g, tol))[0]
+    x, g = x0[idx], g[idx]
+    fx = None if value is None else value(x)
     k = 0
     while idx.size and k < max_iter:
         k += 1
-        xi = x[idx] - alpha * gi
-        bad = ~np.isfinite(xi)
-        if bad.any():
-            _deactivate(counts, flagged, idx, bad, max_iter)
-            idx, xi = idx[~bad], xi[~bad]
-        x[idx] = xi
-        gi = gv(xi)
-        conv = np.abs(gi) < tol
-        counts[idx[conv]] = k + 1
-        idx, gi = idx[~conv], gi[~conv]
-    if idx.size:
-        counts[idx] = max_iter
-        flagged[idx] = True
+        t, d, fx, failed = step(x, g, fx)
+        x = x - _col(t, x) * d
+        drop = ~np.isfinite(x) if x.ndim == 1 else ~np.isfinite(x).all(axis=1)
+        if failed is not None:
+            drop |= failed
+        if drop.any():
+            counts[idx[drop]] = max_iter
+            flagged[idx[drop]] = True
+            idx, x, fx = _keep(~drop, idx, x, fx)
+        g = grad(x)
+        done = _converged(g, tol)
+        if done.any():
+            counts[idx[done]] = k + 1
+            idx, x, g, fx = _keep(~done, idx, x, g, fx)
+    counts[idx] = max_iter
+    flagged[idx] = True
     return counts, flagged
 
 
-def _fixed_gs_chunk(gv, x0, s, tol, max_iter):
-    x = x0.copy()
-    counts = np.ones(x.shape, dtype=np.int64)
-    flagged = np.zeros(x.shape, dtype=bool)
-    g = gv(x)
-    idx = np.nonzero(~(np.abs(g) < tol))[0]
-    k = 0
-    while idx.size and k < max_iter:
-        k += 1
-        xi = x[idx] - s * gv(s * x[idx])
-        bad = ~np.isfinite(xi)
-        if bad.any():
-            _deactivate(counts, flagged, idx, bad, max_iter)
-            idx, xi = idx[~bad], xi[~bad]
-        x[idx] = xi
-        conv = np.abs(gv(xi)) < tol
-        counts[idx[conv]] = k + 1
-        idx = idx[~conv]
-    if idx.size:
-        counts[idx] = max_iter
-        flagged[idx] = True
-    return counts, flagged
-
-
-def _armijo_gd_chunk(fv, gv, x0, trial, shrink, c, tol, max_iter):
-    x = x0.copy()
-    counts = np.ones(x.shape, dtype=np.int64)
-    flagged = np.zeros(x.shape, dtype=bool)
-    g = gv(x)
-    idx = np.nonzero(~(np.abs(g) < tol))[0]
-    gi = g[idx]
-    k = 0
-    while idx.size and k < max_iter:
-        k += 1
-        xi = x[idx]
-        fx = fv(xi)
-        gg = gi * gi
-        a = np.full(xi.shape, trial)
-        pending = np.ones(xi.shape, dtype=bool)
-        for _ in range(_MAX_BACKTRACKS + 1):
-            p = np.nonzero(pending)[0]
-            if p.size == 0:
-                break
-            ok = fv(xi[p] - a[p] * gi[p]) <= fx[p] - c * a[p] * gg[p]
-            pending[p[ok]] = False
-            a[p[~ok]] *= shrink
-        if pending.any():
-            _deactivate(counts, flagged, idx, pending, max_iter)
-            keep = ~pending
-            idx, xi, gi, a = idx[keep], xi[keep], gi[keep], a[keep]
-        xi = xi - a * gi
-        bad = ~np.isfinite(xi)
-        if bad.any():
-            _deactivate(counts, flagged, idx, bad, max_iter)
-            idx, xi = idx[~bad], xi[~bad]
-        x[idx] = xi
-        gi = gv(xi)
-        conv = np.abs(gi) < tol
-        counts[idx[conv]] = k + 1
-        idx, gi = idx[~conv], gi[~conv]
-    if idx.size:
-        counts[idx] = max_iter
-        flagged[idx] = True
-    return counts, flagged
-
-
-def _armijo_gs_chunk(fv, gv, x0, trial, cap, shrink, c, tol, max_iter):
-    x = x0.copy()
-    counts = np.ones(x.shape, dtype=np.int64)
-    flagged = np.zeros(x.shape, dtype=bool)
-    g = gv(x)
-    idx = np.nonzero(~(np.abs(g) < tol))[0]
-    gi = g[idx]
-    k = 0
-    start = min(trial, cap)
-    while idx.size and k < max_iter:
-        k += 1
-        xi = x[idx]
-        fx = fv(xi)
-        s = np.full(xi.shape, start)
-        pending = np.ones(xi.shape, dtype=bool)
-        for _ in range(_MAX_BACKTRACKS + 1):
-            p = np.nonzero(pending)[0]
-            if p.size == 0:
-                break
-            gs = gv(s[p] * xi[p])
-            ok = fv(xi[p] - s[p] * gs) <= fx[p] - c * s[p] * (gi[p] * gs)
-            pending[p[ok]] = False
-            s[p[~ok]] *= shrink
-        if pending.any():
-            _deactivate(counts, flagged, idx, pending, max_iter)
-            keep = ~pending
-            idx, xi, gi, s = idx[keep], xi[keep], gi[keep], s[keep]
-        xi = xi - s * gv(s * xi)
-        bad = ~np.isfinite(xi)
-        if bad.any():
-            _deactivate(counts, flagged, idx, bad, max_iter)
-            idx, xi = idx[~bad], xi[~bad]
-        x[idx] = xi
-        gi = gv(xi)
-        conv = np.abs(gi) < tol
-        counts[idx[conv]] = k + 1
-        idx, gi = idx[~conv], gi[~conv]
-    if idx.size:
-        counts[idx] = max_iter
-        flagged[idx] = True
-    return counts, flagged
-
-
-def _chunk_runner(f: SectorFunction, method: MethodSpec, tol: float, max_iter: int):
-    fv = f.elementwise_value
-    gv = f.elementwise_gradient
-    sched = method.schedule
-    if isinstance(sched, FixedAlpha):
-        return lambda x0: _fixed_gd_chunk(gv, x0, sched.alpha, tol, max_iter)
-    if isinstance(sched, FixedS):
-        return lambda x0: _fixed_gs_chunk(gv, x0, sched.s, tol, max_iter)
-    if isinstance(sched, ArmijoAlpha):
-        p = sched.params
-        trial = p.trial if p.trial is not None else 2.0 / f.L
-        return lambda x0: _armijo_gd_chunk(
-            fv, gv, x0, trial, p.shrink, p.decrease, tol, max_iter
-        )
-    p = sched.params
-    cap = sched.cap if sched.cap is not None else default_s_cap(f)
-    trial = p.trial if p.trial is not None else cap
-    return lambda x0: _armijo_gs_chunk(
-        fv, gv, x0, trial, cap, p.shrink, p.decrease, tol, max_iter
-    )
-
-
-def _run_fallback(f: SectorFunction, method: MethodSpec, x0s, tol, max_iter):
-    counts = np.empty(x0s.shape[0], dtype=np.int64)
-    flagged = np.zeros(x0s.shape[0], dtype=bool)
-    stops = [GradNorm(tol), MaxIter(max_iter)]
-    runner = gd_run if method.kind == "gd" else gsgd_run
-    for i, x0 in enumerate(x0s):
-        try:
-            trace = runner(f, np.atleast_1d(x0), method.schedule, stops)
-        except (DivergenceError, LineSearchError):
-            counts[i] = max_iter
-            flagged[i] = True
-            continue
-        if trace.termination is Termination.GRAD_NORM_MET:
-            counts[i] = trace.iterations + 1
-        else:
-            counts[i] = max_iter
-            flagged[i] = True
-    return counts, flagged
+def _block_runner(f: SectorFunction, method: MethodSpec, tol: float, max_iter: int):
+    grad = row_gradient(f)
+    armijo = isinstance(method.schedule, (ArmijoAlpha, ArmijoS))
+    value = row_value(f) if armijo else None
+    step = _step_rule(f, method.schedule, grad, value)
+    return lambda x0: _run_block(step, grad, value, x0, tol, max_iter)
 
 
 def _resolve_threads(threads: Optional[int]) -> int:
@@ -347,22 +314,15 @@ def run_monte_carlo(
     ``threads`` overrides the PASSIVE_GD_THREADS environment variable;
     results do not depend on the worker count.
     """
+    n = spec.n_samples
     rng = np.random.default_rng(spec.seed)
-    x0 = rng.uniform(spec.x0_low, spec.x0_high, spec.n_samples)
+    # For dim == 1 the flat draw is the same sequence as an (n, 1) draw.
+    x0 = rng.uniform(spec.x0_low, spec.x0_high, n if f.dim == 1 else (n, f.dim))
+    chunks = [x0[i : i + _CHUNK] for i in range(0, n, _CHUNK)]
     n_threads = _resolve_threads(threads)
-    vectorizable = (
-        f.dim == 1
-        and f.elementwise_value is not None
-        and f.elementwise_gradient is not None
-    )
     results = []
     for method in spec.methods:
-        if not vectorizable:
-            counts, flagged = _run_fallback(f, method, x0, spec.tol, spec.max_iter)
-            results.append(_summarize(method.label, counts, flagged))
-            continue
-        runner = _chunk_runner(f, method, spec.tol, spec.max_iter)
-        chunks = [x0[i : i + _CHUNK] for i in range(0, spec.n_samples, _CHUNK)]
+        runner = _block_runner(f, method, spec.tol, spec.max_iter)
         if n_threads == 1 or len(chunks) == 1:
             parts = [runner(c) for c in chunks]
         else:

@@ -3,8 +3,9 @@
 Each built-in carries its sector bounds ``(m, L)`` and minimizer, an
 analytic gradient, and (for the quadratic family) a constant Hessian.
 One-dimensional built-ins also expose elementwise callables so that
-batches of scalar initial conditions can be evaluated in one vectorized
-pass.
+batches of scalar points can be evaluated in one vectorized pass;
+``row_gradient`` and ``row_value`` give every function the same
+block-of-rows interface.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "BUILTIN_NAMES",
     "shifted_gradient",
     "row_gradient",
+    "row_value",
     "cocoercivity_residual",
     "sector_membership_scan",
     "central_difference_gradient",
@@ -53,8 +55,8 @@ class SectorFunction:
         Constant Hessian, present only for the quadratic family.
     elementwise_value, elementwise_gradient : callable, optional
         For ``dim == 1`` only: ufunc-style callables mapping an array of
-        scalar points to an array of the same shape. Used by the
-        vectorized Monte Carlo engine.
+        scalar points to an array of the same shape. Used through
+        ``row_gradient`` and ``row_value`` by the batched engines.
     """
 
     dim: int
@@ -198,20 +200,38 @@ def shifted_gradient(f: SectorFunction, u) -> np.ndarray:
 
 
 def row_gradient(f: SectorFunction) -> Callable[[np.ndarray], np.ndarray]:
-    """The gradient of ``f`` as a map over the rows of an ``(n, dim)`` block.
+    """The gradient of ``f`` as a map over the rows of a block of points.
 
-    One-dimensional functions with an elementwise gradient take one
-    vectorized call per block; any other function takes one
-    ``f.gradient`` call per row. Each row's value is the one
-    ``f.gradient`` gives for that row.
+    A block is a flat ``(n,)`` array when ``dim == 1`` and an ``(n, dim)``
+    array otherwise. One-dimensional functions with an elementwise
+    gradient take one vectorized call per block; any other function takes
+    one ``f.gradient`` call per row, on a ``(dim,)`` view. Each row's value
+    is the one ``f.gradient`` gives for that row.
     """
     if f.dim == 1 and f.elementwise_gradient is not None:
         return f.elementwise_gradient
-    gradient = f.gradient
+    gradient, dim = f.gradient, f.dim
 
     def per_row(points: np.ndarray) -> np.ndarray:
-        grads = [np.asarray(gradient(x), dtype=float) for x in points]
-        return np.array(grads).reshape(points.shape)
+        grads = [gradient(x) for x in points.reshape(-1, dim)]
+        return np.array(grads, dtype=float).reshape(points.shape)
+
+    return per_row
+
+
+def row_value(f: SectorFunction) -> Callable[[np.ndarray], np.ndarray]:
+    """The objective of ``f`` as a map from a block of points to ``(n,)`` values.
+
+    Blocks and dispatch are as in :func:`row_gradient`: one elementwise
+    call per block for one-dimensional functions that have one, else one
+    ``f.value`` call per row.
+    """
+    if f.dim == 1 and f.elementwise_value is not None:
+        return f.elementwise_value
+    value, dim = f.value, f.dim
+
+    def per_row(points: np.ndarray) -> np.ndarray:
+        return np.array([value(x) for x in points.reshape(-1, dim)], dtype=float)
 
     return per_row
 

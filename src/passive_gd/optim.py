@@ -165,6 +165,14 @@ def paired_gradient_criterion(g_now, g_prev, tol: float) -> bool:
     return float(np.dot(s, s)) < tol
 
 
+def _finite_start_value(f: SectorFunction, x: np.ndarray) -> float:
+    """f(x) for a line search; no decrease can be measured from a non-finite one."""
+    fx = f.value(x)
+    if not np.isfinite(fx):
+        raise LineSearchError(f"objective is {fx} at the search's start point")
+    return fx
+
+
 def armijo_alpha(f: SectorFunction, x, params: ArmijoParams) -> float:
     """Largest trial*shrink^j satisfying the sufficient-decrease condition."""
     x = f.check_point(x)
@@ -173,7 +181,7 @@ def armijo_alpha(f: SectorFunction, x, params: ArmijoParams) -> float:
     if gg == 0.0:
         raise InvalidParameterError("line search requires a nonzero gradient")
     a = params.trial if params.trial is not None else 2.0 / f.L
-    fx = f.value(x)
+    fx = _finite_start_value(f, x)
     for _ in range(MAX_BACKTRACKS + 1):
         if f.value(x - a * g) <= fx - params.decrease * a * gg:
             return a
@@ -198,7 +206,7 @@ def armijo_s(f: SectorFunction, x, params: ArmijoParams, cap: float) -> float:
         raise InvalidParameterError("line search requires a nonzero gradient")
     s = params.trial if params.trial is not None else cap
     s = min(s, cap)
-    fx = f.value(x)
+    fx = _finite_start_value(f, x)
     for _ in range(MAX_BACKTRACKS + 1):
         gs = np.asarray(f.gradient(s * x), dtype=float)
         if f.value(x - s * gs) <= fx - params.decrease * s * float(np.dot(gx, gs)):

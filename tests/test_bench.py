@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passive_gd.bench import (
     MethodSpec,
@@ -15,8 +17,8 @@ from passive_gd.bench import (
     spec_from_config,
     write_summary_csv,
 )
-from passive_gd.errors import InvalidParameterError
-from passive_gd.functions import oscillatory
+from passive_gd.errors import DivergenceError, InvalidParameterError, LineSearchError
+from passive_gd.functions import diag_quadratic, oscillatory, quadratic
 from passive_gd.optim import (
     ArmijoAlpha,
     ArmijoParams,
@@ -193,6 +195,132 @@ def test_overflowing_start_points_are_flagged():
     armijo = [s for s in vectorized if "armijo" in s.label]
     assert [s.count_histogram for s in armijo] == [{20: 8}, {20: 8}]
     assert all(s.flagged == 8 for s in armijo)
+
+
+def _reference_counts(f, spec, method, x0):
+    """Per-sample counts and flags from ``gd_run``/``gsgd_run``."""
+    runner = gd_run if method.kind == "gd" else gsgd_run
+    counts = np.empty(len(x0), dtype=np.int64)
+    flagged = np.zeros(len(x0), dtype=bool)
+    stops = [GradNorm(spec.tol), MaxIter(spec.max_iter)]
+    for i, x in enumerate(x0):
+        try:
+            trace = runner(f, np.atleast_1d(x), method.schedule, stops)
+        except (DivergenceError, LineSearchError):
+            counts[i], flagged[i] = spec.max_iter, True
+            continue
+        if trace.termination is Termination.GRAD_NORM_MET:
+            counts[i] = trace.iterations + 1
+        else:
+            counts[i], flagged[i] = spec.max_iter, True
+    return counts, flagged
+
+
+def test_two_dimensional_counts_match_per_sample_runs():
+    # x0 is drawn from [low, high]^2; at alpha = 2/L the stiff coordinate
+    # oscillates forever, so those runs hit the cap and are flagged.
+    f = diag_quadratic(1.0, 100.0)
+    methods = [
+        MethodSpec("fixed-a", "gd", FixedAlpha(2.0 / 101.0)),
+        MethodSpec("fixed-s", "gsgd", FixedS(float(np.sqrt(2.0 / 101.0)))),
+        MethodSpec("edge-a", "gd", FixedAlpha(2.0 / 100.0)),
+        MethodSpec("armijo-a", "gd", ArmijoAlpha(ArmijoParams())),
+        MethodSpec("armijo-s", "gsgd", ArmijoS(ArmijoParams())),
+    ]
+    spec = MonteCarloSpec(16, -1.0, 1.0, 3, 0.1, tuple(methods), max_iter=300)
+    x0 = np.random.default_rng(spec.seed).uniform(-1.0, 1.0, (16, 2))
+    stats = run_monte_carlo(f, spec)
+    assert any(0 < s.flagged < 16 for s in stats)
+    for method, stat in zip(methods, stats):
+        counts, flagged = _reference_counts(f, spec, method, x0)
+        vals, freq = np.unique(counts, return_counts=True)
+        assert stat.count_histogram == {int(v): int(c) for v, c in zip(vals, freq)}
+        assert stat.flagged == flagged.sum(), method.label
+
+
+_BUILTINS = {"oscillatory": oscillatory(1.0, 100.0), "quadratic": quadratic(100.0)}
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_BUILTINS)),
+    seed=st.integers(0, 2**32 - 1),
+    low=st.floats(-1e6, 1e6),
+    width=st.floats(1e-3, 1e6),
+    n=st.integers(1, 12),
+)
+def test_per_row_oracle_equals_vectorized_oracle(name, seed, low, width, n):
+    # The engine's two oracle layouts, one elementwise call per block and
+    # one f.gradient/f.value call per row, give the same statistics. On
+    # the quadratic, alpha = 2/L maps x to -x, so those runs hit the cap.
+    f = _BUILTINS[name]
+    spec = MonteCarloSpec(
+        n, low, low + width, seed, 1e-12, default_methods(f.m, f.L), max_iter=500
+    )
+    assert run_monte_carlo(f, spec) == run_monte_carlo(_without_elementwise(f), spec)
+
+
+def _counting(f):
+    """A copy of ``f`` whose value and elementwise oracles count the points
+    they evaluate. ``f.gradient`` is left as it is, since the constructor
+    calls it once."""
+    points = {"value": 0, "grad": 0}
+
+    def counted(fn, kind):
+        def call(x):
+            points[kind] += np.size(x)
+            return fn(x)
+
+        return call
+
+    copy = dataclasses.replace(
+        f,
+        value=counted(f.value, "value"),
+        elementwise_value=counted(f.elementwise_value, "value"),
+        elementwise_gradient=counted(f.elementwise_gradient, "grad"),
+    )
+    return copy, points
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_armijo_oracle_points_per_sample(seed):
+    # A converging sample with k updates and T trials evaluates f at its
+    # start point and at each trial: the accepted trial is the next
+    # iterate, whose value carries over. s-armijo's accepted trial also
+    # gives the update direction grad(s*x). T is counted independently in
+    # the per-sample optimizers, which evaluate f(x) again every update.
+    for method in default_methods(1.0, 100.0)[4:]:
+        spec = _small_spec([method], n=1, seed=seed)
+        x0 = np.random.default_rng(seed).uniform(spec.x0_low, spec.x0_high, 1)
+        runner = gd_run if method.kind == "gd" else gsgd_run
+        reference, reference_points = _counting(oscillatory(1.0, 100.0))
+        trace = runner(reference, x0, method.schedule, [GradNorm(spec.tol)])
+        k = trace.iterations
+        trials = reference_points["value"] - k
+        counted, points = _counting(oscillatory(1.0, 100.0))
+        (stat,) = run_monte_carlo(counted, spec)
+        assert stat.count_histogram == {k + 1: 1} and stat.flagged == 0
+        assert points["value"] == 1 + trials, method.label
+        grads = 1 + trials + k if method.kind == "gsgd" else 1 + k
+        assert points["grad"] == grads, method.label
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_objective_fails_the_search_at_once():
+    # f(x0) overflows to inf for x0 in +-1e160: the Armijo methods flag
+    # such a sample after one evaluation of f instead of creeping on
+    # toward the cap, in both oracle layouts.
+    spec = MonteCarloSpec(
+        n_samples=8, x0_low=-1e160, x0_high=1e160, seed=0, tol=1e-12,
+        methods=default_methods(1.0, 100.0)[4:], max_iter=2000,
+    )
+    counted, points = _counting(oscillatory(1.0, 100.0))
+    for target in (counted, _without_elementwise(counted)):
+        for method in spec.methods:
+            points["value"] = 0
+            (stat,) = run_monte_carlo(target, dataclasses.replace(spec, methods=(method,)))
+            assert stat.count_histogram == {2000: 8} and stat.flagged == 8
+            assert points["value"] <= 8, method.label
 
 
 def test_determinism_across_thread_counts():

@@ -230,3 +230,28 @@ def test_bench_rejects_non_integer_thread_count(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PASSIVE_GD_THREADS", "abc")
     assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
     _assert_one_error_line(capsys, "PASSIVE_GD_THREADS", "'abc'")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_armijo_from_overflowing_start(capsys):
+    code = main([
+        "run", "--function", "oscillatory", "--m", "1", "--L", "100",
+        "--x0", "1e160", "--method", "gsgd", "--armijo", "--max-iter", "50",
+    ])
+    assert code == 1
+    _assert_one_error_line(capsys, "inf")
+
+
+def test_bench_two_dimensional_config(tmp_path, capsys):
+    doc = default_config()
+    doc.update(function={"name": "diag-quadratic", "m": 1.0, "L": 100.0},
+               n_samples=20, x0_low=-1.0, x0_high=1.0, tol=1e-3, max_iter=400)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path), "--json"])
+    assert code == 0, capsys.readouterr().err
+    stats = {s["label"]: s for s in json.loads(capsys.readouterr().out)}
+    assert all(s["n"] == 20 for s in stats.values())
+    # The stiff coordinate oscillates forever at alpha = 2/L.
+    assert stats["alpha=2/L"]["flagged"] == 20
+    assert stats["alpha-armijo"]["flagged"] == 0

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from passive_gd.errors import DivergenceError, InvalidParameterError, ShapeError
+from passive_gd.errors import (
+    DivergenceError,
+    InvalidParameterError,
+    LineSearchError,
+    ShapeError,
+)
 from passive_gd.functions import diag_quadratic, oscillatory, quadratic
 from passive_gd.optim import (
     ArmijoAlpha,
@@ -197,6 +202,18 @@ def test_armijo_s_zero_gradient_rejected():
     f = quadratic(100.0)
     with pytest.raises(InvalidParameterError):
         armijo_s(f, np.zeros(1), ArmijoParams(), 0.1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_armijo_searches_fail_where_the_objective_overflows():
+    # f(1e160) overflows to inf; without the check the test inf <= inf
+    # passes after enough backtracks and the search returns s ~ 2e-15.
+    f = oscillatory(1.0, 100.0)
+    x = np.array([1e160])
+    with pytest.raises(LineSearchError):
+        armijo_s(f, x, ArmijoParams(), default_s_cap(f))
+    with pytest.raises(LineSearchError):
+        armijo_alpha(f, x, ArmijoParams())
 
 
 def test_armijo_params_validation():

@@ -10,7 +10,6 @@ precision.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -35,6 +34,7 @@ from .optim import (
     gsgd_run,
 )
 from .passivity import Verdict, certify_step_size, nabla_indices
+from .signals import _columns, _write_columns
 
 __all__ = ["main", "build_parser"]
 
@@ -146,43 +146,6 @@ def _parse_x0(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
 
 
-def _write_run_trace(trace, path):
-    dim = trace.iterates.dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = (["k"]
-                  + [f"x_{i}" for i in range(dim)]
-                  + [f"g_{i}" for i in range(dim)]
-                  + ["step"])
-        writer.writerow(header)
-        for k in range(trace.iterates.horizon):
-            step = f"{trace.step_history[k]:.17g}" if k < len(trace.step_history) else ""
-            writer.writerow(
-                [k]
-                + [f"{v:.17g}" for v in trace.iterates.samples[k]]
-                + [f"{v:.17g}" for v in trace.gradients.samples[k]]
-                + [step]
-            )
-
-
-def _write_loop_trace(trace, path):
-    dim = trace.u1.dim
-    names = ["u1", "y1", "u2", "y2", "state"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if dim == 1:
-            writer.writerow(["k"] + names)
-        else:
-            writer.writerow(
-                ["k"] + [f"{n}_{i}" for n in names for i in range(dim)]
-            )
-        for k in range(trace.steps):
-            row = [k]
-            for sig in (trace.u1, trace.y1, trace.u2, trace.y2, trace.states):
-                row.extend(f"{v:.17g}" for v in sig.samples[k])
-            writer.writerow(row)
-
-
 def _cmd_run(args) -> int:
     f = builtin_function(args.function, args.m, args.L)
     x0 = _parse_x0(args.x0)
@@ -192,7 +155,11 @@ def _cmd_run(args) -> int:
             return 1
         trace = run_transformed(f, args.alpha, args.alpha / 2.0, x0, args.steps)
         if args.trace:
-            _write_loop_trace(trace, args.trace)
+            columns = {}
+            for name, sig in zip(("u1", "y1", "u2", "y2", "state"),
+                                 (trace.u1, trace.y1, trace.u2, trace.y2, trace.states)):
+                columns.update(_columns(name, sig.samples, indexed=sig.dim > 1))
+            _write_columns(args.trace, columns, trace.steps)
         final = trace.states.samples[-1] + f.minimizer
         doc = {
             "mode": "loop",
@@ -229,14 +196,18 @@ def _cmd_run(args) -> int:
             return 1
         trace = gsgd_run(f, x0, schedule, stops)
     if args.trace:
-        _write_run_trace(trace, args.trace)
+        columns = {**_columns("x", trace.iterates.samples),
+                   **_columns("g", trace.gradients.samples), "step": trace.step_history}
+        _write_columns(args.trace, columns, trace.iterates.horizon)
     final = trace.iterates.samples[-1]
+    with np.errstate(over="ignore"):  # an overflowing norm reads inf
+        grad_norm = float(np.linalg.norm(trace.gradients.samples[-1]))
     doc = {
         "mode": "iterate",
         "iterations": trace.iterations,
         "termination": trace.termination.value,
         "final_x": final.tolist(),
-        "final_grad_norm": float(np.linalg.norm(trace.gradients.samples[-1])),
+        "final_grad_norm": grad_norm,
     }
     if args.json:
         print(json.dumps(doc, sort_keys=True))

@@ -5,7 +5,8 @@ analytic gradient, and (for the quadratic family) a constant Hessian.
 One-dimensional built-ins also expose elementwise callables so that
 batches of scalar points can be evaluated in one vectorized pass;
 ``row_gradient`` and ``row_value`` give every function the same
-block-of-rows interface.
+block-of-rows interface, on which the co-coercivity residual is written
+once.
 """
 
 from __future__ import annotations
@@ -236,17 +237,41 @@ def row_value(f: SectorFunction) -> Callable[[np.ndarray], np.ndarray]:
     return per_row
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row dot products of two blocks, bitwise ``np.dot`` of each row pair."""
+    return a * b if a.ndim == 1 else np.vecdot(a, b)
+
+
+def _cocoercivity_block(f: SectorFunction, points: np.ndarray):
+    """Co-coercivity residual and its scale at each row of ``points``, shape ``(n, dim)``.
+
+    The scale is 1 + ||x - x*||^2 + ||grad f(x)||^2. A one-dimensional
+    block is evaluated flat, through ``row_gradient``.
+    """
+    x = points[:, 0] if f.dim == 1 else points
+    dx = x - f.minimizer
+    g = row_gradient(f)(x)
+    s = f.m + f.L
+    c = f.m * f.L / s
+    # In place, to keep the peak memory of a large block low. The flat
+    # layout keeps the elementwise order (c*dx)*dx.
+    residual = _row_dot(dx, g)
+    residual -= c * dx * dx if x.ndim == 1 else c * _row_dot(dx, dx)
+    gg = _row_dot(g, g)
+    residual -= gg / s
+    scale = 1.0 + _row_dot(dx, dx)
+    scale += gg
+    return residual, scale
+
+
 def cocoercivity_residual(f: SectorFunction, x) -> float:
     """Slack of the sector inequality at ``x``; non-negative on members.
 
     residual = <x - x*, grad f(x)> - mL/(m+L) ||x - x*||^2
                - 1/(m+L) ||grad f(x)||^2
     """
-    x = f.check_point(x)
-    dx = x - f.minimizer
-    g = np.asarray(f.gradient(x), dtype=float)
-    s = f.m + f.L
-    return float(np.dot(dx, g) - (f.m * f.L / s) * np.dot(dx, dx) - np.dot(g, g) / s)
+    residual, _ = _cocoercivity_block(f, f.check_point(x)[None, :])
+    return float(residual[0])
 
 
 def sector_membership_scan(
@@ -257,24 +282,10 @@ def sector_membership_scan(
         raise InvalidParameterError(f"empty sample range [{lo}, {hi}]")
     if n_samples < 1:
         raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    points = rng.uniform(lo, hi, (n_samples, f.dim))
-    if f.dim == 1 and f.elementwise_gradient is not None:
-        x = points[:, 0]
-        dx = x - f.minimizer[0]
-        g = f.elementwise_gradient(x)
-        s = f.m + f.L
-        r = dx * g - (f.m * f.L / s) * dx * dx - g * g / s
-        i = int(np.argmin(r))
-        return float(r[i]), points[i]
-    best = np.inf
-    argmin = f.minimizer.copy()
-    for x in points:
-        r = cocoercivity_residual(f, x)
-        if r < best:
-            best = r
-            argmin = x
-    return best, argmin
+    points = np.random.default_rng(seed).uniform(lo, hi, (n_samples, f.dim))
+    residual, _ = _cocoercivity_block(f, points)
+    i = int(np.argmin(residual))
+    return float(residual[i]), points[i]
 
 
 def central_difference_gradient(f: SectorFunction, x, rel_step: float = 1e-6) -> np.ndarray:

@@ -7,7 +7,6 @@ P = p*I, for which p = 1/alpha is the unique feasible shape.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -25,8 +24,6 @@ __all__ = [
     "simulate",
     "positive_real_check",
     "gd_passivity_certificate",
-    "realization_to_json",
-    "realization_from_json",
 ]
 
 
@@ -199,30 +196,4 @@ def gd_passivity_certificate(alpha: float, d: float) -> CertificateResult:
         d=d,
         max_eigenvalue_M=max_eig,
         reason=f"feedthrough d={d} is below alpha/2={alpha / 2}",
-    )
-
-
-def realization_to_json(ss: StateSpaceRealization) -> str:
-    doc = {
-        "A": ss.A.tolist(),
-        "B": ss.B.tolist(),
-        "C": ss.C.tolist(),
-        "D": ss.D.tolist(),
-    }
-    if ss.alpha is not None:
-        doc["alpha"] = ss.alpha
-    if ss.d is not None:
-        doc["d"] = ss.d
-    return json.dumps(doc, sort_keys=True)
-
-
-def realization_from_json(text: str) -> StateSpaceRealization:
-    doc = json.loads(text)
-    return StateSpaceRealization(
-        np.array(doc["A"]),
-        np.array(doc["B"]),
-        np.array(doc["C"]),
-        np.array(doc["D"]),
-        alpha=doc.get("alpha"),
-        d=doc.get("d"),
     )

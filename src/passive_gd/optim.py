@@ -6,6 +6,12 @@ so a constant schedule reproduces fixed-step behavior exactly. The
 paired-gradient stopping rule accepts runs whose consecutive gradients
 cancel, which covers step sizes at the stability boundary where a
 coordinate oscillates forever.
+
+Every iteration and every Armijo search runs in one batched engine over
+a block of start points, a flat ``(n,)`` array for one-dimensional
+functions and ``(n, dim)`` otherwise: ``gd_run``/``gsgd_run`` run it on
+one row and record the trace, ``armijo_alpha``/``armijo_s`` run one of
+its searches on one row, and ``bench`` runs it on blocks of samples.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError, LineSearchError, ShapeError
-from .functions import SectorFunction
+from .functions import SectorFunction, _row_dot, row_gradient, row_value
 from .signals import Signal
 
 __all__ = [
@@ -165,31 +171,215 @@ def paired_gradient_criterion(g_now, g_prev, tol: float) -> bool:
     return float(np.dot(s, s)) < tol
 
 
-def _finite_start_value(f: SectorFunction, x: np.ndarray) -> float:
-    """f(x) for a line search; no decrease can be measured from a non-finite one."""
-    fx = f.value(x)
+# Why the engine stopped a sample. The first three codes index the
+# members of Termination; the last two are failures.
+_MET, _PAIRED, _CAP, _NONFINITE, _FAILED = range(5)
+
+
+def _normalize_stops(stops: Sequence[StoppingRule]):
+    """The first rule of each kind; the cap defaults to DEFAULT_MAX_ITER."""
+    first = [next((r for r in stops if isinstance(r, kind)), None)
+             for kind in (GradNorm, PairedGrad, MaxIter)]
+    return first[0], first[1], first[2] or MaxIter(DEFAULT_MAX_ITER)
+
+
+def _first_trial(f: SectorFunction, schedule) -> float:
+    """The first value that the Armijo search of ``schedule`` tries."""
+    p = schedule.params
+    if isinstance(schedule, ArmijoAlpha):
+        return p.trial if p.trial is not None else 2.0 / f.L
+    cap = schedule.cap if schedule.cap is not None else default_s_cap(f)
+    return min(p.trial if p.trial is not None else cap, cap)
+
+
+def _search_error(f: SectorFunction, schedule, x) -> LineSearchError:
+    """The error of an Armijo search of ``schedule`` that failed from ``x``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = f.value(x)
     if not np.isfinite(fx):
-        raise LineSearchError(f"objective is {fx} at the search's start point")
-    return fx
+        return LineSearchError(f"objective is {fx} at the search's start point")
+    return LineSearchError(
+        f"no acceptable step within {MAX_BACKTRACKS} backtracks from trial "
+        f"{_first_trial(f, schedule)}"
+    )
+
+
+def _converged(g: np.ndarray, tol: float) -> np.ndarray:
+    """The ``GradNorm`` test of each sample, as ``np.linalg.norm`` makes it."""
+    norm = np.abs(g) if g.ndim == 1 else np.sqrt(_row_dot(g, g))
+    return norm < tol
+
+
+def _col(t, x: np.ndarray):
+    """Per-sample values ``t`` shaped to scale the rows of the block ``x``."""
+    return t if x.ndim == 1 or not isinstance(t, np.ndarray) else t[:, None]
+
+
+def _backtrack(accepts, fx: np.ndarray, start: float, shrink: float):
+    """Shrink each sample's trial value from ``start`` until ``accepts`` passes it.
+
+    ``accepts(rows, t)`` tests the trials of the samples ``rows`` at their
+    values ``t`` and returns the pass mask and the objective at each trial
+    point. A sample fails its search when its f(x) is not finite, since
+    no decrease can be measured from there, or when no trial passes
+    within MAX_BACKTRACKS backtracks. Returns the accepted values, the
+    objective at the accepted trial points and the failed mask.
+    """
+    t = np.full(fx.shape, start)
+    f_new = np.empty_like(fx)
+    failed = ~np.isfinite(fx)
+    rows = np.nonzero(~failed)[0]
+    for _ in range(MAX_BACKTRACKS + 1):
+        if rows.size == 0:
+            break
+        ok, f_trial = accepts(rows, t[rows])
+        f_new[rows[ok]] = f_trial[ok]
+        rows = rows[~ok]
+        t[rows] *= shrink
+    failed[rows] = True
+    return t, f_new, failed
+
+
+def _step_rule(f: SectorFunction, schedule, grad, value):
+    """The update rule of ``schedule`` over a block of active samples.
+
+    ``step(x, g, fx)`` takes the iterates, their gradients and, for the
+    Armijo rules, their objective values, and returns ``(t, d, f_new,
+    failed)`` for the update x <- x - t*d: the objective at the new
+    iterates and the samples whose search failed, both None for the fixed
+    rules. An accepted Armijo trial point is the new iterate, computed by
+    the same expression from the same operands, so its objective value
+    carries over to the next update and the scheduled search's
+    grad(s*x) is the update direction.
+    """
+    if isinstance(schedule, FixedAlpha):
+        alpha = schedule.alpha
+        return lambda x, g, fx: (alpha, g, None, None)
+    if isinstance(schedule, FixedS):
+        s = schedule.s
+        return lambda x, g, fx: (s, grad(s * x), None, None)
+    p = schedule.params
+    c = p.decrease
+    start = _first_trial(f, schedule)
+    if isinstance(schedule, ArmijoAlpha):
+
+        def armijo_alpha(x, g, fx):
+            gg = _row_dot(g, g)
+
+            def accepts(rows, a):
+                xr = x[rows]
+                f_trial = value(xr - _col(a, xr) * g[rows])
+                return f_trial <= fx[rows] - c * a * gg[rows], f_trial
+
+            a, f_new, failed = _backtrack(accepts, fx, start, p.shrink)
+            return a, g, f_new, failed
+
+        return armijo_alpha
+
+    def armijo_s(x, g, fx):
+        d = np.zeros_like(x)
+
+        def accepts(rows, s):
+            xr = x[rows]
+            sr = _col(s, xr)
+            gs = grad(sr * xr)
+            f_trial = value(xr - sr * gs)
+            ok = f_trial <= fx[rows] - c * s * _row_dot(g[rows], gs)
+            d[rows[ok]] = gs[ok]
+            return ok, f_trial
+
+        s, f_new, failed = _backtrack(accepts, fx, start, p.shrink)
+        return s, d, f_new, failed
+
+    return armijo_s
+
+
+def _keep(mask, *arrays):
+    """Each array's entries under ``mask``; None stays None."""
+    return [a if a is None else a[mask] for a in arrays]
+
+
+def _run_block(step, grad, value, x0, tol, paired_tol, max_iter, record=None):
+    """Run one method on a block of samples; return per-sample counts and stop codes.
+
+    The stopping rules are tested in a fixed order: a gradient norm below
+    ``tol``, then consecutive gradients whose sum has a squared norm below
+    ``paired_tol``, then the ``max_iter`` cap; a rule whose tolerance is
+    None is off. Counts are 1-based: a sample that a rule stops after k updates counts
+    k + 1. Only the active samples are carried from update to update. A
+    sample whose iterate turns non-finite or whose line search fails
+    leaves at once; it and every sample stopped by the cap count
+    ``max_iter``. Stop codes are ``_MET``, ``_PAIRED``, ``_CAP``,
+    ``_NONFINITE`` or ``_FAILED``. ``record(x, g, t)``, for a block of one
+    row, receives the start point with t = None and then each update.
+    Overflow is left to the finiteness tests, so numpy does not warn.
+    """
+    counts = np.full(len(x0), max_iter, dtype=np.int64)
+    reasons = np.full(len(x0), _MET, dtype=np.int8)
+    idx = np.arange(len(x0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, g, g_prev, fx, k = x0, grad(x0), None, None, 0
+        if record is not None:
+            record(x, g, None)
+        while True:
+            done = met = None if tol is None else _converged(g, tol)
+            if paired_tol is not None and g_prev is not None:
+                gsum = g + g_prev
+                paired = _row_dot(gsum, gsum) < paired_tol
+                done = paired if met is None else met | paired
+            if done is not None and done.any():
+                counts[idx[done]] = k + 1
+                if paired_tol is not None:
+                    reasons[idx[done if met is None else done & ~met]] = _PAIRED
+                idx, x, g, fx = _keep(~done, idx, x, g, fx)
+            if idx.size == 0 or k == max_iter:
+                reasons[idx] = _CAP
+                return counts, reasons
+            if fx is None and value is not None:
+                fx = value(x)
+            k += 1
+            t, d, fx, failed = step(x, g, fx)
+            x = x - _col(t, x) * d
+            if not np.isfinite(x).all() or failed is not None and failed.any():
+                drop = ~np.isfinite(x) if x.ndim == 1 else ~np.isfinite(x).all(axis=1)
+                reasons[idx[drop]] = _NONFINITE
+                if failed is not None:
+                    reasons[idx[failed]] = _FAILED
+                    drop |= failed
+                idx, x, g, fx = _keep(~drop, idx, x, g, fx)
+            g_prev, g = g, grad(x)
+            if record is not None and idx.size:
+                record(x, g, t)
+
+
+def _block_runner(f: SectorFunction, schedule, tol, max_iter, paired_tol=None):
+    """``runner(x0, record=None)``: ``_run_block`` of ``schedule`` on the block ``x0``."""
+    grad = row_gradient(f)
+    value = row_value(f) if isinstance(schedule, (ArmijoAlpha, ArmijoS)) else None
+    step = _step_rule(f, schedule, grad, value)
+    return lambda x0, record=None: _run_block(
+        step, grad, value, x0, tol, paired_tol, max_iter, record
+    )
+
+
+def _one_search(f: SectorFunction, x, schedule) -> float:
+    """The value that the engine's search of ``schedule`` accepts at ``x``."""
+    x = f.check_point(x)
+    grad, value = row_gradient(f), row_value(f)
+    block = x if f.dim == 1 else x[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = grad(block)
+        if _row_dot(g, g)[0] == 0.0:
+            raise InvalidParameterError("line search requires a nonzero gradient")
+        t, _, _, failed = _step_rule(f, schedule, grad, value)(block, g, value(block))
+    if failed[0]:
+        raise _search_error(f, schedule, x)
+    return float(t[0])
 
 
 def armijo_alpha(f: SectorFunction, x, params: ArmijoParams) -> float:
     """Largest trial*shrink^j satisfying the sufficient-decrease condition."""
-    x = f.check_point(x)
-    g = np.asarray(f.gradient(x), dtype=float)
-    gg = float(np.dot(g, g))
-    if gg == 0.0:
-        raise InvalidParameterError("line search requires a nonzero gradient")
-    a = params.trial if params.trial is not None else 2.0 / f.L
-    fx = _finite_start_value(f, x)
-    for _ in range(MAX_BACKTRACKS + 1):
-        if f.value(x - a * g) <= fx - params.decrease * a * gg:
-            return a
-        a *= params.shrink
-    raise LineSearchError(
-        f"no acceptable step within {MAX_BACKTRACKS} backtracks from trial "
-        f"{params.trial if params.trial is not None else 2.0 / f.L}"
-    )
+    return _one_search(f, x, ArmijoAlpha(params))
 
 
 def armijo_s(f: SectorFunction, x, params: ArmijoParams, cap: float) -> float:
@@ -198,62 +388,36 @@ def armijo_s(f: SectorFunction, x, params: ArmijoParams, cap: float) -> float:
     Accepts s when f(x - s*grad(s*x)) <= f(x) - c*s*<grad(x), grad(s*x)>.
     The returned value lies in (0, cap].
     """
-    if cap <= 0.0:
-        raise InvalidParameterError(f"cap must be positive, got {cap}")
-    x = f.check_point(x)
-    gx = np.asarray(f.gradient(x), dtype=float)
-    if float(np.dot(gx, gx)) == 0.0:
-        raise InvalidParameterError("line search requires a nonzero gradient")
-    s = params.trial if params.trial is not None else cap
-    s = min(s, cap)
-    fx = _finite_start_value(f, x)
-    for _ in range(MAX_BACKTRACKS + 1):
-        gs = np.asarray(f.gradient(s * x), dtype=float)
-        if f.value(x - s * gs) <= fx - params.decrease * s * float(np.dot(gx, gs)):
-            return s
-        s *= params.shrink
-    raise LineSearchError(
-        f"no acceptable scheduling value within {MAX_BACKTRACKS} backtracks from {cap}"
-    )
+    return _one_search(f, x, ArmijoS(params, cap))
 
 
-def _normalize_stops(stops: Sequence[StoppingRule]):
-    grad_rule = None
-    paired_rule = None
-    max_rule = None
-    for rule in stops:
-        if isinstance(rule, GradNorm) and grad_rule is None:
-            grad_rule = rule
-        elif isinstance(rule, PairedGrad) and paired_rule is None:
-            paired_rule = rule
-        elif isinstance(rule, MaxIter) and max_rule is None:
-            max_rule = rule
-    if max_rule is None:
-        max_rule = MaxIter(DEFAULT_MAX_ITER)
-    return grad_rule, paired_rule, max_rule
+def _run_one(f: SectorFunction, x0, schedule, stops: Sequence[StoppingRule]) -> RunTrace:
+    """Run the engine on ``x0`` as a block of one row and record its trace."""
+    x = f.check_point(x0)
+    grad_rule, paired_rule, max_rule = _normalize_stops(stops)
+    runner = _block_runner(f, schedule, grad_rule and grad_rule.tol, max_rule.cap,
+                           paired_rule and paired_rule.tol)
+    iterates, gradients, steps = [], [], []
 
+    def record(x, g, t):
+        iterates.append(x.reshape(-1))
+        gradients.append(g.reshape(-1))
+        if t is not None:
+            steps.append(float(t[0] if isinstance(t, np.ndarray) else t))
 
-def _check_stops(grad_rule, paired_rule, max_rule, g, g_prev, k):
-    # Evaluation order is fixed: gradient norm, paired gradients, cap.
-    if grad_rule is not None and float(np.linalg.norm(g)) < grad_rule.tol:
-        return Termination.GRAD_NORM_MET
-    if (
-        paired_rule is not None
-        and g_prev is not None
-        and paired_gradient_criterion(g, g_prev, paired_rule.tol)
-    ):
-        return Termination.PAIRED_GRAD_MET
-    if k >= max_rule.cap:
-        return Termination.MAX_ITER_HIT
-    return None
-
-
-def _finish(iterates, gradients, k, termination, steps) -> RunTrace:
+    _, (reason,) = runner(x if f.dim == 1 else x[None, :], record)
+    if reason == _NONFINITE:
+        raise DivergenceError(
+            f"iterate became non-finite after {len(iterates)} updates",
+            last_iterate=iterates[-1].copy(),
+        )
+    if reason == _FAILED:
+        raise _search_error(f, schedule, iterates[-1])
     return RunTrace(
         iterates=Signal(np.array(iterates)),
         gradients=Signal(np.array(gradients)),
-        iterations=k,
-        termination=termination,
+        iterations=len(steps),
+        termination=list(Termination)[reason],
         step_history=tuple(steps),
     )
 
@@ -269,38 +433,7 @@ def gd_run(
         raise InvalidParameterError(
             f"gd_run needs a step-size schedule, got {type(schedule).__name__}"
         )
-    x = f.check_point(x0)
-    grad_rule, paired_rule, max_rule = _normalize_stops(stops)
-    g = np.asarray(f.gradient(x), dtype=float)
-    iterates = [x.copy()]
-    gradients = [g.copy()]
-    steps: list[float] = []
-    g_prev = None
-    k = 0
-    while True:
-        term = _check_stops(grad_rule, paired_rule, max_rule, g, g_prev, k)
-        if term is not None:
-            return _finish(iterates, gradients, k, term, steps)
-        if isinstance(schedule, FixedAlpha):
-            a = schedule.alpha
-        elif float(np.dot(g, g)) == 0.0:
-            # Exactly at the minimizer the update is a no-op for any step,
-            # so the line search is skipped and the trial recorded.
-            a = schedule.params.trial if schedule.params.trial is not None else 2.0 / f.L
-        else:
-            a = armijo_alpha(f, x, schedule.params)
-        x = x - a * g
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(
-                f"iterate became non-finite after {k + 1} updates",
-                last_iterate=iterates[-1],
-            )
-        g_prev = g
-        g = np.asarray(f.gradient(x), dtype=float)
-        k += 1
-        iterates.append(x.copy())
-        gradients.append(g.copy())
-        steps.append(a)
+    return _run_one(f, x0, schedule, stops)
 
 
 def gsgd_run(
@@ -314,38 +447,4 @@ def gsgd_run(
         raise InvalidParameterError(
             f"gsgd_run needs a scheduling schedule, got {type(schedule).__name__}"
         )
-    x = f.check_point(x0)
-    grad_rule, paired_rule, max_rule = _normalize_stops(stops)
-    cap = None
-    if isinstance(schedule, ArmijoS):
-        cap = schedule.cap if schedule.cap is not None else default_s_cap(f)
-    g = np.asarray(f.gradient(x), dtype=float)
-    iterates = [x.copy()]
-    gradients = [g.copy()]
-    steps: list[float] = []
-    g_prev = None
-    k = 0
-    while True:
-        term = _check_stops(grad_rule, paired_rule, max_rule, g, g_prev, k)
-        if term is not None:
-            return _finish(iterates, gradients, k, term, steps)
-        if isinstance(schedule, FixedS):
-            s = schedule.s
-        elif float(np.dot(g, g)) == 0.0:
-            # A sector-bounded gradient vanishes only at the minimizer,
-            # where the scheduled update is a no-op for any s.
-            s = cap
-        else:
-            s = armijo_s(f, x, schedule.params, cap)
-        x = x - s * np.asarray(f.gradient(s * x), dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(
-                f"iterate became non-finite after {k + 1} updates",
-                last_iterate=iterates[-1],
-            )
-        g_prev = g
-        g = np.asarray(f.gradient(x), dtype=float)
-        k += 1
-        iterates.append(x.copy())
-        gradients.append(g.copy())
-        steps.append(s)
+    return _run_one(f, x0, schedule, stops)

@@ -48,9 +48,6 @@ class Signal:
     def dim(self) -> int:
         return self.samples.shape[1]
 
-    def at(self, k: int) -> np.ndarray:
-        return self.samples[k]
-
     @staticmethod
     def zeros(dim: int, horizon: int) -> "Signal":
         return Signal(np.zeros((horizon, dim)))
@@ -101,13 +98,30 @@ def random_unit_energy(dim: int, horizon: int, count: int, seed: int) -> list[Si
     return out
 
 
-def write_signal_csv(u: Signal, path) -> None:
-    """Write one row per time step with columns ``k, x_0, ..., x_{n-1}``."""
+def _columns(name: str, samples: np.ndarray, indexed: bool = True) -> dict:
+    """The columns of ``samples`` named ``name_0, name_1, ...``, or ``name``
+    alone when ``indexed`` is false."""
+    return {
+        f"{name}_{i}" if indexed else name: samples[:, i] for i in range(samples.shape[1])
+    }
+
+
+def _write_columns(path, columns: dict, rows: int) -> None:
+    """Write ``k`` and the named columns for steps 0 .. rows-1, with floats to
+    17 significant digits; a column shorter than ``rows`` leaves its last
+    cells blank."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k"] + [f"x_{i}" for i in range(u.dim)])
-        for k in range(u.horizon):
-            writer.writerow([k] + [f"{v:.17g}" for v in u.samples[k]])
+        writer.writerow(["k", *columns])
+        for k in range(rows):
+            writer.writerow(
+                [k] + [f"{c[k]:.17g}" if k < len(c) else "" for c in columns.values()]
+            )
+
+
+def write_signal_csv(u: Signal, path) -> None:
+    """Write one row per time step with columns ``k, x_0, ..., x_{n-1}``."""
+    _write_columns(path, _columns("x", u.samples), u.horizon)
 
 
 def read_signal_csv(path) -> Signal:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .functions import (
     SectorFunction,
+    _cocoercivity_block,
     central_difference_gradient,
     diag_quadratic,
     oscillatory,
@@ -85,25 +86,9 @@ def _builtins() -> list[SectorFunction]:
 
 
 def _normalized_residual_min(f: SectorFunction, seed: int, n: int) -> float:
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    if f.dim == 1 and f.elementwise_gradient is not None:
-        x = rng.uniform(-1e5, 1e5, n)
-        dx = x - f.minimizer[0]
-        g = f.elementwise_gradient(x)
-        s = f.m + f.L
-        r = dx * g - (f.m * f.L / s) * dx * dx - g * g / s
-        scale = 1.0 + dx * dx + g * g
-        return float(np.min(r / scale))
-    for _ in range(n):
-        x = rng.uniform(-1e5, 1e5, f.dim)
-        dx = x - f.minimizer
-        g = np.asarray(f.gradient(x), dtype=float)
-        s = f.m + f.L
-        r = float(np.dot(dx, g) - (f.m * f.L / s) * np.dot(dx, dx) - np.dot(g, g) / s)
-        scale = 1.0 + float(np.dot(dx, dx)) + float(np.dot(g, g))
-        worst = min(worst, r / scale)
-    return worst
+    points = np.random.default_rng(seed).uniform(-1e5, 1e5, (n, f.dim))
+    residual, scale = _cocoercivity_block(f, points)
+    return float(np.min(residual / scale))
 
 
 def suite_sector(seed: int) -> SuiteReport:

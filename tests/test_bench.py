@@ -28,6 +28,7 @@ from passive_gd.optim import (
     GradNorm,
     MaxIter,
     Termination,
+    default_s_cap,
     gd_run,
     gsgd_run,
 )
@@ -287,16 +288,18 @@ def test_armijo_oracle_points_per_sample(seed):
     # A converging sample with k updates and T trials evaluates f at its
     # start point and at each trial: the accepted trial is the next
     # iterate, whose value carries over. s-armijo's accepted trial also
-    # gives the update direction grad(s*x). T is counted independently in
-    # the per-sample optimizers, which evaluate f(x) again every update.
-    for method in default_methods(1.0, 100.0)[4:]:
+    # gives the update direction grad(s*x). T is counted independently
+    # from the accepted values of the per-sample run: the searches start
+    # at 2/L and sqrt(2/L) and halve, so accepting start/2^j takes j + 1
+    # trials.
+    f = oscillatory(1.0, 100.0)
+    for method, start in zip(default_methods(1.0, 100.0)[4:], (2.0 / f.L, default_s_cap(f))):
         spec = _small_spec([method], n=1, seed=seed)
         x0 = np.random.default_rng(seed).uniform(spec.x0_low, spec.x0_high, 1)
         runner = gd_run if method.kind == "gd" else gsgd_run
-        reference, reference_points = _counting(oscillatory(1.0, 100.0))
-        trace = runner(reference, x0, method.schedule, [GradNorm(spec.tol)])
+        trace = runner(f, x0, method.schedule, [GradNorm(spec.tol)])
         k = trace.iterations
-        trials = reference_points["value"] - k
+        trials = sum(1 + round(np.log2(start / t)) for t in trace.step_history)
         counted, points = _counting(oscillatory(1.0, 100.0))
         (stat,) = run_monte_carlo(counted, spec)
         assert stat.count_histogram == {k + 1: 1} and stat.flagged == 0

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import passive_gd
 from passive_gd.cli import main
 from passive_gd.bench import default_config
 
@@ -255,3 +260,39 @@ def test_bench_two_dimensional_config(tmp_path, capsys):
     # The stiff coordinate oscillates forever at alpha = 2/L.
     assert stats["alpha=2/L"]["flagged"] == 20
     assert stats["alpha-armijo"]["flagged"] == 0
+
+
+def _cli_subprocess(*argv):
+    """Run the CLI in a fresh interpreter, where numpy's warnings reach stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(passive_gd.__file__).resolve().parents[1])}
+    code = "import sys; from passive_gd.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_run_from_overflowing_start_prints_only_the_error_line():
+    result = _cli_subprocess("run", "--function", "oscillatory", "--m", "1", "--L", "100",
+                             "--x0", "1e160", "--method", "gsgd", "--armijo")
+    assert result.returncode == 1
+    assert result.stderr == "error: objective is inf at the search's start point\n"
+
+
+def test_run_with_an_overflowing_final_gradient_writes_nothing_to_stderr():
+    result = _cli_subprocess("run", "--function", "oscillatory", "--m", "1", "--L", "100",
+                             "--x0", "1e160", "--method", "gd", "--alpha", "1e-6",
+                             "--max-iter", "3", "--json")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert json.loads(result.stdout)["final_grad_norm"] == float("inf")
+
+
+def test_bench_with_overflowing_samples_writes_nothing_to_stderr(tmp_path):
+    doc = default_config()
+    doc.update(n_samples=2000, x0_low=-1e160, x0_high=1e160, max_iter=2000)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    result = _cli_subprocess("bench", "--config", cfg, "--out-dir", tmp_path / "out", "--json")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    stats = {s["label"]: s for s in json.loads(result.stdout)}
+    assert stats["s-armijo"]["flagged"] == 2000

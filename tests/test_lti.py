@@ -11,8 +11,6 @@ from passive_gd.lti import (
     gd_realization,
     modified_gd_realization,
     positive_real_check,
-    realization_from_json,
-    realization_to_json,
     simulate,
 )
 from passive_gd.signals import Signal, inner_product_truncated
@@ -192,14 +190,3 @@ def test_certified_controller_dissipation_bound():
         for T in (1, 5, 20):
             ip = inner_product_truncated(u, y, T)
             assert ip >= beta - 1e-9 * (1.0 + abs(beta))
-
-
-def test_realization_json_round_trip():
-    ss = modified_gd_realization(0.25, 0.125, dim=2)
-    text = realization_to_json(ss)
-    back = realization_from_json(text)
-    assert_allclose(back.A, ss.A)
-    assert_allclose(back.B, ss.B)
-    assert_allclose(back.C, ss.C)
-    assert_allclose(back.D, ss.D)
-    assert back.alpha == ss.alpha and back.d == ss.d

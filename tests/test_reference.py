@@ -1,0 +1,194 @@
+"""The engine against an independent reference, and the paper's invariants.
+
+``gd_run``, ``gsgd_run`` and ``run_monte_carlo`` all run the same batched
+engine, so comparing them with each other cannot catch a fault they share.
+The reference below is a separate implementation of the four schedules,
+the Armijo searches and the stopping rules, one sample at a time in plain
+Python floats. It calls only the objective's point oracles ``f.value`` and
+``f.gradient``, and evaluates f(x) afresh at every search. It writes each
+floating-point expression in the engine's operation order, so the counts
+must agree exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+from passive_gd.bench import MethodSpec, MonteCarloSpec, run_monte_carlo
+from passive_gd.errors import DivergenceError, LineSearchError
+from passive_gd.functions import diag_quadratic, oscillatory, quadratic
+from passive_gd.optim import (
+    MAX_BACKTRACKS,
+    ArmijoAlpha,
+    ArmijoParams,
+    ArmijoS,
+    FixedAlpha,
+    FixedS,
+    GradNorm,
+    MaxIter,
+    Termination,
+    default_s_cap,
+    gd_run,
+    gsgd_run,
+)
+from test_bench import _counting
+
+_FUNCTIONS = {"oscillatory": oscillatory(1.0, 100.0), "quadratic": quadratic(100.0)}
+
+
+def _reference(f, x, schedule, tol, max_iter):
+    """``(updates, reason)`` of one run from the scalar ``x``; the reason is
+    "met", "cap", "nonfinite" or "failed"."""
+    grad = lambda z: float(f.gradient(np.array([z]))[0])  # noqa: E731
+    value = lambda z: float(f.value(np.array([z])))  # noqa: E731
+    g = grad(x)
+    for k in range(max_iter + 1):
+        if abs(g) < tol:
+            return k, "met"
+        if k == max_iter:
+            return k, "cap"
+        if isinstance(schedule, FixedAlpha):
+            x = x - schedule.alpha * g
+        elif isinstance(schedule, FixedS):
+            x = x - schedule.s * grad(schedule.s * x)
+        else:
+            p = schedule.params
+            fx = value(x)
+            if isinstance(schedule, ArmijoAlpha):
+                t = p.trial if p.trial is not None else 2.0 / f.L
+            else:
+                cap = schedule.cap if schedule.cap is not None else math.sqrt(2.0 / f.L)
+                t = min(p.trial if p.trial is not None else cap, cap)
+            if not math.isfinite(fx):
+                return k + 1, "failed"
+            for _ in range(MAX_BACKTRACKS + 1):
+                if isinstance(schedule, ArmijoAlpha):
+                    d = g
+                    ok = value(x - t * d) <= fx - p.decrease * t * (g * g)
+                else:
+                    d = grad(t * x)
+                    ok = value(x - t * d) <= fx - p.decrease * t * (g * d)
+                if ok:
+                    break
+                t *= p.shrink
+            else:
+                return k + 1, "failed"
+            x = x - t * d
+        if not math.isfinite(x):
+            return k + 1, "nonfinite"
+        g = grad(x)
+
+
+_schedules = st.one_of(
+    # Fixed steps up to 3x and 1.8x the certified edge, so some runs diverge.
+    st.builds(lambda r: FixedAlpha(r * 0.02), st.floats(0.05, 3.0)),
+    st.builds(lambda r: FixedS(r * math.sqrt(0.02)), st.floats(-1.8, 1.8).filter(
+        lambda r: abs(r) > 0.05)),
+    st.builds(
+        lambda trial, shrink, decrease: ArmijoAlpha(ArmijoParams(trial, shrink, decrease)),
+        st.one_of(st.none(), st.floats(1e-3, 1.0)),
+        st.floats(0.1, 0.9),
+        st.floats(1e-4, 0.5),
+    ),
+    st.builds(
+        lambda trial, shrink, decrease, cap: ArmijoS(ArmijoParams(trial, shrink, decrease), cap),
+        st.one_of(st.none(), st.floats(1e-3, 1.0)),
+        st.floats(0.1, 0.9),
+        st.floats(1e-4, 0.5),
+        st.one_of(st.none(), st.floats(1e-3, 0.5)),
+    ),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's own overflows
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_FUNCTIONS)),
+    schedule=_schedules,
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 1e3, 1e5, 1e160]),
+)
+@example(name="quadratic", schedule=FixedAlpha(0.06), seed=0, scale=1e160)
+@example(name="oscillatory", schedule=FixedS(0.25), seed=1, scale=1e160)
+def test_engine_counts_equal_the_reference(name, schedule, seed, scale):
+    f = _FUNCTIONS[name]
+    kind = "gd" if isinstance(schedule, (FixedAlpha, ArmijoAlpha)) else "gsgd"
+    spec = MonteCarloSpec(12, -scale, scale, seed, 1e-12, (MethodSpec("m", kind, schedule),),
+                          max_iter=300)
+    x0 = np.random.default_rng(seed).uniform(-scale, scale, spec.n_samples)
+    reference = [_reference(f, float(x), schedule, spec.tol, spec.max_iter) for x in x0]
+    counts = [k + 1 if reason == "met" else spec.max_iter for k, reason in reference]
+    vals, freq = np.unique(counts, return_counts=True)
+    (stat,) = run_monte_carlo(f, spec)
+    assert stat.count_histogram == {int(v): int(c) for v, c in zip(vals, freq)}
+    assert stat.flagged == sum(reason != "met" for _, reason in reference)
+
+    runner = gd_run if kind == "gd" else gsgd_run
+    for x, (k, reason) in list(zip(x0, reference))[:3]:
+        if reason == "nonfinite":
+            try:
+                runner(f, np.array([x]), schedule, [GradNorm(spec.tol), MaxIter(spec.max_iter)])
+            except DivergenceError as exc:
+                assert f"after {k} updates" in str(exc)
+            else:
+                raise AssertionError("no DivergenceError")
+            continue
+        if reason == "failed":
+            try:
+                runner(f, np.array([x]), schedule, [GradNorm(spec.tol), MaxIter(spec.max_iter)])
+            except LineSearchError:
+                continue
+            raise AssertionError("no LineSearchError")
+        trace = runner(f, np.array([x]), schedule, [GradNorm(spec.tol), MaxIter(spec.max_iter)])
+        assert trace.iterations == k
+        expected = Termination.GRAD_NORM_MET if reason == "met" else Termination.MAX_ITER_HIT
+        assert trace.termination is expected
+
+
+_BUILTINS = [oscillatory(1.0, 100.0), quadratic(100.0), diag_quadratic(1.0, 100.0)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    i=st.integers(0, len(_BUILTINS) - 1),
+    frac=st.floats(0.01, 1.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    x0=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=2),
+)
+def test_scheduled_run_is_a_rescaled_fixed_step_run(i, frac, sign, x0):
+    # x <- x - s*grad(s*x) from x0 is x_bar/s, where x_bar <- x_bar -
+    # s^2*grad(x_bar) from s*x0. Floating point makes the two runs differ
+    # in the last bits, which the bound of acceptance criterion 9 covers.
+    f = _BUILTINS[i]
+    s = sign * frac * default_s_cap(f)
+    x0 = np.array(x0[: f.dim])
+    gs = gsgd_run(f, x0, FixedS(s), [MaxIter(100)])
+    gd = gd_run(f, s * x0, FixedAlpha(s * s), [MaxIter(100)])
+    scale = 1.0 + float(np.max(np.abs(gd.iterates.samples)))
+    assert_allclose(s * gs.iterates.samples, gd.iterates.samples, rtol=0, atol=1e-9 * scale)
+
+
+def test_single_run_oracle_points():
+    # From x0 = 1e4 on oscillatory(1, 100), a run with k updates and T
+    # search trials evaluates f at x0 and at each trial, and grad f at x0,
+    # at each new iterate and, for the scheduled search, at each trial.
+    # The searches start at 2/L and sqrt(2/L) and halve, so accepting
+    # start/2^j takes j + 1 trials.
+    f = oscillatory(1.0, 100.0)
+    cases = [
+        (gsgd_run, ArmijoS(), default_s_cap(f), (19, 39, 20)),
+        (gd_run, ArmijoAlpha(), 2.0 / f.L, (18, 19, 19)),
+    ]
+    for runner, schedule, start, (updates, grads, values) in cases:
+        counted, points = _counting(f)
+        trace = runner(counted, np.array([1e4]), schedule, [GradNorm(1e-12)])
+        k = trace.iterations
+        trials = sum(1 + round(math.log2(start / t)) for t in trace.step_history)
+        assert trace.termination is Termination.GRAD_NORM_MET
+        assert points["value"] == 1 + trials
+        assert points["grad"] == (1 + trials + k if runner is gsgd_run else 1 + k)
+        assert (k, points["grad"], points["value"]) == (updates, grads, values)

@@ -6,9 +6,11 @@ feedthrough d, so each step contains an algebraic loop. Wiring algebra
 eliminates the outer pass-through exactly (the inner gradient argument
 v = r2 + C xi is loop-free), which pins the transformed nonlinearity
 input u2 = v - d * grad_shift(v); the transformed output is then
-re-solved numerically from the implicit relation y = grad_shift(u2 + d*y),
-so the state trajectory inherits the solver tolerance rather than being
-copied from the untransformed recursion.
+re-solved numerically from the implicit relation y = grad_shift(u2 + d*y).
+Each per-step solve starts at the algebraic elimination's output
+probe = grad_shift(v), which solves the relation up to rounding, and
+still iterates to the solver tolerance, so the state trajectory inherits
+that tolerance rather than being copied from the untransformed recursion.
 
 The standalone fixed-point iteration contracts with factor d * sup|f''|
 over the region the iterates visit. For the quadratic family that factor
@@ -18,7 +20,8 @@ implicit relation loses uniqueness) at large amplitude. The loop
 executor therefore keeps the iteration result only when it returns the
 loop-consistent branch, uses the exact linear solve whenever a constant
 Hessian is available, and falls back to the algebraic elimination
-otherwise; plain iteration remains the standalone evaluation route.
+otherwise; plain iteration from grad_shift(u) remains the standalone
+evaluation route.
 """
 
 from __future__ import annotations
@@ -227,14 +230,21 @@ def evaluate_delta_bar(
     u,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    *,
+    y0=None,
 ) -> np.ndarray:
     """Solve y = grad_shift(u + d*y) by fixed-point iteration.
 
-    Requires d*L < 1 so the iteration contracts with factor d*L; the
-    returned vector satisfies the fixed-point residual bound ``tol``.
+    The iteration starts at ``y0`` when it is given and at grad_shift(u)
+    otherwise, and stops once an update is within ``tol``. Requires
+    d*L < 1. That bounds the slope of the gradient only along chords
+    through the minimizer, not f'', so the iteration is guaranteed to
+    contract only for the quadratic family (factor d*L); elsewhere it
+    may raise ConvergenceError.
     """
     _check_feedthrough(f, d)
-    return _solve_fixed_point(f, d, f.check_point(u).reshape(1, -1), tol, max_iter)[0]
+    y = None if y0 is None else f.check_point(y0)[None]
+    return _solve_fixed_point(f, d, f.check_point(u)[None], tol, max_iter, y=y)[0]
 
 
 def _on_branch(y_fp: np.ndarray, probe: np.ndarray) -> bool:
@@ -316,12 +326,13 @@ def run_transformed(
     states[0] = x0 - f.minimizer
     r2_bar = r2.samples[:steps] - d * r1.samples[:steps]
 
-    eye = np.eye(dim)
+    loop_matrix = None if f.hessian is None else np.eye(dim) - d * f.hessian
     for k in range(steps):
         xi = states[k]
+        c_xi = controller.C @ xi
         # v is the inner gradient argument; the wiring makes it loop-free:
         # v = r2_bar + d*r1 + C xi = r2 + C xi.
-        v = r2_bar[k] + d * r1.samples[k] + controller.C @ xi
+        v = r2_bar[k] + d * r1.samples[k] + c_xi
         probe = shifted_gradient(f, v)
         u2[k] = v - d * probe
         if f.hessian is not None:
@@ -329,7 +340,7 @@ def run_transformed(
                 # I - d*H is singular; the joint loop solution is the probe.
                 y2[k] = probe
             else:
-                y2[k] = np.linalg.solve(eye - d * f.hessian, f.hessian @ u2[k])
+                y2[k] = np.linalg.solve(loop_matrix, f.hessian @ u2[k])
         elif at_boundary:
             y_fp = _solve_fixed_point(
                 f, d, u2[k : k + 1], tol, BOUNDARY_MAX_ITER, y=probe[None], damping=True
@@ -340,14 +351,16 @@ def run_transformed(
             # minimizer, where local curvature exceeds the sector slope; the
             # iteration result is kept only when it lands on the
             # loop-consistent branch, otherwise the exact elimination wins.
+            # The iteration starts at the probe, which solves the relation up
+            # to rounding, so it usually stops after its first update.
             try:
-                y_fp = evaluate_delta_bar(f, d, u2[k], tol=tol, max_iter=max_iter)
+                y_fp = evaluate_delta_bar(f, d, u2[k], tol=tol, max_iter=max_iter, y0=probe)
             except (ContractionError, ConvergenceError):
                 y2[k] = probe
             else:
                 y2[k] = y_fp if _on_branch(y_fp, probe) else probe
         u1[k] = r1.samples[k] - y2[k]
-        y1[k] = controller.C @ xi + controller.D @ u1[k]
+        y1[k] = c_xi + controller.D @ u1[k]
         states[k + 1] = controller.A @ xi + controller.B @ u1[k]
     return LoopTrace(
         u1=Signal(u1), y1=Signal(y1), u2=Signal(u2), y2=Signal(y2),

@@ -99,28 +99,32 @@ def transformed_indices(m: float, l: float, d: float) -> PassivityIndices:
     epsilon_bar = (epsilon - d + delta*d^2) / (1 - 2*delta*d)
 
     Classified VSP for d < 1/L, ISP exactly at d = 1/L (m < L required),
-    NONE past the VSP root.
+    NONE past the VSP root. At d = 1/L the indices take their closed forms
+    delta_bar = mL/(L - m) and epsilon_bar = 0: evaluated there, the
+    denominator 1 - 2*delta*d cancels to rounding noise, and to zero or
+    below when m is within a few ulps of L.
     """
     _check_sector(m, l)
     if d <= 0.0:
         raise InvalidParameterError(f"feedthrough must be positive, got {d}")
+    if _close(d, 1.0 / l):
+        if m == l:
+            raise DegenerateSectorError(
+                f"d = 1/L = {d} with m == L leaves no ISP margin"
+            )
+        return PassivityIndices(
+            beta=0.0, delta=m * l / (l - m), epsilon=0.0, classification=Classification.ISP
+        )
     base = nabla_indices(m, l)
     delta, epsilon = base.delta, base.epsilon
     contraction = 1.0 - 2.0 * delta * d
-    at_isp_root = _close(d, 1.0 / l)
-    if at_isp_root and m == l:
-        raise DegenerateSectorError(
-            f"d = 1/L = {d} with m == L leaves no ISP margin"
-        )
     if contraction <= 0.0:
         raise ContractionError(
             f"d={d} violates d < (m+L)/(2mL) = {(m + l) / (2 * m * l)}"
         )
     delta_bar = delta / contraction
     epsilon_bar = (epsilon - d + delta * d * d) / contraction
-    if at_isp_root:
-        classification = Classification.ISP
-    elif d < 1.0 / l:
+    if d < 1.0 / l:
         classification = Classification.VSP
     else:
         classification = Classification.NONE

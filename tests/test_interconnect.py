@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
+import passive_gd.interconnect as interconnect
 from passive_gd.errors import (
     AlgebraicLoopError,
     ContractionError,
@@ -32,6 +33,7 @@ from passive_gd.interconnect import (
 )
 from passive_gd.lti import gd_realization, modified_gd_realization
 from passive_gd.signals import Signal
+from passive_gd.verify import run_suite
 
 
 def _zero_loop(controller, f, xi0, steps):
@@ -322,3 +324,54 @@ def test_loop_horizon_validation():
         run_transformed(
             f, 0.01, 0.005, np.array([1.0]), 10, r1=Signal.zeros(1, 5)
         )
+
+
+@pytest.mark.parametrize("seed", [65, 73, 135, 175])
+def test_loop_suite_passes_on_high_gain_seeds(seed):
+    # On these seeds the direct map's gain |1 - alpha f''(x)| multiplies a
+    # per-step solve error over 100 steps; a solve started away from the
+    # loop solution left errors of about 1e-13 that grew past 1e-9.
+    (report,) = run_suite("loop", seed)
+    assert report.passed, [(c.label, c.value) for c in report.checks]
+
+
+def test_loop_suite_one_point_solves_converge(monkeypatch):
+    # verify seed 3 reaches amplitudes where the oscillatory relation has
+    # several solutions; started at the probe, every solve still converges.
+    solve = interconnect._solve_fixed_point
+    outcomes = []
+
+    def recording(*args, **kwargs):
+        try:
+            y = solve(*args, **kwargs)
+        except ConvergenceError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return y
+
+    monkeypatch.setattr(interconnect, "_solve_fixed_point", recording)
+    (report,) = run_suite("loop", 3)
+    assert report.passed
+    assert len(outcomes) == 8 * 100 and all(outcomes)
+
+
+def test_run_transformed_starts_each_solve_at_the_probe(monkeypatch):
+    # The per-step solve goes through the module attribute
+    # evaluate_delta_bar, once per step, started at that step's probe; a
+    # wrapper installed there, as the benchmark's traced pass does, sees
+    # every solve.
+    evaluate = interconnect.evaluate_delta_bar
+    calls = []
+
+    def recording(f, d, u, *args, **kwargs):
+        calls.append((np.array(u), kwargs.get("y0")))
+        return evaluate(f, d, u, *args, **kwargs)
+
+    monkeypatch.setattr(interconnect, "evaluate_delta_bar", recording)
+    f = oscillatory(1.0, 100.0)
+    trace = run_transformed(f, 0.012, 0.006, np.array([37.0]), 25)
+    assert len(calls) == 25
+    for k, (u, y0) in enumerate(calls):
+        assert np.array_equal(u, trace.u2.samples[k])
+        assert np.array_equal(y0, shifted_gradient(f, trace.states.samples[k]))

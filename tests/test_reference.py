@@ -14,13 +14,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from passive_gd.bench import MethodSpec, MonteCarloSpec, run_monte_carlo
 from passive_gd.errors import DivergenceError, LineSearchError
 from passive_gd.functions import diag_quadratic, oscillatory, quadratic
+from passive_gd.interconnect import run_transformed
+from passive_gd.lti import gd_passivity_certificate
 from passive_gd.optim import (
     MAX_BACKTRACKS,
     ArmijoAlpha,
@@ -35,6 +37,7 @@ from passive_gd.optim import (
     gd_run,
     gsgd_run,
 )
+from passive_gd.passivity import Verdict, certify_step_size
 from test_bench import _counting
 
 _FUNCTIONS = {"oscillatory": oscillatory(1.0, 100.0), "quadratic": quadratic(100.0)}
@@ -192,3 +195,58 @@ def test_single_run_oracle_points():
         assert points["value"] == 1 + trials
         assert points["grad"] == (1 + trials + k if runner is gsgd_run else 1 + k)
         assert (k, points["grad"], points["value"]) == (updates, grads, values)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    L=st.floats(1e-3, 1e3),
+    ratio=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+    frac=st.one_of(st.just(1.0), st.floats(1e-6, 1.0 - 1e-9), st.floats(1.0 + 1e-9, 10.0)),
+)
+@example(L=0.3, ratio=0.9999999999999999, frac=1.0)  # m one ulp below L
+def test_certified_step_sizes_end_at_two_over_L(L, ratio, frac):
+    # STRONG below 2/L, WEAK at 2/L exactly when m < L, NONE above it.
+    m = ratio * L
+    alpha = 2.0 / L if frac == 1.0 else frac * 2.0 / L
+    verdict = certify_step_size(m, L, alpha).verdict
+    if frac < 1.0:
+        assert verdict is Verdict.STRONG
+    elif frac == 1.0:
+        assert verdict is (Verdict.WEAK if m < L else Verdict.NONE)
+    else:
+        assert verdict is Verdict.NONE
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    alpha=st.floats(1e-6, 1e3),
+    ratio=st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+)
+def test_halfstep_feedthrough_is_the_certificate_edge(alpha, ratio):
+    # p = 1/alpha certifies the controller exactly when d >= alpha/2. The
+    # check's tolerance, 1e-10 scaled by the block matrix, also accepts d
+    # up to about that far below alpha/2; draws in that band are skipped.
+    d = ratio * alpha / 2.0
+    assume(d >= alpha / 2.0 or alpha - 2.0 * d > 1e-9 * (1.0 + alpha))
+    assert gd_passivity_certificate(alpha, d).feasible == (d >= alpha / 2.0)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    i=st.integers(0, len(_BUILTINS) - 1),
+    frac=st.floats(1e-6, 1.0 - 1e-9),
+    x0=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+)
+def test_loop_steps_are_direct_steps(i, frac, x0):
+    # One direct step x - alpha*grad f(x) from each of the loop's own states
+    # reproduces the loop's next state, relative to 1 + |x|, up to rounding
+    # amplified by the conditioning 1/(1 - d*L) of the per-step algebraic
+    # loop. On the quadratics, whose loop is a linear solve, that factor is
+    # felt: at alpha = 0.99999 * 2/L the defect reaches 1.5e-11.
+    f = _BUILTINS[i]
+    alpha = frac * 2.0 / f.L
+    trace = run_transformed(f, alpha, alpha / 2.0, np.array(x0[: f.dim]), 60)
+    x = trace.states.samples + f.minimizer
+    direct = x[:-1] - alpha * np.array([f.gradient(xk) for xk in x[:-1]])
+    defect = np.linalg.norm(x[1:] - direct, axis=1) / (1.0 + np.linalg.norm(x[:-1], axis=1))
+    assert np.max(defect) <= 1e-14 / (1.0 - alpha * f.L / 2.0)

@@ -85,6 +85,8 @@ class MonteCarloSpec:
     def __post_init__(self):
         if self.n_samples < 1:
             raise InvalidParameterError(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         if not self.x0_low < self.x0_high:
             raise InvalidParameterError(
                 f"empty initial-condition range [{self.x0_low}, {self.x0_high}]"
@@ -233,6 +235,7 @@ def _field(doc, key: str, where: str, cast=None, default=_REQUIRED):
     """Read ``doc[key]`` through ``cast``; malformed input is an InvalidParameterError.
 
     An optional key whose default is None may also be given as JSON null.
+    An ``int`` key refuses a float such as 1.5, which ``int`` would truncate.
     """
     if not isinstance(doc, dict):
         raise InvalidParameterError(f"{where} must be a JSON object")
@@ -241,6 +244,8 @@ def _field(doc, key: str, where: str, cast=None, default=_REQUIRED):
         raise InvalidParameterError(f"{where} is missing the key {key!r}")
     if cast is None or (value is None and default is None):
         return value
+    if cast is int and isinstance(value, float) and not value.is_integer():
+        raise InvalidParameterError(f"{where}.{key} must be an integer, got {value!r}")
     try:
         return cast(value)
     except (TypeError, ValueError):

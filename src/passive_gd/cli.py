@@ -143,7 +143,12 @@ def _cmd_certify(args) -> int:
 
 
 def _parse_x0(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")])
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise InvalidParameterError(
+            f"--x0 must be comma-separated numbers, got {text!r}"
+        ) from None
 
 
 def _cmd_run(args) -> int:

@@ -2,8 +2,8 @@
 
 Each built-in carries its sector bounds ``(m, L)`` and minimizer, an
 analytic gradient, and (for the quadratic family) a constant Hessian.
-One-dimensional built-ins also expose elementwise callables so that
-batches of scalar points can be evaluated in one vectorized pass;
+Each is written once, as block callables that evaluate a whole block of
+points in one vectorized pass; its point oracles are their one-row case.
 ``row_gradient`` and ``row_value`` give every function the same
 block-of-rows interface, on which the co-coercivity residual is written
 once.
@@ -55,8 +55,9 @@ class SectorFunction:
     hessian : np.ndarray, optional
         Constant Hessian, present only for the quadratic family.
     elementwise_value, elementwise_gradient : callable, optional
-        For ``dim == 1`` only: ufunc-style callables mapping an array of
-        scalar points to an array of the same shape. Used through
+        Block callables, for any ``dim``: they map a flat ``(n,)`` block
+        when ``dim == 1`` and an ``(n, dim)`` block otherwise to ``(n,)``
+        values and to gradients of the block's shape. Used through
         ``row_gradient`` and ``row_value`` by the batched engines.
     """
 
@@ -97,6 +98,22 @@ class SectorFunction:
         return x
 
 
+def _from_blocks(dim, m, L, value, gradient, hessian=None, *, name):
+    """A built-in ``SectorFunction``, minimized at 0, from its block callables.
+
+    ``value`` and ``gradient`` are the ``elementwise_*`` fields and accept
+    array-likes. The point oracles are their one-row case: a point is a
+    flat block of one row when ``dim == 1`` and otherwise a single row,
+    which the callables map along its last axis.
+    """
+    return SectorFunction(
+        dim=dim, m=m, L=L, minimizer=np.zeros(dim),
+        value=(lambda x: float(value(x)[0])) if dim == 1 else (lambda x: float(value(x))),
+        gradient=gradient, hessian=hessian, elementwise_value=value,
+        elementwise_gradient=gradient, name=name,
+    )
+
+
 def oscillatory(m: float, L: float) -> SectorFunction:
     """Scalar non-convex test function with gradient in the sector [m, L].
 
@@ -110,72 +127,41 @@ def oscillatory(m: float, L: float) -> SectorFunction:
             f"oscillatory requires 0 < m < L, got m={m}, L={L}"
         )
 
-    def f_elem(x):
+    def value(x):
         x = np.asarray(x, dtype=float)
         return (L - m) / 4.0 * (
             (L + m) / (L - m) * x * x + 2.0 * np.sin(x) - 2.0 * x * np.cos(x)
         )
 
-    def g_elem(x):
+    def gradient(x):
         x = np.asarray(x, dtype=float)
         return 0.5 * (L + m) * x + 0.5 * (L - m) * x * np.sin(x)
 
-    return SectorFunction(
-        dim=1,
-        m=m,
-        L=L,
-        minimizer=np.zeros(1),
-        value=lambda x: float(f_elem(x)[0]),
-        gradient=lambda x: np.atleast_1d(g_elem(x)),
-        elementwise_value=f_elem,
-        elementwise_gradient=g_elem,
-        name="oscillatory",
-    )
+    return _from_blocks(1, m, L, value, gradient, name="oscillatory")
 
 
 def quadratic(l: float) -> SectorFunction:
     """Scalar quadratic l*x^2/2 with m = L = l."""
     if l <= 0.0:
         raise InvalidParameterError(f"curvature must be positive, got {l}")
-
-    def f_elem(x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * l * x * x
-
-    def g_elem(x):
-        return l * np.asarray(x, dtype=float)
-
-    return SectorFunction(
-        dim=1,
-        m=l,
-        L=l,
-        minimizer=np.zeros(1),
-        value=lambda x: float(f_elem(x)[0]),
-        gradient=lambda x: np.atleast_1d(g_elem(x)),
-        hessian=np.array([[l]]),
-        elementwise_value=f_elem,
-        elementwise_gradient=g_elem,
-        name="quadratic",
-    )
+    diag, half = np.array([l]), np.array([0.5 * l])
+    return _from_blocks(1, l, l, lambda x: half * x * x, lambda x: diag * x,
+                        np.diag(diag), name="quadratic")
 
 
 def diag_quadratic(m: float, l: float) -> SectorFunction:
-    """Two-dimensional quadratic with Hessian diag(m, l) and 0 < m < l."""
+    """Two-dimensional quadratic with Hessian diag(m, l) and 0 < m < l.
+
+    Its value is half a dot product, which rounds apart from the order
+    ((l/2) x) x of ``quadratic`` at subnormal values and near overflow.
+    """
     if not (0.0 < m < l):
         raise InvalidParameterError(
             f"diag_quadratic requires 0 < m < l, got m={m}, l={l}"
         )
     diag = np.array([m, l])
-    return SectorFunction(
-        dim=2,
-        m=m,
-        L=l,
-        minimizer=np.zeros(2),
-        value=lambda x: float(0.5 * np.dot(diag * x, x)),
-        gradient=lambda x: diag * np.asarray(x, dtype=float),
-        hessian=np.diag(diag),
-        name="diag-quadratic",
-    )
+    return _from_blocks(2, m, l, lambda x: 0.5 * np.vecdot(diag * x, x),
+                        lambda x: diag * x, np.diag(diag), name="diag-quadratic")
 
 
 BUILTIN_NAMES = ("oscillatory", "quadratic", "diag-quadratic")
@@ -204,12 +190,12 @@ def row_gradient(f: SectorFunction) -> Callable[[np.ndarray], np.ndarray]:
     """The gradient of ``f`` as a map over the rows of a block of points.
 
     A block is a flat ``(n,)`` array when ``dim == 1`` and an ``(n, dim)``
-    array otherwise. One-dimensional functions with an elementwise
-    gradient take one vectorized call per block; any other function takes
+    array otherwise. A function with an elementwise (block) gradient, as
+    every built-in has, takes one call per block; any other function takes
     one ``f.gradient`` call per row, on a ``(dim,)`` view. Each row's value
     is the one ``f.gradient`` gives for that row.
     """
-    if f.dim == 1 and f.elementwise_gradient is not None:
+    if f.elementwise_gradient is not None:
         return f.elementwise_gradient
     gradient, dim = f.gradient, f.dim
 
@@ -224,10 +210,10 @@ def row_value(f: SectorFunction) -> Callable[[np.ndarray], np.ndarray]:
     """The objective of ``f`` as a map from a block of points to ``(n,)`` values.
 
     Blocks and dispatch are as in :func:`row_gradient`: one elementwise
-    call per block for one-dimensional functions that have one, else one
-    ``f.value`` call per row.
+    call per block for functions that have one, else one ``f.value`` call
+    per row.
     """
-    if f.dim == 1 and f.elementwise_value is not None:
+    if f.elementwise_value is not None:
         return f.elementwise_value
     value, dim = f.value, f.dim
 

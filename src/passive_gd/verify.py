@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidParameterError
 from .functions import (
     SectorFunction,
     _cocoercivity_block,
@@ -207,6 +208,8 @@ def suite_counterexample(seed: int) -> SuiteReport:
 
 
 def run_suite(name: str, seed: int = 0) -> list[SuiteReport]:
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     if name == "sector":
         return [suite_sector(seed)]
     if name == "passivity":

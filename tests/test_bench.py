@@ -239,7 +239,11 @@ def test_two_dimensional_counts_match_per_sample_runs():
         assert stat.flagged == flagged.sum(), method.label
 
 
-_BUILTINS = {"oscillatory": oscillatory(1.0, 100.0), "quadratic": quadratic(100.0)}
+_BUILTINS = {
+    "oscillatory": oscillatory(1.0, 100.0),
+    "quadratic": quadratic(100.0),
+    "diag-quadratic": diag_quadratic(1.0, 100.0),
+}
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -253,7 +257,8 @@ _BUILTINS = {"oscillatory": oscillatory(1.0, 100.0), "quadratic": quadratic(100.
 def test_per_row_oracle_equals_vectorized_oracle(name, seed, low, width, n):
     # The engine's two oracle layouts, one elementwise call per block and
     # one f.gradient/f.value call per row, give the same statistics. On
-    # the quadratic, alpha = 2/L maps x to -x, so those runs hit the cap.
+    # the quadratics, alpha = 2/L maps the stiff coordinate x to -x, so
+    # those runs hit the cap.
     f = _BUILTINS[name]
     spec = MonteCarloSpec(
         n, low, low + width, seed, 1e-12, default_methods(f.m, f.L), max_iter=500
@@ -402,3 +407,21 @@ def test_spec_validation():
         MonteCarloSpec(10, 1.0, -1.0, 0, 1e-12, ())
     with pytest.raises(InvalidParameterError):
         MonteCarloSpec(10, -1.0, 1.0, 0, 0.0, ())
+    with pytest.raises(InvalidParameterError, match="seed"):
+        MonteCarloSpec(10, -1.0, 1.0, -1, 1e-12, ())
+
+
+@pytest.mark.parametrize("key, value", [("seed", 1.5), ("n_samples", 2.7), ("max_iter", 1e999)])
+def test_config_rejects_non_integral_integer_keys(key, value):
+    doc = default_config()
+    doc[key] = value
+    with pytest.raises(InvalidParameterError, match=f"config.{key} must be an integer"):
+        spec_from_config(doc)
+
+
+def test_config_accepts_integral_floats_for_integer_keys():
+    doc = default_config()
+    doc.update(n_samples=1e5, seed=3.0, max_iter=1e6)
+    _, spec = spec_from_config(doc)
+    assert (spec.n_samples, spec.seed, spec.max_iter) == (100_000, 3, 10**6)
+    assert all(type(v) is int for v in (spec.n_samples, spec.seed, spec.max_iter))

@@ -296,3 +296,31 @@ def test_bench_with_overflowing_samples_writes_nothing_to_stderr(tmp_path):
     assert result.stderr == ""
     stats = {s["label"]: s for s in json.loads(result.stdout)}
     assert stats["s-armijo"]["flagged"] == 2000
+
+
+@pytest.mark.parametrize("x0", ["abc", "", "1,,2"])
+def test_run_with_a_non_numeric_start_point_prints_one_error_line(x0):
+    result = _cli_subprocess("run", "--function", "oscillatory", "--m", "1", "--L", "100",
+                             "--x0", x0)
+    assert result.returncode == 1
+    assert result.stderr == f"error: --x0 must be comma-separated numbers, got {x0!r}\n"
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    assert main(["verify", "--seed", "-1"]) == 1
+    _assert_one_error_line(capsys, "seed must be >= 0, got -1")
+
+
+def test_bench_rejects_a_negative_seed(tmp_path, capsys):
+    assert main(["bench", "--seed", "-1", "--out-dir", str(tmp_path / "out")]) == 1
+    _assert_one_error_line(capsys, "seed must be >= 0, got -1")
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_config_with_a_non_integral_seed(tmp_path, capsys):
+    doc = default_config()
+    doc["seed"] = 1.5
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    _assert_one_error_line(capsys, "config.seed must be an integer, got 1.5")

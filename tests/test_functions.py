@@ -146,13 +146,20 @@ def test_oscillatory_is_nonconvex():
 
 
 def test_elementwise_callables_agree_with_pointwise():
-    f = oscillatory(1.0, 100.0)
-    xs = np.linspace(-30.0, 30.0, 101)
-    vals = f.elementwise_value(xs)
-    grads = f.elementwise_gradient(xs)
-    for i, x in enumerate(xs):
-        assert vals[i] == f.value(np.array([x]))
-        assert grads[i] == f.gradient(np.array([x]))[0]
+    # Bit for bit, at magnitudes from 1e-150 to 1e150: row i of a block
+    # maps to the point oracle at row i. A one-dimensional block is flat,
+    # any other is (n, dim).
+    rng = np.random.default_rng(0)
+    for f in (oscillatory(1.0, 100.0), quadratic(100.0), diag_quadratic(1.0, 100.0)):
+        shape = 400 if f.dim == 1 else (400, f.dim)
+        xs = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-150.0, 150.0, shape)
+        vals = f.elementwise_value(xs)
+        grads = f.elementwise_gradient(xs)
+        assert vals.shape == (400,) and grads.shape == xs.shape, f.name
+        for i, x in enumerate(xs):
+            point = np.atleast_1d(x)
+            assert np.float64(f.value(point)).tobytes() == vals[i].tobytes(), f.name
+            assert f.gradient(point).tobytes() == np.atleast_1d(grads[i]).tobytes(), f.name
 
 
 def test_builtin_lookup():

@@ -335,6 +335,12 @@ def test_loop_suite_passes_on_high_gain_seeds(seed):
     assert report.passed, [(c.label, c.value) for c in report.checks]
 
 
+def test_run_suite_rejects_a_negative_seed():
+    for name in ("loop", "all"):
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+            run_suite(name, -1)
+
+
 def test_loop_suite_one_point_solves_converge(monkeypatch):
     # verify seed 3 reaches amplitudes where the oscillatory relation has
     # several solutions; started at the probe, every solve still converges.

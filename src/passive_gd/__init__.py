@@ -6,7 +6,6 @@ from .bench import (
     SummaryStats,
     default_methods,
     export_histogram,
-    mode_of,
     run_monte_carlo,
 )
 from .errors import (
@@ -23,7 +22,6 @@ from .errors import (
 )
 from .functions import (
     SectorFunction,
-    cocoercivity_residual,
     diag_quadratic,
     oscillatory,
     quadratic,
@@ -66,7 +64,6 @@ from .optim import (
     armijo_s,
     gd_run,
     gsgd_run,
-    paired_gradient_criterion,
 )
 from .passivity import (
     Classification,

@@ -36,7 +36,6 @@ __all__ = [
     "MonteCarloSpec",
     "SummaryStats",
     "run_monte_carlo",
-    "mode_of",
     "export_histogram",
     "write_summary_csv",
     "default_methods",
@@ -91,7 +90,7 @@ class MonteCarloSpec:
             raise InvalidParameterError(
                 f"empty initial-condition range [{self.x0_low}, {self.x0_high}]"
             )
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise InvalidParameterError(f"tolerance must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise InvalidParameterError(f"max_iter must be >= 1, got {self.max_iter}")
@@ -109,14 +108,6 @@ class SummaryStats:
     flagged: int = 0
 
 
-def mode_of(counts: Sequence[int]) -> int:
-    """Most frequent value; ties break toward the smallest."""
-    if len(counts) == 0:
-        raise InvalidParameterError("mode of an empty sample is undefined")
-    vals, freq = np.unique(np.asarray(counts, dtype=np.int64), return_counts=True)
-    return int(vals[np.argmax(freq)])
-
-
 def _summarize(label: str, counts: np.ndarray, flagged: np.ndarray) -> SummaryStats:
     vals, freq = np.unique(counts, return_counts=True)
     hist = {int(v): int(c) for v, c in zip(vals, freq)}
@@ -127,7 +118,8 @@ def _summarize(label: str, counts: np.ndarray, flagged: np.ndarray) -> SummarySt
         label=label,
         mean=float(counts.mean()),
         median=median,
-        mode=mode_of(counts),
+        # np.unique sorts vals, so argmax breaks ties toward the smallest value.
+        mode=int(vals[np.argmax(freq)]),
         count_histogram=hist,
         n=int(counts.size),
         flagged=int(flagged.sum()),
@@ -235,7 +227,9 @@ def _field(doc, key: str, where: str, cast=None, default=_REQUIRED):
     """Read ``doc[key]`` through ``cast``; malformed input is an InvalidParameterError.
 
     An optional key whose default is None may also be given as JSON null.
-    An ``int`` key refuses a float such as 1.5, which ``int`` would truncate.
+    A numeric key refuses a boolean or a string, which ``int`` and ``float``
+    would convert, and an ``int`` key refuses a float such as 1.5, which
+    ``int`` would truncate.
     """
     if not isinstance(doc, dict):
         raise InvalidParameterError(f"{where} must be a JSON object")
@@ -246,6 +240,8 @@ def _field(doc, key: str, where: str, cast=None, default=_REQUIRED):
         return value
     if cast is int and isinstance(value, float) and not value.is_integer():
         raise InvalidParameterError(f"{where}.{key} must be an integer, got {value!r}")
+    if isinstance(value, (bool, str)):
+        raise InvalidParameterError(f"{where}.{key} must be a number, got {value!r}")
     try:
         return cast(value)
     except (TypeError, ValueError):

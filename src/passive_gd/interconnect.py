@@ -91,22 +91,6 @@ class FeedbackLoop:
         xi.setflags(write=False)
         object.__setattr__(self, "xi0", xi)
 
-    @staticmethod
-    def with_zero_inputs(
-        controller: StateSpaceRealization,
-        function: SectorFunction,
-        xi0,
-        steps: int,
-    ) -> "FeedbackLoop":
-        dim = function.dim
-        return FeedbackLoop(
-            controller=controller,
-            function=function,
-            r1=Signal.zeros(dim, steps),
-            r2=Signal.zeros(dim, steps),
-            xi0=np.asarray(xi0, dtype=float),
-        )
-
 
 @dataclass(frozen=True)
 class LoopTrace:
@@ -253,22 +237,18 @@ def _on_branch(y_fp: np.ndarray, probe: np.ndarray) -> bool:
     )
 
 
-def delta_bar_operator(
-    f: SectorFunction,
-    d: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-):
+def delta_bar_operator(f: SectorFunction, d: float):
     """Signal-to-signal form of the transformed nonlinearity (memoryless).
 
-    All time steps of a signal are solved together in one fixed point.
+    All time steps of a signal are solved together in one fixed point, to
+    ``DEFAULT_TOL`` within ``DEFAULT_MAX_ITER`` iterations.
     """
 
     def apply(u: Signal) -> Signal:
         if u.dim != f.dim:
             raise ShapeError(f"signal dim {u.dim} does not match function dim {f.dim}")
         _check_feedthrough(f, d)
-        return Signal(_solve_fixed_point(f, d, u.samples, tol, max_iter))
+        return Signal(_solve_fixed_point(f, d, u.samples, DEFAULT_TOL, DEFAULT_MAX_ITER))
 
     return apply
 
@@ -281,15 +261,15 @@ def run_transformed(
     steps: int,
     r1: Signal | None = None,
     r2: Signal | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> LoopTrace:
     """Simulate the loop-transformed interconnection for ``steps`` steps.
 
     The configuration is pinned to d = alpha/2. The controller state is
     the shifted iterate, so ``x0`` is converted through the minimizer.
     At the boundary d*L = 1 the per-step loop is solved in closed form
-    for the quadratic family and by damped iteration otherwise.
+    for the quadratic family and by damped iteration otherwise. Each
+    per-step fixed point iterates to ``DEFAULT_TOL``, within
+    ``DEFAULT_MAX_ITER`` iterations (``BOUNDARY_MAX_ITER`` at the boundary).
     """
     if alpha <= 0.0:
         raise InvalidParameterError(f"step size must be positive, got {alpha}")
@@ -343,7 +323,8 @@ def run_transformed(
                 y2[k] = np.linalg.solve(loop_matrix, f.hessian @ u2[k])
         elif at_boundary:
             y_fp = _solve_fixed_point(
-                f, d, u2[k : k + 1], tol, BOUNDARY_MAX_ITER, y=probe[None], damping=True
+                f, d, u2[k : k + 1], DEFAULT_TOL, BOUNDARY_MAX_ITER, y=probe[None],
+                damping=True,
             )[0]
             y2[k] = y_fp if _on_branch(y_fp, probe) else probe
         else:
@@ -354,7 +335,7 @@ def run_transformed(
             # The iteration starts at the probe, which solves the relation up
             # to rounding, so it usually stops after its first update.
             try:
-                y_fp = evaluate_delta_bar(f, d, u2[k], tol=tol, max_iter=max_iter, y0=probe)
+                y_fp = evaluate_delta_bar(f, d, u2[k], y0=probe)
             except (ContractionError, ConvergenceError):
                 y2[k] = probe
             else:

@@ -8,7 +8,7 @@ P = p*I, for which p = 1/alpha is the unique feasible shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -35,8 +35,6 @@ class StateSpaceRealization:
     B: np.ndarray = field(repr=False)
     C: np.ndarray = field(repr=False)
     D: np.ndarray = field(repr=False)
-    alpha: Optional[float] = None
-    d: Optional[float] = None
 
     def __post_init__(self):
         for name in ("A", "B", "C", "D"):
@@ -110,7 +108,7 @@ def gd_realization(alpha: float, dim: int = 1) -> StateSpaceRealization:
     if alpha <= 0.0:
         raise InvalidParameterError(f"step size must be positive, got {alpha}")
     eye = np.eye(dim)
-    return StateSpaceRealization(eye, alpha * eye, eye, np.zeros((dim, dim)), alpha=alpha)
+    return StateSpaceRealization(eye, alpha * eye, eye, np.zeros((dim, dim)))
 
 
 def modified_gd_realization(alpha: float, d: float, dim: int = 1) -> StateSpaceRealization:
@@ -120,7 +118,7 @@ def modified_gd_realization(alpha: float, d: float, dim: int = 1) -> StateSpaceR
     if d <= 0.0:
         raise InvalidParameterError(f"feedthrough must be positive, got {d}")
     eye = np.eye(dim)
-    return StateSpaceRealization(eye, alpha * eye, eye, d * eye, alpha=alpha, d=d)
+    return StateSpaceRealization(eye, alpha * eye, eye, d * eye)
 
 
 def simulate(ss: StateSpaceRealization, u: Signal, xi0) -> tuple[Signal, Signal]:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidParameterError, LineSearchError, ShapeError
+from .errors import DivergenceError, InvalidParameterError, LineSearchError
 from .functions import SectorFunction, _row_dot, row_gradient, row_value
 from .signals import Signal
 
@@ -41,7 +41,6 @@ __all__ = [
     "gsgd_run",
     "armijo_alpha",
     "armijo_s",
-    "paired_gradient_criterion",
     "default_s_cap",
 ]
 
@@ -114,7 +113,7 @@ class GradNorm:
     tol: float
 
     def __post_init__(self):
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise InvalidParameterError(f"tolerance must be positive, got {self.tol}")
 
 
@@ -123,7 +122,7 @@ class PairedGrad:
     tol: float
 
     def __post_init__(self):
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise InvalidParameterError(f"tolerance must be positive, got {self.tol}")
 
 
@@ -159,16 +158,6 @@ class RunTrace:
 def default_s_cap(f: SectorFunction) -> float:
     """Largest scheduling magnitude certified for this function."""
     return float(np.sqrt(2.0 / f.L))
-
-
-def paired_gradient_criterion(g_now, g_prev, tol: float) -> bool:
-    """True when the squared norm of the gradient sum drops below ``tol``."""
-    g_now = np.asarray(g_now, dtype=float).reshape(-1)
-    g_prev = np.asarray(g_prev, dtype=float).reshape(-1)
-    if g_now.shape != g_prev.shape:
-        raise ShapeError(f"gradient shapes differ: {g_now.shape} vs {g_prev.shape}")
-    s = g_now + g_prev
-    return float(np.dot(s, s)) < tol
 
 
 # Why the engine stopped a sample. The first three codes index the

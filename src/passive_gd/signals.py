@@ -15,8 +15,6 @@ __all__ = [
     "inner_product_truncated",
     "norm_sq_truncated",
     "random_unit_energy",
-    "write_signal_csv",
-    "read_signal_csv",
 ]
 
 
@@ -117,19 +115,3 @@ def _write_columns(path, columns: dict, rows: int) -> None:
             writer.writerow(
                 [k] + [f"{c[k]:.17g}" if k < len(c) else "" for c in columns.values()]
             )
-
-
-def write_signal_csv(u: Signal, path) -> None:
-    """Write one row per time step with columns ``k, x_0, ..., x_{n-1}``."""
-    _write_columns(path, _columns("x", u.samples), u.horizon)
-
-
-def read_signal_csv(path) -> Signal:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 1
-        rows = [[float(v) for v in row[1:]] for row in reader]
-    if not rows:
-        return Signal.zeros(dim, 0)
-    return Signal(np.array(rows))

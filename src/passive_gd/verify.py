@@ -15,12 +15,12 @@ import numpy as np
 from .errors import InvalidParameterError
 from .functions import (
     SectorFunction,
-    _cocoercivity_block,
     central_difference_gradient,
     diag_quadratic,
     oscillatory,
     quadratic,
     row_gradient,
+    sector_membership_scan,
 )
 from .interconnect import delta_bar_operator, loop_equivalence_report
 from .lti import gd_passivity_certificate
@@ -86,16 +86,11 @@ def _builtins() -> list[SectorFunction]:
     return [oscillatory(1.0, 100.0), quadratic(100.0), diag_quadratic(1.0, 100.0)]
 
 
-def _normalized_residual_min(f: SectorFunction, seed: int, n: int) -> float:
-    points = np.random.default_rng(seed).uniform(-1e5, 1e5, (n, f.dim))
-    residual, scale = _cocoercivity_block(f, points)
-    return float(np.min(residual / scale))
-
-
 def suite_sector(seed: int) -> SuiteReport:
     report = SuiteReport("sector")
     for f in _builtins():
-        margin = _normalized_residual_min(f, seed, 100_000 if f.dim == 1 else 10_000)
+        n = 100_000 if f.dim == 1 else 10_000
+        margin = sector_membership_scan(f, -1e5, 1e5, n, seed)[0]
         report.add_min(f"{f.name}: normalized co-coercivity residual", margin, -1e-9)
     rng = np.random.default_rng(seed + 1)
     for f in _builtins():

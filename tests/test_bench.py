@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from passive_gd.bench import (
     MethodSpec,
     MonteCarloSpec,
+    _summarize,
     default_config,
     default_methods,
     export_histogram,
-    mode_of,
     run_monte_carlo,
     spec_from_config,
     write_summary_csv,
@@ -47,11 +47,14 @@ def _small_spec(methods, n=300, seed=11):
 
 
 def test_mode_of_examples():
-    assert mode_of([3, 3, 5]) == 3
-    assert mode_of([2, 2, 7, 7]) == 2
-    assert mode_of([9]) == 9
-    with pytest.raises(InvalidParameterError):
-        mode_of([])
+    def mode(counts):
+        counts = np.array(counts)
+        return _summarize("x", counts, np.zeros(counts.size, dtype=bool)).mode
+
+    assert mode([3, 3, 5]) == 3
+    assert mode([2, 2, 7, 7]) == 2
+    assert mode([7, 7, 2, 2]) == 2
+    assert mode([9]) == 9
 
 
 def test_histogram_export_round_trip(tmp_path):
@@ -407,6 +410,8 @@ def test_spec_validation():
         MonteCarloSpec(10, 1.0, -1.0, 0, 1e-12, ())
     with pytest.raises(InvalidParameterError):
         MonteCarloSpec(10, -1.0, 1.0, 0, 0.0, ())
+    with pytest.raises(InvalidParameterError, match="tolerance must be positive"):
+        MonteCarloSpec(10, -1.0, 1.0, 0, float("nan"), ())
     with pytest.raises(InvalidParameterError, match="seed"):
         MonteCarloSpec(10, -1.0, 1.0, -1, 1e-12, ())
 
@@ -416,6 +421,36 @@ def test_config_rejects_non_integral_integer_keys(key, value):
     doc = default_config()
     doc[key] = value
     with pytest.raises(InvalidParameterError, match=f"config.{key} must be an integer"):
+        spec_from_config(doc)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", True), ("n_samples", "7"), ("tol", True), ("tol", "1e-12"), ("max_iter", False),
+    ("x0_low", "-1"),
+])
+def test_config_rejects_booleans_and_strings_for_numeric_keys(key, value):
+    doc = default_config()
+    doc[key] = value
+    with pytest.raises(InvalidParameterError, match=f"config.{key} must be a number"):
+        spec_from_config(doc)
+
+
+def test_config_rejects_booleans_and_strings_in_nested_numbers():
+    doc = default_config()
+    doc["function"]["L"] = "100"
+    with pytest.raises(InvalidParameterError, match="function.L must be a number"):
+        spec_from_config(doc)
+    doc = default_config()
+    doc["methods"][0]["schedule"]["alpha"] = True
+    with pytest.raises(InvalidParameterError,
+                       match=r"methods\[0\]\.schedule\.alpha must be a number"):
+        spec_from_config(doc)
+
+
+def test_config_with_a_nan_tolerance_is_refused():
+    doc = default_config()
+    doc["tol"] = float("nan")
+    with pytest.raises(InvalidParameterError, match="tolerance must be positive, got nan"):
         spec_from_config(doc)
 
 

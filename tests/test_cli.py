@@ -324,3 +324,21 @@ def test_bench_config_with_a_non_integral_seed(tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
     _assert_one_error_line(capsys, "config.seed must be an integer, got 1.5")
+
+
+@pytest.mark.parametrize("value, shown", [(True, "True"), ("7", "'7'")])
+def test_bench_config_with_a_non_numeric_seed(tmp_path, capsys, value, shown):
+    doc = default_config()
+    doc["seed"] = value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    _assert_one_error_line(capsys, f"config.seed must be a number, got {shown}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--paired-tol"])
+def test_run_with_a_nan_tolerance_prints_one_error_line(capsys, flag):
+    assert main(["run", "--L", "100", "--x0", "1", "--alpha", "0.01", flag, "nan",
+                 "--max-iter", "1000", "--json"]) == 1
+    _assert_one_error_line(capsys, "tolerance must be positive, got nan")

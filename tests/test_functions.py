@@ -5,15 +5,16 @@ from scipy.integrate import quad
 
 from passive_gd.errors import InvalidParameterError, ShapeError
 from passive_gd.functions import (
+    _cocoercivity_block,
     builtin_function,
     central_difference_gradient,
-    cocoercivity_residual,
     diag_quadratic,
     oscillatory,
     quadratic,
     sector_membership_scan,
     shifted_gradient,
 )
+from passive_gd.verify import suite_sector
 
 
 def test_oscillatory_at_minimizer():
@@ -87,14 +88,20 @@ def test_shifted_gradient_shape_error():
         shifted_gradient(quadratic(1.0), np.array([1.0, 2.0]))
 
 
+def _residual_at(f, x):
+    """The raw residual at one point: the one-row case of the block."""
+    residual, _ = _cocoercivity_block(f, f.check_point(x)[None, :])
+    return float(residual[0])
+
+
 def test_cocoercivity_residual_examples():
     # For m = L the sector inequality is an identity.
-    assert cocoercivity_residual(quadratic(1.0), np.array([2.0])) == pytest.approx(
+    assert _residual_at(quadratic(1.0), np.array([2.0])) == pytest.approx(
         0.0, abs=1e-14
     )
     f = oscillatory(1.0, 100.0)
-    assert cocoercivity_residual(f, np.zeros(1)) == pytest.approx(0.0, abs=1e-14)
-    assert cocoercivity_residual(f, np.array([3.0])) >= 0.0
+    assert _residual_at(f, np.zeros(1)) == pytest.approx(0.0, abs=1e-14)
+    assert _residual_at(f, np.array([3.0])) >= 0.0
 
 
 def test_cocoercivity_residual_nonnegative_at_random_points():
@@ -104,23 +111,47 @@ def test_cocoercivity_residual_nonnegative_at_random_points():
             x = rng.uniform(-1e5, 1e5, f.dim)
             g = np.asarray(f.gradient(x))
             scale = 1.0 + float(np.dot(x, x)) + float(np.dot(g, g))
-            assert cocoercivity_residual(f, x) >= -1e-9 * scale
+            assert _residual_at(f, x) >= -1e-9 * scale
+
+
+def _scan_draw(f, lo, hi, n, seed):
+    """The scan's draw, with the raw residual and scale at each point."""
+    points = np.random.default_rng(seed).uniform(lo, hi, (n, f.dim))
+    return (points, *_cocoercivity_block(f, points))
 
 
 def test_sector_membership_scan():
     f = oscillatory(1.0, 100.0)
     worst, argmin = sector_membership_scan(f, -1e5, 1e5, 10_000, seed=0)
-    assert worst >= -1e-6 * (1.0 + argmin[0] ** 2)
+    points, residual, scale = _scan_draw(f, -1e5, 1e5, 10_000, 0)
+    i = int(np.argmin(residual / scale))
+    assert worst == float(np.min(residual / scale)) and np.array_equal(argmin, points[i])
+    assert worst >= -1e-9
+    j = int(np.argmin(residual))
+    assert residual[j] >= -1e-6 * (1.0 + points[j, 0] ** 2)
     q = quadratic(1.0)
     worst_q, _ = sector_membership_scan(q, -10.0, 10.0, 1000, seed=1)
-    assert abs(worst_q) <= 1e-9
+    _, residual_q, _ = _scan_draw(q, -10.0, 10.0, 1000, 1)
+    assert abs(worst_q) <= 1e-9 and np.max(np.abs(residual_q)) <= 1e-9
     dq = diag_quadratic(1.0, 100.0)
     worst_d, _ = sector_membership_scan(dq, -1.0, 1.0, 1000, seed=2)
-    assert worst_d >= -1e-12
+    _, residual_d, _ = _scan_draw(dq, -1.0, 1.0, 1000, 2)
+    assert worst_d >= -1e-12 and np.min(residual_d) >= -1e-12
     with pytest.raises(InvalidParameterError):
         sector_membership_scan(f, 1.0, -1.0, 10, seed=0)
     with pytest.raises(InvalidParameterError):
         sector_membership_scan(f, -1.0, 1.0, 0, seed=0)
+    with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+        sector_membership_scan(f, -1.0, 1.0, 10, seed=-1)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sector_suite_runs_the_membership_scan(seed):
+    checks = {c.label: c.value for c in suite_sector(seed).checks}
+    for f in (oscillatory(1.0, 100.0), quadratic(100.0), diag_quadratic(1.0, 100.0)):
+        n = 100_000 if f.dim == 1 else 10_000
+        worst, _ = sector_membership_scan(f, -1e5, 1e5, n, seed)
+        assert checks[f"{f.name}: normalized co-coercivity residual"] == worst
 
 
 def test_gradient_matches_finite_differences():

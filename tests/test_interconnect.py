@@ -37,7 +37,8 @@ from passive_gd.verify import run_suite
 
 
 def _zero_loop(controller, f, xi0, steps):
-    return FeedbackLoop.with_zero_inputs(controller, f, xi0, steps)
+    zeros = Signal.zeros(f.dim, steps)
+    return FeedbackLoop(controller, f, zeros, zeros, xi0)
 
 
 def test_untransformed_one_step_convergence():

@@ -43,7 +43,7 @@ def test_gd_realization_rejects_nonpositive_alpha():
 def test_modified_gd_realization():
     ss = modified_gd_realization(0.01, 0.005, dim=1)
     assert_allclose(ss.D, [[0.005]])
-    assert ss.alpha == 0.01 and ss.d == 0.005
+    assert_allclose(ss.B, [[0.01]])
     ss2 = modified_gd_realization(2.0, 1.0, dim=1)
     assert_allclose(ss2.D, [[1.0]])
     with pytest.raises(InvalidParameterError):

@@ -6,7 +6,6 @@ from passive_gd.errors import (
     DivergenceError,
     InvalidParameterError,
     LineSearchError,
-    ShapeError,
 )
 from passive_gd.functions import diag_quadratic, oscillatory, quadratic
 from passive_gd.optim import (
@@ -24,7 +23,6 @@ from passive_gd.optim import (
     default_s_cap,
     gd_run,
     gsgd_run,
-    paired_gradient_criterion,
 )
 
 
@@ -225,16 +223,24 @@ def test_armijo_params_validation():
         ArmijoParams(decrease=0.0)
 
 
-def test_paired_gradient_criterion_examples():
-    assert paired_gradient_criterion(
-        np.array([1.0, 100.0]), np.array([1.0, -100.0]), 5.0
-    )
-    assert paired_gradient_criterion(np.zeros(2), np.zeros(2), 1e-300)
-    assert not paired_gradient_criterion(
-        np.array([1.0, 100.0]), np.array([1.0, -100.0]), 4.0
-    )
-    with pytest.raises(ShapeError):
-        paired_gradient_criterion(np.zeros(2), np.zeros(3), 1.0)
+def test_paired_gradient_rule_is_strict():
+    # On l*x^2/2 with l = 1 and alpha = 1.5 the gradients are 1, -0.5, 0.25,
+    # so the first pair sums to 0.5 and the rule compares 0.25 < tol.
+    f = quadratic(1.0)
+    for tol, iterations in ((0.25, 2), (np.nextafter(0.25, 1.0), 1)):
+        trace = gd_run(
+            f, np.array([1.0]), FixedAlpha(1.5),
+            [GradNorm(1e-12), PairedGrad(tol), MaxIter(50)],
+        )
+        assert trace.termination is Termination.PAIRED_GRAD_MET
+        assert trace.iterations == iterations
+
+
+@pytest.mark.parametrize("rule", [GradNorm, PairedGrad])
+def test_stopping_tolerances_must_be_positive(rule):
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(InvalidParameterError, match="tolerance must be positive"):
+            rule(tol)
 
 
 def test_counterexample_run_closed_form():

@@ -8,9 +8,7 @@ from passive_gd.signals import (
     inner_product_truncated,
     norm_sq_truncated,
     random_unit_energy,
-    read_signal_csv,
     truncate,
-    write_signal_csv,
 )
 
 
@@ -128,19 +126,3 @@ def test_random_unit_energy_signals():
     for a, b in zip(sigs, again):
         assert_allclose(a.samples, b.samples)
 
-
-def test_csv_round_trip(tmp_path):
-    u = Signal(np.array([[1.5, -2.25], [0.1, 1e-17], [3.0, 4.0]]))
-    path = tmp_path / "sig.csv"
-    write_signal_csv(u, path)
-    v = read_signal_csv(path)
-    assert v.horizon == u.horizon and v.dim == u.dim
-    assert_allclose(v.samples, u.samples, rtol=0, atol=0)
-
-
-def test_csv_round_trip_empty(tmp_path):
-    u = Signal.zeros(3, 0)
-    path = tmp_path / "empty.csv"
-    write_signal_csv(u, path)
-    v = read_signal_csv(path)
-    assert v.horizon == 0 and v.dim == 3

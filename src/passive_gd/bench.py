@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _count, _interval, _positive
 from .functions import SectorFunction, builtin_function
 from .optim import ArmijoAlpha, ArmijoParams, ArmijoS, FixedAlpha, FixedS
 from .optim import _CAP, _block_runner
@@ -82,18 +82,11 @@ class MonteCarloSpec:
     max_iter: int = 10**6
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise InvalidParameterError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
-        if not self.x0_low < self.x0_high:
-            raise InvalidParameterError(
-                f"empty initial-condition range [{self.x0_low}, {self.x0_high}]"
-            )
-        if not self.tol > 0.0:
-            raise InvalidParameterError(f"tolerance must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise InvalidParameterError(f"max_iter must be >= 1, got {self.max_iter}")
+        _count("n_samples", self.n_samples, 1)
+        _count("seed", self.seed, 0)
+        _interval(self.x0_low, self.x0_high, "initial-condition")
+        _positive("tolerance", self.tol)
+        _count("max_iter", self.max_iter, 1)
         object.__setattr__(self, "methods", tuple(self.methods))
 
 

@@ -156,8 +156,7 @@ def _cmd_run(args) -> int:
     x0 = _parse_x0(args.x0)
     if args.mode == "loop":
         if args.alpha is None:
-            print("error: loop mode needs --alpha", file=sys.stderr)
-            return 1
+            raise InvalidParameterError("loop mode needs --alpha")
         trace = run_transformed(f, args.alpha, args.alpha / 2.0, x0, args.steps)
         if args.trace:
             columns = {}
@@ -188,8 +187,7 @@ def _cmd_run(args) -> int:
         elif args.alpha is not None:
             schedule = FixedAlpha(args.alpha)
         else:
-            print("error: gd needs --alpha or --armijo", file=sys.stderr)
-            return 1
+            raise InvalidParameterError("gd needs --alpha or --armijo")
         trace = gd_run(f, x0, schedule, stops)
     else:
         if args.armijo:
@@ -197,8 +195,7 @@ def _cmd_run(args) -> int:
         elif args.s is not None:
             schedule = FixedS(args.s)
         else:
-            print("error: gsgd needs --s or --armijo", file=sys.stderr)
-            return 1
+            raise InvalidParameterError("gsgd needs --s or --armijo")
         trace = gsgd_run(f, x0, schedule, stops)
     if args.trace:
         columns = {**_columns("x", trace.iterates.samples),
@@ -224,13 +221,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite not in verify_mod.SUITE_NAMES:
-        print(
-            f"error: unknown suite {args.suite!r}; choose from "
-            f"{', '.join(verify_mod.SUITE_NAMES)}",
-            file=sys.stderr,
-        )
-        return 1
     reports = verify_mod.run_suite(args.suite, args.seed)
     if args.json:
         print(json.dumps([r.as_dict() for r in reports], sort_keys=True))

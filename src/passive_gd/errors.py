@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types, and the validators that decide what a valid parameter is."""
+
+import math
+from numbers import Integral
 
 
 class PassiveGdError(Exception):
@@ -46,3 +49,37 @@ class DivergenceError(PassiveGdError):
 
 class LineSearchError(PassiveGdError):
     """A backtracking line search failed to find an acceptable step."""
+
+
+def _positive(name, v):
+    """Refuse ``v`` unless it is finite and above zero; the chained test refuses NaN."""
+    if not 0.0 < v < math.inf:
+        raise InvalidParameterError(f"{name} must be positive, got {v}")
+
+
+def _count(name, v, minimum):
+    """Refuse ``v`` unless it is an integer, not a bool, of at least ``minimum``."""
+    if isinstance(v, bool) or not isinstance(v, Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
+    if v < minimum:
+        raise InvalidParameterError(f"{name} must be >= {minimum}, got {v}")
+
+
+def _sector(m, L):
+    """Refuse sector bounds unless 0 < m <= L < inf."""
+    if not 0.0 < m <= L < math.inf:
+        raise InvalidParameterError(
+            f"sector bounds must satisfy 0 < m <= L, got m={m}, L={L}"
+        )
+
+
+def _interval(lo, hi, what):
+    """Refuse the range [lo, hi] unless lo < hi and its width hi - lo is finite."""
+    if not (lo < hi and hi - lo < math.inf):
+        raise InvalidParameterError(f"empty or unbounded {what} range [{lo}, {hi}]")
+
+
+def _finite(name, x):
+    """Refuse the point ``x`` unless every entry is finite."""
+    if not all(map(math.isfinite, x)):
+        raise InvalidParameterError(f"{name} must be finite, got {list(map(float, x))}")

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidParameterError, ShapeError
+from .errors import InvalidParameterError, ShapeError, _count, _interval, _positive, _sector
 
 __all__ = [
     "SectorFunction",
@@ -44,7 +44,7 @@ class SectorFunction:
     dim : int
         Input dimension.
     m, L : float
-        Lower and upper sector bounds, 0 < m <= L.
+        Lower and upper sector bounds, finite, with 0 < m <= L.
     minimizer : np.ndarray
         The unique global minimizer; the gradient must vanish there.
     value : callable
@@ -72,10 +72,7 @@ class SectorFunction:
     name: str = ""
 
     def __post_init__(self):
-        if not (0.0 < self.m <= self.L):
-            raise InvalidParameterError(
-                f"sector bounds must satisfy 0 < m <= L, got m={self.m}, L={self.L}"
-            )
+        _sector(self.m, self.L)
         x_star = np.asarray(self.minimizer, dtype=float).reshape(-1)
         if x_star.shape != (self.dim,):
             raise ShapeError(
@@ -141,8 +138,7 @@ def oscillatory(m: float, L: float) -> SectorFunction:
 
 def quadratic(l: float) -> SectorFunction:
     """Scalar quadratic l*x^2/2 with m = L = l."""
-    if l <= 0.0:
-        raise InvalidParameterError(f"curvature must be positive, got {l}")
+    _positive("curvature", l)
     diag, half = np.array([l]), np.array([0.5 * l])
     return _from_blocks(1, l, l, lambda x: half * x * x, lambda x: diag * x,
                         np.diag(diag), name="quadratic")
@@ -262,12 +258,9 @@ def sector_membership_scan(
     where it occurs. The scale makes one threshold hold at any amplitude,
     and ``verify --suite sector`` checks this minimum.
     """
-    if not lo < hi:
-        raise InvalidParameterError(f"empty sample range [{lo}, {hi}]")
-    if n_samples < 1:
-        raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    _interval(lo, hi, "sample")
+    _count("n_samples", n_samples, 1)
+    _count("seed", seed, 0)
     points = np.random.default_rng(seed).uniform(lo, hi, (n_samples, f.dim))
     residual, scale = _cocoercivity_block(f, points)
     normalized = residual / scale

@@ -36,6 +36,9 @@ from .errors import (
     ConvergenceError,
     InvalidParameterError,
     ShapeError,
+    _count,
+    _finite,
+    _positive,
 )
 from .functions import SectorFunction, row_gradient, shifted_gradient
 from .lti import StateSpaceRealization, modified_gd_realization
@@ -112,8 +115,7 @@ def run_untransformed(loop: FeedbackLoop, steps: int) -> LoopTrace:
             "controller has nonzero feedthrough, so the loop is delay-free "
             "in both directions; use run_transformed instead"
         )
-    if steps < 1:
-        raise InvalidParameterError(f"steps must be positive, got {steps}")
+    _count("steps", steps, 1)
     if loop.r1.horizon < steps:
         raise ShapeError(
             f"exogenous horizon {loop.r1.horizon} is shorter than {steps} steps"
@@ -138,8 +140,7 @@ def run_untransformed(loop: FeedbackLoop, steps: int) -> LoopTrace:
 
 
 def _check_feedthrough(f: SectorFunction, d: float):
-    if d <= 0.0:
-        raise InvalidParameterError(f"feedthrough must be positive, got {d}")
+    _positive("feedthrough", d)
     if d * f.L >= 1.0:
         raise ContractionError(
             f"d*L = {d * f.L} >= 1: the standalone fixed point is not contractive"
@@ -271,15 +272,15 @@ def run_transformed(
     per-step fixed point iterates to ``DEFAULT_TOL``, within
     ``DEFAULT_MAX_ITER`` iterations (``BOUNDARY_MAX_ITER`` at the boundary).
     """
-    if alpha <= 0.0:
-        raise InvalidParameterError(f"step size must be positive, got {alpha}")
+    _positive("step size", alpha)
+    _positive("feedthrough", d)
     if abs(d - alpha / 2.0) > _REL_TOL * max(d, alpha / 2.0):
         raise InvalidParameterError(
             f"this loop is configured with d = alpha/2; got d={d}, alpha={alpha}"
         )
-    if steps < 1:
-        raise InvalidParameterError(f"steps must be positive, got {steps}")
+    _count("steps", steps, 1)
     x0 = f.check_point(x0)
+    _finite("x0", x0)
     dim = f.dim
     if r1 is None:
         r1 = Signal.zeros(dim, steps)

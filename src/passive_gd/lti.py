@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidParameterError, ShapeError
+from .errors import ShapeError, _positive
 from .signals import Signal
 
 __all__ = [
@@ -105,18 +105,15 @@ CertificateResult = Union[PositiveRealCertificate, InfeasibilityReport]
 
 def gd_realization(alpha: float, dim: int = 1) -> StateSpaceRealization:
     """Strictly proper controller (I, alpha*I, I, 0) of the fixed-step update."""
-    if alpha <= 0.0:
-        raise InvalidParameterError(f"step size must be positive, got {alpha}")
+    _positive("step size", alpha)
     eye = np.eye(dim)
     return StateSpaceRealization(eye, alpha * eye, eye, np.zeros((dim, dim)))
 
 
 def modified_gd_realization(alpha: float, d: float, dim: int = 1) -> StateSpaceRealization:
     """Loop-transformed controller (I, alpha*I, I, d*I) with feedthrough d > 0."""
-    if alpha <= 0.0:
-        raise InvalidParameterError(f"step size must be positive, got {alpha}")
-    if d <= 0.0:
-        raise InvalidParameterError(f"feedthrough must be positive, got {d}")
+    _positive("step size", alpha)
+    _positive("feedthrough", d)
     eye = np.eye(dim)
     return StateSpaceRealization(eye, alpha * eye, eye, d * eye)
 
@@ -165,8 +162,7 @@ def positive_real_check(
             f"positive-real test needs a square system, got {ss.n_inputs} inputs "
             f"and {ss.n_outputs} outputs"
         )
-    if p_scalar <= 0.0:
-        raise InvalidParameterError(f"p_scalar must be positive, got {p_scalar}")
+    _positive("p_scalar", p_scalar)
     M = _block_matrix(ss, p_scalar)
     M = 0.5 * (M + M.T)
     max_eig = float(np.linalg.eigvalsh(M)[-1])
@@ -180,10 +176,6 @@ def gd_passivity_certificate(alpha: float, d: float) -> CertificateResult:
     The candidate is always submitted to the numeric positive-real check,
     which succeeds exactly when d >= alpha/2 up to the scaled tolerance.
     """
-    if alpha <= 0.0 or d <= 0.0:
-        raise InvalidParameterError(
-            f"alpha and d must be positive, got alpha={alpha}, d={d}"
-        )
     ss = modified_gd_realization(alpha, d, dim=1)
     p_scalar = 1.0 / alpha
     feasible, max_eig = positive_real_check(ss, p_scalar)

@@ -23,6 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError, LineSearchError
+from .errors import _count, _finite, _positive
 from .functions import SectorFunction, _row_dot, row_gradient, row_value
 from .signals import Signal
 
@@ -61,8 +62,8 @@ class ArmijoParams:
     decrease: float = 1e-4
 
     def __post_init__(self):
-        if self.trial is not None and self.trial <= 0.0:
-            raise InvalidParameterError(f"trial must be positive, got {self.trial}")
+        if self.trial is not None:
+            _positive("trial", self.trial)
         if not 0.0 < self.shrink < 1.0:
             raise InvalidParameterError(f"shrink must be in (0,1), got {self.shrink}")
         if not 0.0 < self.decrease < 1.0:
@@ -76,8 +77,7 @@ class FixedAlpha:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise InvalidParameterError(f"alpha must be positive, got {self.alpha}")
+        _positive("alpha", self.alpha)
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,7 @@ class FixedS:
     s: float
 
     def __post_init__(self):
-        if self.s == 0.0:
-            raise InvalidParameterError("scheduling value s must be nonzero")
+        _positive("scheduling value |s|", abs(self.s))
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,8 @@ class ArmijoS:
     cap: Optional[float] = None
 
     def __post_init__(self):
-        if self.cap is not None and self.cap <= 0.0:
-            raise InvalidParameterError(f"cap must be positive, got {self.cap}")
+        if self.cap is not None:
+            _positive("cap", self.cap)
 
 
 AlphaSchedule = Union[FixedAlpha, ArmijoAlpha]
@@ -113,8 +112,7 @@ class GradNorm:
     tol: float
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise InvalidParameterError(f"tolerance must be positive, got {self.tol}")
+        _positive("tolerance", self.tol)
 
 
 @dataclass(frozen=True)
@@ -122,8 +120,7 @@ class PairedGrad:
     tol: float
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise InvalidParameterError(f"tolerance must be positive, got {self.tol}")
+        _positive("tolerance", self.tol)
 
 
 @dataclass(frozen=True)
@@ -131,8 +128,7 @@ class MaxIter:
     cap: int
 
     def __post_init__(self):
-        if self.cap < 1:
-            raise InvalidParameterError(f"iteration cap must be >= 1, got {self.cap}")
+        _count("iteration cap", self.cap, 1)
 
 
 StoppingRule = Union[GradNorm, PairedGrad, MaxIter]
@@ -383,6 +379,7 @@ def armijo_s(f: SectorFunction, x, params: ArmijoParams, cap: float) -> float:
 def _run_one(f: SectorFunction, x0, schedule, stops: Sequence[StoppingRule]) -> RunTrace:
     """Run the engine on ``x0`` as a block of one row and record its trace."""
     x = f.check_point(x0)
+    _finite("x0", x)
     grad_rule, paired_rule, max_rule = _normalize_stops(stops)
     runner = _block_runner(f, schedule, grad_rule and grad_rule.tol, max_rule.cap,
                            paired_rule and paired_rule.tol)

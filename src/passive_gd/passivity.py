@@ -20,6 +20,8 @@ from .errors import (
     DegenerateSectorError,
     InvalidParameterError,
     ShapeError,
+    _positive,
+    _sector,
 )
 from .lti import CertificateResult, gd_passivity_certificate
 from .signals import Signal, inner_product_truncated, norm_sq_truncated
@@ -70,20 +72,13 @@ class StepSizeVerdict:
     certificate: Optional[CertificateResult]
 
 
-def _check_sector(m: float, l: float):
-    if not (0.0 < m <= l):
-        raise InvalidParameterError(
-            f"sector bounds must satisfy 0 < m <= L, got m={m}, L={l}"
-        )
-
-
 def _close(a: float, b: float, rel: float = _REL_TOL) -> bool:
     return abs(a - b) <= rel * max(abs(a), abs(b))
 
 
 def nabla_indices(m: float, l: float) -> PassivityIndices:
     """Indices of the shifted gradient: VSP with beta = 0."""
-    _check_sector(m, l)
+    _sector(m, l)
     return PassivityIndices(
         beta=0.0,
         delta=m * l / (m + l),
@@ -104,9 +99,8 @@ def transformed_indices(m: float, l: float, d: float) -> PassivityIndices:
     denominator 1 - 2*delta*d cancels to rounding noise, and to zero or
     below when m is within a few ulps of L.
     """
-    _check_sector(m, l)
-    if d <= 0.0:
-        raise InvalidParameterError(f"feedthrough must be positive, got {d}")
+    _sector(m, l)
+    _positive("feedthrough", d)
     if _close(d, 1.0 / l):
         if m == l:
             raise DegenerateSectorError(
@@ -144,9 +138,8 @@ def certify_step_size(m: float, l: float, alpha: float) -> StepSizeVerdict:
     for m < L, where the transformed nonlinearity is only ISP. NONE
     otherwise. Equality is detected with relative tolerance 1e-12.
     """
-    _check_sector(m, l)
-    if alpha <= 0.0:
-        raise InvalidParameterError(f"step size must be positive, got {alpha}")
+    _sector(m, l)
+    _positive("step size", alpha)
     d = alpha / 2.0
     boundary = 2.0 / l
     at_boundary = _close(alpha, boundary)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _count
 from .functions import (
     SectorFunction,
     central_difference_gradient,
@@ -203,8 +203,7 @@ def suite_counterexample(seed: int) -> SuiteReport:
 
 
 def run_suite(name: str, seed: int = 0) -> list[SuiteReport]:
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    _count("seed", seed, 0)
     if name == "sector":
         return [suite_sector(seed)]
     if name == "passivity":
@@ -220,4 +219,6 @@ def run_suite(name: str, seed: int = 0) -> list[SuiteReport]:
             suite_loop(seed),
             suite_counterexample(seed),
         ]
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    raise InvalidParameterError(
+        f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
+    )

@@ -1,0 +1,177 @@
+"""Every numeric parameter of every constructor and entry point refuses bad values.
+
+One table: each row names a site, the fragment its message must contain
+to name the parameter, a call that puts the value in that parameter and
+the bad values it must refuse with InvalidParameterError.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from passive_gd.bench import MonteCarloSpec
+from passive_gd.errors import InvalidParameterError
+from passive_gd.functions import SectorFunction, quadratic, sector_membership_scan
+from passive_gd.interconnect import (
+    FeedbackLoop,
+    delta_bar_operator,
+    evaluate_delta_bar,
+    loop_equivalence_report,
+    run_transformed,
+    run_untransformed,
+)
+from passive_gd.lti import (
+    gd_passivity_certificate,
+    gd_realization,
+    modified_gd_realization,
+    positive_real_check,
+)
+from passive_gd.optim import (
+    ArmijoParams,
+    ArmijoS,
+    FixedAlpha,
+    FixedS,
+    GradNorm,
+    MaxIter,
+    PairedGrad,
+    gd_run,
+    gsgd_run,
+)
+from passive_gd.passivity import certify_step_size, nabla_indices, transformed_indices
+from passive_gd.signals import Signal
+from passive_gd.verify import run_suite
+
+NAN, INF = math.nan, math.inf
+# A positive number refuses these; a count refuses them and 1.5 and True.
+POSITIVE = (NAN, INF, -INF, 0.0, -1.0)
+COUNT = POSITIVE + (1.5, True)
+NON_FINITE = (NAN, INF, -INF)
+
+F = quadratic(1.0)
+
+
+def _spec(**kw):
+    args = dict(n_samples=10, x0_low=-1.0, x0_high=1.0, seed=0, tol=1e-12, methods=())
+    MonteCarloSpec(**{**args, **kw})
+
+
+def _sector_function(m=0.5, L=1.0):
+    SectorFunction(1, m, L, np.zeros(1), lambda x: 0.0, lambda x: 0.0 * x)
+
+
+def _loop(steps):
+    zeros = Signal.zeros(1, 3)
+    run_untransformed(FeedbackLoop(gd_realization(0.1), F, zeros, zeros, np.ones(1)), steps)
+
+
+SITES = [
+    # optim
+    ("FixedAlpha.alpha", "alpha", FixedAlpha, POSITIVE),
+    ("FixedS.s", "|s|", FixedS, (NAN, INF, -INF, 0.0)),
+    ("ArmijoParams.trial", "trial", lambda v: ArmijoParams(trial=v), POSITIVE),
+    ("ArmijoS.cap", "cap", lambda v: ArmijoS(cap=v), POSITIVE),
+    ("GradNorm.tol", "tolerance", GradNorm, POSITIVE),
+    ("PairedGrad.tol", "tolerance", PairedGrad, POSITIVE),
+    ("MaxIter.cap", "iteration cap", MaxIter, COUNT),
+    ("gd_run.x0", "x0", lambda v: gd_run(F, [v], FixedAlpha(0.1), [MaxIter(5)]),
+     NON_FINITE),
+    ("gsgd_run.x0", "x0", lambda v: gsgd_run(F, [v], FixedS(0.1), [MaxIter(5)]),
+     NON_FINITE),
+    # bench
+    ("MonteCarloSpec.n_samples", "n_samples", lambda v: _spec(n_samples=v), COUNT),
+    ("MonteCarloSpec.seed", "seed", lambda v: _spec(seed=v), COUNT),
+    ("MonteCarloSpec.x0_low", "initial-condition range",
+     lambda v: _spec(x0_low=v, x0_high=-1.0), POSITIVE),
+    ("MonteCarloSpec.x0_high", "initial-condition range",
+     lambda v: _spec(x0_low=0.0, x0_high=v), POSITIVE),
+    ("MonteCarloSpec.x0_low", "initial-condition range",
+     lambda v: _spec(x0_low=v, x0_high=1e308), (-1e308,)),
+    ("MonteCarloSpec.tol", "tolerance", lambda v: _spec(tol=v), POSITIVE),
+    ("MonteCarloSpec.max_iter", "max_iter", lambda v: _spec(max_iter=v), COUNT),
+    # functions
+    ("SectorFunction.m", "m=", lambda v: _sector_function(m=v), POSITIVE),
+    ("SectorFunction.L", "L=", lambda v: _sector_function(L=v), POSITIVE),
+    ("quadratic.l", "curvature", quadratic, POSITIVE),
+    ("sector_membership_scan.lo", "sample range",
+     lambda v: sector_membership_scan(F, v, -1.0, 10, 0), POSITIVE),
+    ("sector_membership_scan.hi", "sample range",
+     lambda v: sector_membership_scan(F, 0.0, v, 10, 0), POSITIVE),
+    ("sector_membership_scan.lo", "sample range",
+     lambda v: sector_membership_scan(F, v, 1e308, 10, 0), (-1e308,)),
+    ("sector_membership_scan.n_samples", "n_samples",
+     lambda v: sector_membership_scan(F, -1.0, 1.0, v, 0), COUNT),
+    ("sector_membership_scan.seed", "seed",
+     lambda v: sector_membership_scan(F, -1.0, 1.0, 10, v), COUNT),
+    # interconnect
+    ("evaluate_delta_bar.d", "feedthrough", lambda v: evaluate_delta_bar(F, v, [1.0]),
+     POSITIVE),
+    ("delta_bar_operator.d", "feedthrough",
+     lambda v: delta_bar_operator(F, v)(Signal.zeros(1, 3)), POSITIVE),
+    ("run_untransformed.steps", "steps", _loop, COUNT),
+    ("run_transformed.alpha", "step size",
+     lambda v: run_transformed(F, v, 0.05, [1.0], 3), POSITIVE),
+    ("run_transformed.d", "feedthrough",
+     lambda v: run_transformed(F, 0.1, v, [1.0], 3), POSITIVE),
+    ("run_transformed.steps", "steps",
+     lambda v: run_transformed(F, 0.1, 0.05, [1.0], v), COUNT),
+    ("run_transformed.x0", "x0", lambda v: run_transformed(F, 0.1, 0.05, [v], 3),
+     NON_FINITE),
+    ("loop_equivalence_report.alpha", "step size",
+     lambda v: loop_equivalence_report(F, v, [1.0], 3), POSITIVE),
+    ("loop_equivalence_report.steps", "steps",
+     lambda v: loop_equivalence_report(F, 0.1, [1.0], v), COUNT),
+    ("loop_equivalence_report.x0", "x0",
+     lambda v: loop_equivalence_report(F, 0.1, [v], 3), NON_FINITE),
+    # lti
+    ("gd_realization.alpha", "step size", gd_realization, POSITIVE),
+    ("modified_gd_realization.alpha", "step size",
+     lambda v: modified_gd_realization(v, 0.05), POSITIVE),
+    ("modified_gd_realization.d", "feedthrough",
+     lambda v: modified_gd_realization(0.1, v), POSITIVE),
+    ("positive_real_check.p_scalar", "p_scalar",
+     lambda v: positive_real_check(modified_gd_realization(0.1, 0.05), v), POSITIVE),
+    ("gd_passivity_certificate.alpha", "step size",
+     lambda v: gd_passivity_certificate(v, 0.05), POSITIVE),
+    ("gd_passivity_certificate.d", "feedthrough",
+     lambda v: gd_passivity_certificate(0.1, v), POSITIVE),
+    # passivity
+    ("nabla_indices.m", "m=", lambda v: nabla_indices(v, 100.0), POSITIVE),
+    ("nabla_indices.L", "L=", lambda v: nabla_indices(0.5, v), POSITIVE),
+    ("transformed_indices.m", "m=", lambda v: transformed_indices(v, 100.0, 0.005),
+     POSITIVE),
+    ("transformed_indices.L", "L=", lambda v: transformed_indices(1.0, v, 0.005),
+     POSITIVE),
+    ("transformed_indices.d", "feedthrough",
+     lambda v: transformed_indices(1.0, 100.0, v), POSITIVE),
+    ("certify_step_size.m", "m=", lambda v: certify_step_size(v, 100.0, 0.01), POSITIVE),
+    ("certify_step_size.L", "L=", lambda v: certify_step_size(0.5, v, 0.01), POSITIVE),
+    ("certify_step_size.alpha", "step size",
+     lambda v: certify_step_size(1.0, 100.0, v), POSITIVE),
+    # verify
+    ("run_suite.seed", "seed", lambda v: run_suite("counterexample", v), COUNT),
+]
+
+CASES = [
+    pytest.param(call, value, fragment, id=f"{site}={value!r}")
+    for site, fragment, call, values in SITES
+    for value in values
+]
+
+
+@pytest.mark.parametrize("call, value, fragment", CASES)
+def test_bad_parameter_raises_an_error_naming_it(call, value, fragment):
+    with pytest.raises(InvalidParameterError) as info:
+        call(value)
+    assert fragment in str(info.value)
+
+
+def test_unknown_suite_raises_an_invalid_parameter_error():
+    with pytest.raises(InvalidParameterError, match="unknown suite 'nonsense'"):
+        run_suite("nonsense")
+
+
+def test_a_negative_scheduling_value_and_a_finite_start_point_are_valid():
+    # FixedS refuses only s = 0 and non-finite s; x0 only when not finite.
+    assert gsgd_run(F, [1.0], FixedS(-0.1), [MaxIter(5)]).iterations >= 1
+    assert run_transformed(F, 0.1, 0.05, [-0.0], 3).steps == 3

@@ -121,16 +121,19 @@ def _summarize(label: str, counts: np.ndarray, flagged: np.ndarray) -> SummarySt
 
 def _resolve_threads(threads: Optional[int]) -> int:
     if threads is not None:
-        return max(1, threads)
+        _count("threads", threads, 1)
+        return threads
     env = os.environ.get(THREADS_ENV_VAR, "")
     if not env.strip():
         return 1
     try:
-        return max(1, int(env))
+        threads = int(env)
     except ValueError:
         raise InvalidParameterError(
             f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
         ) from None
+    _count(THREADS_ENV_VAR, threads, 1)
+    return threads
 
 
 def run_monte_carlo(

@@ -253,9 +253,11 @@ def _cmd_bench(args) -> int:
     if args.seed is not None and isinstance(doc, dict):
         doc["seed"] = args.seed
     f, spec = bench_mod.spec_from_config(doc)
+    # Resolved before the output directory exists, so a refused count leaves none.
+    threads = bench_mod._resolve_threads(args.threads)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stats = bench_mod.run_monte_carlo(f, spec, threads=args.threads)
+    stats = bench_mod.run_monte_carlo(f, spec, threads=threads)
     for s in stats:
         bench_mod.export_histogram(s, out_dir / f"hist-{_slug(s.label)}.csv")
     bench_mod.write_summary_csv(stats, out_dir / "summary.csv")

@@ -167,6 +167,7 @@ def builtin_function(name: str, m: float, L: float) -> SectorFunction:
     if name == "oscillatory":
         return oscillatory(m, L)
     if name == "quadratic":
+        _sector(m, L)
         return quadratic(L)
     if name == "diag-quadratic":
         return diag_quadratic(m, L)
@@ -223,6 +224,11 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b if a.ndim == 1 else np.vecdot(a, b)
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Per-row Euclidean norms of a block, bitwise ``np.linalg.norm`` of each row."""
+    return np.sqrt(_row_dot(a, a))
+
+
 def _cocoercivity_block(f: SectorFunction, points: np.ndarray):
     """Co-coercivity residual and its scale at each row of ``points``, shape ``(n, dim)``.
 
@@ -269,14 +275,28 @@ def sector_membership_scan(
 
 
 def central_difference_gradient(f: SectorFunction, x, rel_step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient with per-coordinate step h = rel_step*(1+|x_i|)."""
-    x = f.check_point(x)
+    """Central finite-difference gradient with per-coordinate step h = rel_step*(1+|x_i|).
+
+    ``x`` is a point, giving a ``(dim,)`` gradient, or an ``(n, dim)``
+    block of points, giving an ``(n, dim)`` block; a point is the block's
+    one-row case. Each coordinate's ``+h`` and ``-h`` perturbations of the
+    whole block are evaluated with one ``row_value`` call each, so every
+    row's result is the one its point form gives.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        return central_difference_gradient(f, f.check_point(x)[None], rel_step)[0]
+    if x.shape[1] != f.dim:
+        raise ShapeError(f"block has shape {x.shape}, expected (n, {f.dim})")
+    value = row_value(f)
     g = np.empty_like(x)
     for i in range(f.dim):
-        h = rel_step * (1.0 + abs(x[i]))
+        h = rel_step * (1.0 + np.abs(x[:, i]))
         xp = x.copy()
         xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f.value(xp) - f.value(xm)) / (2.0 * h)
+        xp[:, i] += h
+        xm[:, i] -= h
+        if f.dim == 1:
+            xp, xm = xp[:, 0], xm[:, 0]
+        g[:, i] = (value(xp) - value(xm)) / (2.0 * h)
     return g

@@ -40,7 +40,7 @@ from .errors import (
     _finite,
     _positive,
 )
-from .functions import SectorFunction, row_gradient, shifted_gradient
+from .functions import SectorFunction, _row_norms, row_gradient, shifted_gradient
 from .lti import StateSpaceRealization, modified_gd_realization
 from .signals import Signal
 
@@ -145,10 +145,6 @@ def _check_feedthrough(f: SectorFunction, d: float):
         raise ContractionError(
             f"d*L = {d * f.L} >= 1: the standalone fixed point is not contractive"
         )
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.vecdot(a, a))
 
 
 def _solve_fixed_point(
@@ -360,10 +356,11 @@ def loop_equivalence_report(
     x0 = f.check_point(x0)
     trace = run_transformed(f, alpha, alpha / 2.0, x0, steps)
     x = x0.copy()
-    worst = 0.0
+    devs = []
     for k in range(steps + 1):
         loop_x = trace.states.samples[k] + f.minimizer
-        worst = max(worst, float(np.linalg.norm(x - loop_x)))
+        devs.append(float(np.linalg.norm(x - loop_x)))
         if k < steps:
             x = x - alpha * np.asarray(f.gradient(x), dtype=float)
-    return worst
+    # np.max, unlike max(), keeps a NaN deviation.
+    return float(np.max(devs))

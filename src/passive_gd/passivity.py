@@ -15,16 +15,19 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import (
     ContractionError,
     DegenerateSectorError,
+    HorizonError,
     InvalidParameterError,
     ShapeError,
     _positive,
     _sector,
 )
 from .lti import CertificateResult, gd_passivity_certificate
-from .signals import Signal, inner_product_truncated, norm_sq_truncated
+from .signals import Signal
 
 __all__ = [
     "Classification",
@@ -190,22 +193,36 @@ def empirical_passivity_margin(
     margin = min_u [ <u, op(u)>_T - beta - delta*||u||^2_2T
                      - epsilon*||op(u)||^2_2T ]
 
-    A non-negative result is consistent with the claimed classification.
+    ``op`` must be memoryless: sample k of its output depends on sample k
+    of its input alone. The first ``T`` samples of every input are
+    stacked into one signal, ``op`` is called once on it, and each
+    input's margin is taken from its own rows. A non-negative result is
+    consistent with the claimed classification; a NaN margin makes the
+    result NaN.
     """
     if not inputs:
         raise InvalidParameterError("need at least one input signal")
-    worst = float("inf")
+    if T < 1:
+        raise HorizonError(f"inner-product horizon must be positive, got {T}")
+    dim = inputs[0].dim
     for u in inputs:
         if u.horizon < T:
             raise ShapeError(f"input horizon {u.horizon} is shorter than T={T}")
-        y = op(u)
-        if y.dim != u.dim:
-            raise ShapeError(f"operator changed dimension: {u.dim} -> {y.dim}")
-        margin = (
-            inner_product_truncated(u, y, T)
-            - indices.beta
-            - indices.delta * norm_sq_truncated(u, T)
-            - indices.epsilon * norm_sq_truncated(y, T)
+        if u.dim != dim:
+            raise ShapeError(f"input dimensions differ: {dim} vs {u.dim}")
+    blocks = [u.samples[:T] for u in inputs]
+    y = op(Signal(np.concatenate(blocks)))
+    if y.dim != dim:
+        raise ShapeError(f"operator changed dimension: {dim} -> {y.dim}")
+    if y.horizon != len(blocks) * T:
+        raise ShapeError(
+            f"operator changed the sample count: {len(blocks) * T} -> {y.horizon}"
         )
-        worst = min(worst, margin)
-    return worst
+    margins = [
+        float(np.sum(u * y_u))
+        - indices.beta
+        - indices.delta * float(np.sum(u * u))
+        - indices.epsilon * float(np.sum(y_u * y_u))
+        for u, y_u in zip(blocks, np.split(y.samples, len(blocks)))
+    ]
+    return float(np.min(margins))

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import InvalidParameterError, _count
 from .functions import (
     SectorFunction,
+    _row_norms,
     central_difference_gradient,
     diag_quadratic,
     oscillatory,
@@ -94,14 +95,13 @@ def suite_sector(seed: int) -> SuiteReport:
         report.add_min(f"{f.name}: normalized co-coercivity residual", margin, -1e-9)
     rng = np.random.default_rng(seed + 1)
     for f in _builtins():
-        worst = 0.0
-        for _ in range(1000):
-            x = rng.uniform(-10.0, 10.0, f.dim)
-            g = np.asarray(f.gradient(x), dtype=float)
-            g_fd = central_difference_gradient(f, x)
-            err = np.linalg.norm(g - g_fd) / (1.0 + np.linalg.norm(g))
-            worst = max(worst, float(err))
-        report.add_max(f"{f.name}: gradient vs finite differences", worst, 1e-6)
+        x = rng.uniform(-10.0, 10.0, (1000, f.dim))
+        g_fd = central_difference_gradient(f, x)
+        if f.dim == 1:
+            x, g_fd = x[:, 0], g_fd[:, 0]
+        g = row_gradient(f)(x)
+        err = _row_norms(g - g_fd) / (1.0 + _row_norms(g))
+        report.add_max(f"{f.name}: gradient vs finite differences", float(np.max(err)), 1e-6)
     # Non-convexity witness: a negative second difference of the oscillatory
     # objective near pi.
     f = oscillatory(1.0, 100.0)
@@ -163,13 +163,14 @@ def suite_loop(seed: int) -> SuiteReport:
     report = SuiteReport("loop")
     rng = np.random.default_rng(seed)
     for f in _builtins():
-        worst = 0.0
+        devs = []
         for _ in range(8):
             alpha = float(rng.uniform(0.05, 0.95)) * 2.0 / f.L
             x0 = rng.uniform(-50.0, 50.0, f.dim)
             dev = loop_equivalence_report(f, alpha, x0, 100)
-            worst = max(worst, dev / (1.0 + float(np.linalg.norm(x0))))
-        report.add_max(f"{f.name}: loop vs direct recursion", worst, 1e-9)
+            devs.append(dev / (1.0 + float(np.linalg.norm(x0))))
+        # np.max, unlike max(), keeps a NaN deviation, which fails the check.
+        report.add_max(f"{f.name}: loop vs direct recursion", float(np.max(devs)), 1e-9)
     return report
 
 

@@ -243,6 +243,22 @@ def test_bench_rejects_non_integer_thread_count(tmp_path, capsys, monkeypatch):
     _assert_one_error_line(capsys, "PASSIVE_GD_THREADS", "'abc'")
 
 
+@pytest.mark.parametrize("flag, env, fragment", [
+    (["--threads", "0"], None, "threads must be >= 1, got 0"),
+    (["--threads", "-2"], None, "threads must be >= 1, got -2"),
+    ([], "-3", "PASSIVE_GD_THREADS must be >= 1, got -3"),
+])
+def test_bench_rejects_a_thread_count_below_one(tmp_path, capsys, monkeypatch, flag, env,
+                                                fragment):
+    cfg = _small_bench_config(tmp_path, n=10)
+    if env is not None:
+        monkeypatch.setenv("PASSIVE_GD_THREADS", env)
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(out), *flag]) == 1
+    _assert_one_error_line(capsys, fragment)
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_armijo_from_overflowing_start(capsys):
     code = main([
@@ -362,6 +378,9 @@ def test_run_with_a_nan_tolerance_prints_one_error_line(capsys, flag):
     (["run", "--L", "100", "--x0", "1,inf", "--function", "diag-quadratic",
       "--alpha", "0.01", "--json"],
      "x0 must be finite, got [1.0, inf]"),
+    (["run", "--function", "quadratic", "--m", "nan", "--L", "100", "--x0", "1",
+      "--alpha", "0.01"],
+     "sector bounds must satisfy 0 < m <= L, got m=nan, L=100.0"),
 ])
 def test_non_finite_parameters_print_one_error_line(capsys, argv, message):
     assert main(argv) == 1

@@ -6,13 +6,20 @@ the bad values it must refuse with InvalidParameterError.
 """
 
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from passive_gd.bench import MonteCarloSpec
+from passive_gd.bench import THREADS_ENV_VAR, MonteCarloSpec, run_monte_carlo
 from passive_gd.errors import InvalidParameterError
-from passive_gd.functions import SectorFunction, quadratic, sector_membership_scan
+from passive_gd.functions import (
+    SectorFunction,
+    builtin_function,
+    quadratic,
+    sector_membership_scan,
+)
 from passive_gd.interconnect import (
     FeedbackLoop,
     delta_bar_operator,
@@ -53,7 +60,12 @@ F = quadratic(1.0)
 
 def _spec(**kw):
     args = dict(n_samples=10, x0_low=-1.0, x0_high=1.0, seed=0, tol=1e-12, methods=())
-    MonteCarloSpec(**{**args, **kw})
+    return MonteCarloSpec(**{**args, **kw})
+
+
+def _threads(threads=None, env=None):
+    with mock.patch.dict(os.environ, {} if env is None else {THREADS_ENV_VAR: env}):
+        run_monte_carlo(F, _spec(), threads=threads)
 
 
 def _sector_function(m=0.5, L=1.0):
@@ -89,10 +101,18 @@ SITES = [
      lambda v: _spec(x0_low=v, x0_high=1e308), (-1e308,)),
     ("MonteCarloSpec.tol", "tolerance", lambda v: _spec(tol=v), POSITIVE),
     ("MonteCarloSpec.max_iter", "max_iter", lambda v: _spec(max_iter=v), COUNT),
+    ("run_monte_carlo.threads", "threads", lambda v: _threads(threads=v),
+     COUNT + (0, -3)),
+    ("run_monte_carlo.PASSIVE_GD_THREADS", THREADS_ENV_VAR, lambda v: _threads(env=v),
+     ("0", "-3", "1.5")),
     # functions
     ("SectorFunction.m", "m=", lambda v: _sector_function(m=v), POSITIVE),
     ("SectorFunction.L", "L=", lambda v: _sector_function(L=v), POSITIVE),
     ("quadratic.l", "curvature", quadratic, POSITIVE),
+    ("builtin_function.quadratic.m", "m=", lambda v: builtin_function("quadratic", v, 100.0),
+     POSITIVE),
+    ("builtin_function.quadratic.L", "L=", lambda v: builtin_function("quadratic", 1.0, v),
+     POSITIVE),
     ("sector_membership_scan.lo", "sample range",
      lambda v: sector_membership_scan(F, v, -1.0, 10, 0), POSITIVE),
     ("sector_membership_scan.hi", "sample range",

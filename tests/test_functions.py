@@ -5,6 +5,7 @@ from scipy.integrate import quad
 
 from passive_gd.errors import InvalidParameterError, ShapeError
 from passive_gd.functions import (
+    SectorFunction,
     _cocoercivity_block,
     builtin_function,
     central_difference_gradient,
@@ -162,6 +163,43 @@ def test_gradient_matches_finite_differences():
             g = np.asarray(f.gradient(x))
             fd = central_difference_gradient(f, x)
             assert np.linalg.norm(g - fd) <= 1e-6 * (1.0 + np.linalg.norm(g))
+
+
+def _point_central_difference(f, x, rel_step=1e-6):
+    """The finite difference of one point, with one ``f.value`` call per side."""
+    g = np.empty_like(x)
+    for i in range(f.dim):
+        h = rel_step * (1.0 + abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        g[i] = (f.value(xp) - f.value(xm)) / (2.0 * h)
+    return g
+
+
+def _point_oracle_copy(f):
+    """``f`` without its block callables, so its blocks go row by row."""
+    return SectorFunction(f.dim, f.m, f.L, f.minimizer, f.value, f.gradient, name=f.name)
+
+
+@pytest.mark.parametrize("f", [oscillatory(1.0, 100.0), quadratic(7.0),
+                               diag_quadratic(0.5, 20.0)], ids=lambda f: f.name)
+def test_block_central_difference_equals_the_stacked_point_calls(f):
+    x = np.random.default_rng(9).uniform(-20.0, 20.0, (300, f.dim))
+    block = central_difference_gradient(f, x)
+    points = np.array([central_difference_gradient(f, row) for row in x])
+    reference = np.array([_point_central_difference(f, row) for row in x])
+    assert block.shape == x.shape
+    assert np.array_equal(block, points)
+    assert np.array_equal(block, reference)
+    assert np.array_equal(central_difference_gradient(_point_oracle_copy(f), x), block)
+
+
+def test_central_difference_refuses_a_block_of_the_wrong_width():
+    with pytest.raises(ShapeError):
+        central_difference_gradient(diag_quadratic(1.0, 100.0), np.ones((4, 3)))
+    with pytest.raises(ShapeError):
+        central_difference_gradient(quadratic(1.0), np.ones(3))
 
 
 def test_oscillatory_is_nonconvex():

@@ -5,8 +5,10 @@ from passive_gd.errors import (
     ContractionError,
     DegenerateSectorError,
     InvalidParameterError,
+    ShapeError,
 )
-from passive_gd.functions import oscillatory, shifted_gradient
+from passive_gd.functions import diag_quadratic, oscillatory, shifted_gradient
+from passive_gd.interconnect import delta_bar_operator
 from passive_gd.lti import gd_passivity_certificate
 from passive_gd.passivity import (
     Classification,
@@ -17,7 +19,12 @@ from passive_gd.passivity import (
     nabla_indices,
     transformed_indices,
 )
-from passive_gd.signals import Signal, random_unit_energy
+from passive_gd.signals import (
+    Signal,
+    inner_product_truncated,
+    norm_sq_truncated,
+    random_unit_energy,
+)
 
 
 def test_nabla_indices_values():
@@ -142,3 +149,70 @@ def test_margin_requires_inputs():
     idx = PassivityIndices(0.0, 0.0, 0.0, Classification.PASSIVE)
     with pytest.raises(InvalidParameterError):
         empirical_passivity_margin(lambda u: u, idx, [], 5)
+
+
+def _per_input_minimum(op, idx, inputs, T):
+    """The margin as one ``op`` call per input, each on the whole input."""
+    margins = []
+    for u in inputs:
+        y = op(u)
+        margins.append(
+            inner_product_truncated(u, y, T)
+            - idx.beta
+            - idx.delta * norm_sq_truncated(u, T)
+            - idx.epsilon * norm_sq_truncated(y, T)
+        )
+    return min(margins)
+
+
+@pytest.mark.parametrize("f, d", [(oscillatory(1.0, 100.0), 0.005),
+                                  (diag_quadratic(1.0, 100.0), 0.004)])
+def test_margin_of_delta_bar_equals_the_per_input_minimum(f, d):
+    # One stacked solve gives each row the bits of its own input's solve,
+    # and the inputs run past T, so the stacking also truncates them.
+    idx = transformed_indices(f.m, f.L, d)
+    inputs = random_unit_energy(f.dim, 60, 40, seed=6)
+    op = delta_bar_operator(f, d)
+    assert empirical_passivity_margin(op, idx, inputs, 50) == _per_input_minimum(
+        op, idx, inputs, 50
+    )
+
+
+def test_margin_calls_the_operator_once_on_the_stacked_inputs():
+    calls = []
+
+    def op(u):
+        calls.append(u.horizon)
+        return Signal(2.0 * u.samples)
+
+    idx = PassivityIndices(0.0, 0.5, 0.5, Classification.VSP)
+    inputs = random_unit_energy(2, 30, 7, seed=7)
+    margin = empirical_passivity_margin(op, idx, inputs, 20)
+    assert calls == [7 * 20]
+    assert margin == _per_input_minimum(op, idx, inputs, 20)
+
+
+@pytest.mark.parametrize("op, inputs, match", [
+    (lambda u: u, [Signal(np.ones((4, 1)))], "shorter than T"),
+    (lambda u: u, [Signal(np.ones((5, 1))), Signal(np.ones((5, 2)))], "dimensions differ"),
+    (lambda u: Signal(np.hstack([u.samples, u.samples])), [Signal(np.ones((5, 1)))],
+     "changed dimension"),
+    (lambda u: Signal(u.samples[:-1]), [Signal(np.ones((5, 1)))] * 2, "sample count"),
+    (lambda u: Signal(np.vstack([u.samples, u.samples])), [Signal(np.ones((5, 1)))],
+     "sample count"),
+])
+def test_margin_refuses_mismatched_shapes(op, inputs, match):
+    idx = PassivityIndices(0.0, 0.5, 0.5, Classification.VSP)
+    with pytest.raises(ShapeError, match=match):
+        empirical_passivity_margin(op, idx, inputs, 5)
+
+
+def test_a_nan_margin_is_the_worst_margin():
+    def op(u):
+        y = u.samples.copy()
+        y[25] = np.nan  # the sixth of the ten inputs, which are 5 samples each
+        return Signal(y)
+
+    idx = PassivityIndices(0.0, 0.5, 0.5, Classification.VSP)
+    inputs = random_unit_energy(1, 5, 10, seed=8)
+    assert np.isnan(empirical_passivity_margin(op, idx, inputs, 5))

@@ -40,7 +40,6 @@ from .interconnect import (
     run_untransformed,
 )
 from .lti import (
-    InfeasibilityReport,
     PositiveRealCertificate,
     StateSpaceRealization,
     gd_passivity_certificate,

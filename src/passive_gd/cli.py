@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -202,8 +203,8 @@ def _cmd_run(args) -> int:
                    **_columns("g", trace.gradients.samples), "step": trace.step_history}
         _write_columns(args.trace, columns, trace.iterates.horizon)
     final = trace.iterates.samples[-1]
-    with np.errstate(over="ignore"):  # an overflowing norm reads inf
-        grad_norm = float(np.linalg.norm(trace.gradients.samples[-1]))
+    # hypot does not square its arguments, so a finite gradient has a finite norm.
+    grad_norm = math.hypot(*trace.gradients.samples[-1])
     doc = {
         "mode": "iterate",
         "iterations": trace.iterations,

@@ -22,6 +22,9 @@ loop-consistent branch, uses the exact linear solve whenever a constant
 Hessian is available, and falls back to the algebraic elimination
 otherwise; plain iteration from grad_shift(u) remains the standalone
 evaluation route.
+
+Which side of 1/L the feedthrough is on is decided by the verdict's rule,
+``passivity._feedthrough_class``.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .errors import (
 )
 from .functions import SectorFunction, _row_norms, row_gradient, shifted_gradient
 from .lti import StateSpaceRealization, modified_gd_realization
+from .passivity import Classification, _close, _feedthrough_class
 from .signals import Signal
 
 __all__ = [
@@ -57,7 +61,6 @@ __all__ = [
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
 BOUNDARY_MAX_ITER = 10_000
-_REL_TOL = 1e-12
 # Loop constants are 0-d arrays: numpy converts a Python float operand on
 # every call, which on a one-row block costs as much as the arithmetic.
 _ONE = np.array(1.0)
@@ -141,9 +144,10 @@ def run_untransformed(loop: FeedbackLoop, steps: int) -> LoopTrace:
 
 def _check_feedthrough(f: SectorFunction, d: float):
     _positive("feedthrough", d)
-    if d * f.L >= 1.0:
+    if _feedthrough_class(f.L, d) is not Classification.VSP:
         raise ContractionError(
-            f"d*L = {d * f.L} >= 1: the standalone fixed point is not contractive"
+            f"d*L = {d * f.L} is not below 1 (boundary tolerance 1e-12): "
+            "the standalone fixed point is not contractive"
         )
 
 
@@ -217,10 +221,10 @@ def evaluate_delta_bar(
     """Solve y = grad_shift(u + d*y) by fixed-point iteration.
 
     The iteration starts at ``y0`` when it is given and at grad_shift(u)
-    otherwise, and stops once an update is within ``tol``. Requires
-    d*L < 1. That bounds the slope of the gradient only along chords
-    through the minimizer, not f'', so the iteration is guaranteed to
-    contract only for the quadratic family (factor d*L); elsewhere it
+    otherwise, and stops once an update is within ``tol``. Requires a VSP
+    feedthrough, d < 1/L. That bounds the slope of the gradient only along
+    chords through the minimizer, not f'', so the iteration is guaranteed
+    to contract only for the quadratic family (factor d*L); elsewhere it
     may raise ConvergenceError.
     """
     _check_feedthrough(f, d)
@@ -263,21 +267,21 @@ def run_transformed(
 
     The configuration is pinned to d = alpha/2. The controller state is
     the shifted iterate, so ``x0`` is converted through the minimizer.
-    At the boundary d*L = 1 the per-step loop is solved in closed form
-    for the quadratic family and by damped iteration otherwise. Each
-    per-step fixed point iterates to ``DEFAULT_TOL``, within
-    ``DEFAULT_MAX_ITER`` iterations (``BOUNDARY_MAX_ITER`` at the boundary).
+    At an ISP feedthrough d = 1/L the per-step loop is solved in closed
+    form for the quadratic family and by damped iteration otherwise; past
+    1/L the loop is refused. Each per-step fixed point iterates to
+    ``DEFAULT_TOL``, within ``DEFAULT_MAX_ITER`` iterations
+    (``BOUNDARY_MAX_ITER`` at the boundary).
     """
-    _positive("step size", alpha)
-    _positive("feedthrough", d)
-    if abs(d - alpha / 2.0) > _REL_TOL * max(d, alpha / 2.0):
+    dim = f.dim
+    controller = modified_gd_realization(alpha, d, dim=dim)
+    if not _close(d, alpha / 2.0):
         raise InvalidParameterError(
             f"this loop is configured with d = alpha/2; got d={d}, alpha={alpha}"
         )
     _count("steps", steps, 1)
     x0 = f.check_point(x0)
     _finite("x0", x0)
-    dim = f.dim
     if r1 is None:
         r1 = Signal.zeros(dim, steps)
     if r2 is None:
@@ -287,14 +291,12 @@ def run_transformed(
     if r1.dim != dim or r2.dim != dim:
         raise ShapeError("exogenous inputs must match the function dimension")
 
-    dl = d * f.L
-    at_boundary = abs(dl - 1.0) <= _REL_TOL
-    if dl >= 1.0 and not at_boundary:
+    classification = _feedthrough_class(f.L, d)
+    if classification is Classification.NONE:
         raise ContractionError(
-            f"d*L = {dl} > 1: no certified evaluation scheme for this loop"
+            f"d*L = {d * f.L} > 1: no certified evaluation scheme for this loop"
         )
-
-    controller = modified_gd_realization(alpha, d, dim=dim)
+    at_boundary = classification is Classification.ISP
     u1 = np.empty((steps, dim))
     y1 = np.empty((steps, dim))
     u2 = np.empty((steps, dim))
@@ -333,7 +335,7 @@ def run_transformed(
             # to rounding, so it usually stops after its first update.
             try:
                 y_fp = evaluate_delta_bar(f, d, u2[k], y0=probe)
-            except (ContractionError, ConvergenceError):
+            except ConvergenceError:
                 y2[k] = probe
             else:
                 y2[k] = y_fp if _on_branch(y_fp, probe) else probe

@@ -8,8 +8,6 @@ P = p*I, for which p = 1/alpha is the unique feasible shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
-
 import numpy as np
 
 from .errors import ShapeError, _positive
@@ -18,7 +16,6 @@ from .signals import Signal
 __all__ = [
     "StateSpaceRealization",
     "PositiveRealCertificate",
-    "InfeasibilityReport",
     "gd_realization",
     "modified_gd_realization",
     "simulate",
@@ -76,31 +73,11 @@ class StateSpaceRealization:
 
 @dataclass(frozen=True)
 class PositiveRealCertificate:
-    """Scalar storage certificate: P = p_scalar * I renders the block matrix <= 0."""
+    """Storage candidate P = p_scalar * I, ``feasible`` if the block matrix is <= 0."""
 
     p_scalar: float
     max_eigenvalue_M: float
-
-    @property
-    def feasible(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class InfeasibilityReport:
-    """Returned when no scalar certificate exists; d < alpha/2 up to tolerance."""
-
-    alpha: float
-    d: float
-    max_eigenvalue_M: float
-    reason: str
-
-    @property
-    def feasible(self) -> bool:
-        return False
-
-
-CertificateResult = Union[PositiveRealCertificate, InfeasibilityReport]
+    feasible: bool
 
 
 def gd_realization(alpha: float, dim: int = 1) -> StateSpaceRealization:
@@ -170,7 +147,7 @@ def positive_real_check(
     return max_eig <= tol, max_eig
 
 
-def gd_passivity_certificate(alpha: float, d: float) -> CertificateResult:
+def gd_passivity_certificate(alpha: float, d: float) -> PositiveRealCertificate:
     """Certify the modified controller with the closed-form candidate p = 1/alpha.
 
     The candidate is always submitted to the numeric positive-real check,
@@ -179,11 +156,4 @@ def gd_passivity_certificate(alpha: float, d: float) -> CertificateResult:
     ss = modified_gd_realization(alpha, d, dim=1)
     p_scalar = 1.0 / alpha
     feasible, max_eig = positive_real_check(ss, p_scalar)
-    if feasible:
-        return PositiveRealCertificate(p_scalar=p_scalar, max_eigenvalue_M=max_eig)
-    return InfeasibilityReport(
-        alpha=alpha,
-        d=d,
-        max_eigenvalue_M=max_eig,
-        reason=f"feedthrough d={d} is below alpha/2={alpha / 2}",
-    )
+    return PositiveRealCertificate(p_scalar, max_eig, feasible)

@@ -2,11 +2,9 @@
 
 For a gradient in the sector [m, L], the shifted-gradient operator is
 very strictly passive with input index delta = mL/(m+L) and output index
-epsilon = 1/(m+L). Closing positive feedback D*I around it rescales the
-indices; the classification of the resulting operator as a function of D
-drives the step-size verdict: a feedthrough of alpha/2 makes the
-controller passive, and alpha/2 < 1/L (strict) keeps the transformed
-nonlinearity VSP.
+epsilon = 1/(m+L). Closing positive feedback d*I around it rescales the
+indices. With d = alpha/2 the controller is passive, and the side of 1/L
+that d is on, decided only by ``_feedthrough_class``, gives the verdict.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from .errors import (
     _positive,
     _sector,
 )
-from .lti import CertificateResult, gd_passivity_certificate
+from .lti import PositiveRealCertificate, gd_passivity_certificate
 from .signals import Signal
 
 __all__ = [
@@ -56,6 +54,9 @@ class Verdict(enum.Enum):
     NONE = "none"
 
 
+_VERDICT_OF_CLASS = {Classification.VSP: Verdict.STRONG, Classification.ISP: Verdict.WEAK}
+
+
 @dataclass(frozen=True)
 class PassivityIndices:
     """Bias beta <= 0 plus input/output indices (delta, epsilon)."""
@@ -72,11 +73,18 @@ class StepSizeVerdict:
     d: float
     verdict: Verdict
     transformed_indices: Optional[PassivityIndices]
-    certificate: Optional[CertificateResult]
+    certificate: PositiveRealCertificate
 
 
 def _close(a: float, b: float, rel: float = _REL_TOL) -> bool:
     return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+def _feedthrough_class(l: float, d: float) -> Classification:
+    """ISP at d = 1/L (relative tolerance 1e-12), VSP below it, NONE above it."""
+    if _close(d, 1.0 / l):
+        return Classification.ISP
+    return Classification.VSP if d < 1.0 / l else Classification.NONE
 
 
 def nabla_indices(m: float, l: float) -> PassivityIndices:
@@ -104,13 +112,14 @@ def transformed_indices(m: float, l: float, d: float) -> PassivityIndices:
     """
     _sector(m, l)
     _positive("feedthrough", d)
-    if _close(d, 1.0 / l):
+    classification = _feedthrough_class(l, d)
+    if classification is Classification.ISP:
         if m == l:
             raise DegenerateSectorError(
                 f"d = 1/L = {d} with m == L leaves no ISP margin"
             )
         return PassivityIndices(
-            beta=0.0, delta=m * l / (l - m), epsilon=0.0, classification=Classification.ISP
+            beta=0.0, delta=m * l / (l - m), epsilon=0.0, classification=classification
         )
     base = nabla_indices(m, l)
     delta, epsilon = base.delta, base.epsilon
@@ -121,10 +130,6 @@ def transformed_indices(m: float, l: float, d: float) -> PassivityIndices:
         )
     delta_bar = delta / contraction
     epsilon_bar = (epsilon - d + delta * d * d) / contraction
-    if d < 1.0 / l:
-        classification = Classification.VSP
-    else:
-        classification = Classification.NONE
     return PassivityIndices(
         beta=0.0,
         delta=delta_bar,
@@ -136,43 +141,21 @@ def transformed_indices(m: float, l: float, d: float) -> PassivityIndices:
 def certify_step_size(m: float, l: float, alpha: float) -> StepSizeVerdict:
     """Classify a step size with feedthrough d = alpha/2.
 
-    STRONG for alpha in (0, 2/L): the controller certificate is feasible
-    and the transformed nonlinearity is VSP. WEAK exactly at alpha = 2/L
-    for m < L, where the transformed nonlinearity is only ISP. NONE
-    otherwise. Equality is detected with relative tolerance 1e-12.
+    With a feasible certificate, a VSP transformed class (alpha < 2/L)
+    gives STRONG by the passivity theorem and an ISP one (alpha = 2/L,
+    m < L) WEAK by the weak passivity theorem; anything else is NONE.
     """
     _sector(m, l)
     _positive("step size", alpha)
     d = alpha / 2.0
-    boundary = 2.0 / l
-    at_boundary = _close(alpha, boundary)
-
-    indices: Optional[PassivityIndices] = None
     try:
         indices = transformed_indices(m, l, d)
     except (ContractionError, DegenerateSectorError):
         indices = None
-
-    if at_boundary:
-        verdict = Verdict.WEAK if m < l else Verdict.NONE
-    elif alpha < boundary:
-        verdict = Verdict.STRONG
-    else:
-        verdict = Verdict.NONE
-
     certificate = gd_passivity_certificate(alpha, d)
-    if verdict is Verdict.STRONG and (
-        not certificate.feasible
-        or indices is None
-        or indices.classification is not Classification.VSP
-    ):
-        verdict = Verdict.NONE
-    if verdict is Verdict.WEAK and (
-        not certificate.feasible
-        or indices is None
-        or indices.classification is not Classification.ISP
-    ):
-        verdict = Verdict.NONE
+    verdict = Verdict.NONE
+    if indices is not None and certificate.feasible:
+        verdict = _VERDICT_OF_CLASS.get(indices.classification, Verdict.NONE)
     return StepSizeVerdict(
         alpha=alpha,
         d=d,

@@ -426,7 +426,7 @@ def test_config_rejects_non_integral_integer_keys(key, value):
 
 @pytest.mark.parametrize("key, value", [
     ("seed", True), ("n_samples", "7"), ("tol", True), ("tol", "1e-12"), ("max_iter", False),
-    ("x0_low", "-1"),
+    ("x0_low", "-1"), ("tol", [1]),
 ])
 def test_config_rejects_booleans_and_strings_for_numeric_keys(key, value):
     doc = default_config()
@@ -444,6 +444,18 @@ def test_config_rejects_booleans_and_strings_in_nested_numbers():
     doc["methods"][0]["schedule"]["alpha"] = True
     with pytest.raises(InvalidParameterError,
                        match=r"methods\[0\]\.schedule\.alpha must be a number"):
+        spec_from_config(doc)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["methods"][0]["schedule"].update(type="newton"),
+     "unknown schedule type 'newton'"),
+    (lambda doc: doc.update(methods={}), "config.methods must be a JSON list"),
+])
+def test_config_refuses_malformed_methods(edit, message):
+    doc = default_config()
+    edit(doc)
+    with pytest.raises(InvalidParameterError, match=message):
         spec_from_config(doc)
 
 

@@ -9,6 +9,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 import passive_gd
 from passive_gd.cli import main
 from passive_gd.bench import default_config
+from passive_gd.functions import oscillatory
+from passive_gd.optim import ArmijoAlpha, ArmijoParams, GradNorm, MaxIter, gd_run
 
 
 def test_certify_exit_codes(capsys):
@@ -119,6 +122,39 @@ def test_run_missing_schedule_flag(capsys):
     ])
     assert code == 1
     assert "needs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "loop"], "loop mode needs --alpha"),
+    (["--method", "gsgd"], "gsgd needs --s or --armijo"),
+])
+def test_run_without_its_step_flag_prints_one_error_line(capsys, argv, message):
+    assert main(["run", "--function", "quadratic", "--L", "100", "--x0", "1"] + argv) == 1
+    _assert_one_error_line(capsys, message)
+
+
+def test_run_gd_armijo_json_matches_the_library(capsys):
+    code = main(["run", "--method", "gd", "--armijo", "--m", "1", "--L", "100",
+                 "--x0", "5", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    trace = gd_run(oscillatory(1.0, 100.0), np.array([5.0]), ArmijoAlpha(ArmijoParams()),
+                   [GradNorm(1e-12), MaxIter(10**6)])
+    assert json.loads(out) == {
+        "mode": "iterate",
+        "iterations": trace.iterations,
+        "termination": trace.termination.value,
+        "final_x": trace.iterates.samples[-1].tolist(),
+        "final_grad_norm": math.hypot(*trace.gradients.samples[-1]),
+    }
+
+
+def test_certify_text_at_a_degenerate_boundary(capsys):
+    # m == L at alpha = 2/L: the transformed indices are undefined.
+    assert main(["certify", "--m", "5", "--L", "5", "--alpha", "0.4"]) == 2
+    out = capsys.readouterr().out
+    assert "verdict: NONE" in out
+    assert "transformed indices: undefined at this feedthrough" in out
 
 
 def test_verify_counterexample_suite(capsys):
@@ -305,7 +341,11 @@ def test_run_with_an_overflowing_final_gradient_writes_nothing_to_stderr():
                              "--max-iter", "3", "--json")
     assert result.returncode == 0
     assert result.stderr == ""
-    assert json.loads(result.stdout)["final_grad_norm"] == float("inf")
+    # The gradient's square overflows, but the gradient and its norm are finite.
+    doc = json.loads(result.stdout)
+    x = doc["final_x"][0]
+    assert doc["final_grad_norm"] == abs(oscillatory(1.0, 100.0).gradient(np.array([x]))[0])
+    assert math.isfinite(doc["final_grad_norm"])
 
 
 def test_bench_with_overflowing_samples_writes_nothing_to_stderr(tmp_path):
@@ -465,10 +505,4 @@ def test_bad_numeric_inputs_end_in_one_error_line_or_a_clean_result(target, i):
         assert out == ""
     else:
         assert code in (0, 2) and err == "", (argv, code, err)
-        doc = json.loads(out)
-        # A known gap, which test_run_with_an_overflowing_final_gradient_writes_nothing_
-        # to_stderr pins: run's final_grad_norm reads Infinity once the squared norm of
-        # a finite final gradient overflows, as at --alpha 7. Nothing else may.
-        if argv[0] == "run" and doc.get("final_grad_norm") == math.inf:
-            del doc["final_grad_norm"]
-        json.dumps(doc, allow_nan=False)
+        json.dumps(json.loads(out), allow_nan=False)

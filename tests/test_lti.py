@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from passive_gd.errors import InvalidParameterError, ShapeError
 from passive_gd.lti import (
-    InfeasibilityReport,
     PositiveRealCertificate,
     StateSpaceRealization,
     gd_passivity_certificate,
@@ -139,11 +138,11 @@ def test_positive_real_check_requires_square():
 
 def test_certificate_examples():
     cert = gd_passivity_certificate(0.01, 0.005)
-    assert isinstance(cert, PositiveRealCertificate)
+    assert isinstance(cert, PositiveRealCertificate) and cert.feasible
     assert cert.p_scalar == pytest.approx(100.0)
     report = gd_passivity_certificate(0.01, 0.0049)
-    assert isinstance(report, InfeasibilityReport)
-    assert not report.feasible
+    assert isinstance(report, PositiveRealCertificate)
+    assert not report.feasible and report.max_eigenvalue_M > 0.0
     cert2 = gd_passivity_certificate(2.0, 1.5)
     assert cert2.feasible and cert2.p_scalar == pytest.approx(0.5)
     with pytest.raises(InvalidParameterError):

@@ -7,7 +7,7 @@ from passive_gd.errors import (
     InvalidParameterError,
     LineSearchError,
 )
-from passive_gd.functions import diag_quadratic, oscillatory, quadratic
+from passive_gd.functions import SectorFunction, diag_quadratic, oscillatory, quadratic
 from passive_gd.optim import (
     ArmijoAlpha,
     ArmijoParams,
@@ -86,6 +86,12 @@ def test_gd_divergence_raises():
 def test_gd_rejects_scheduling_schedule():
     with pytest.raises(InvalidParameterError):
         gd_run(quadratic(1.0), np.zeros(1), FixedS(0.1), [MaxIter(5)])
+
+
+def test_gsgd_rejects_step_size_schedule():
+    with pytest.raises(InvalidParameterError,
+                       match="gsgd_run needs a scheduling schedule, got FixedAlpha"):
+        gsgd_run(quadratic(1.0), np.zeros(1), FixedAlpha(0.1), [MaxIter(5)])
 
 
 def test_gsgd_one_step_scaled():
@@ -212,6 +218,17 @@ def test_armijo_searches_fail_where_the_objective_overflows():
         armijo_s(f, x, ArmijoParams(), default_s_cap(f))
     with pytest.raises(LineSearchError):
         armijo_alpha(f, x, ArmijoParams())
+
+
+def test_armijo_search_without_an_acceptable_step_names_the_backtrack_cap():
+    # A constant objective never shows the sufficient decrease the search needs.
+    q = quadratic(100.0)
+    f = SectorFunction(1, q.m, q.L, np.zeros(1), lambda x: 0.0, q.gradient)
+    message = r"no acceptable step within 100 backtracks from trial 0\.02"
+    with pytest.raises(LineSearchError, match=message):
+        armijo_alpha(f, np.ones(1), ArmijoParams())
+    with pytest.raises(LineSearchError, match=message):
+        gd_run(f, np.ones(1), ArmijoAlpha(ArmijoParams()), [MaxIter(5)])
 
 
 def test_armijo_params_validation():

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from passive_gd.bench import MethodSpec, MonteCarloSpec, run_monte_carlo
-from passive_gd.errors import DivergenceError, LineSearchError
+from passive_gd.errors import ContractionError, DivergenceError, LineSearchError
 from passive_gd.functions import diag_quadratic, oscillatory, quadratic
-from passive_gd.interconnect import run_transformed
+from passive_gd.interconnect import evaluate_delta_bar, run_transformed
 from passive_gd.lti import gd_passivity_certificate
 from passive_gd.optim import (
     MAX_BACKTRACKS,
@@ -37,7 +37,12 @@ from passive_gd.optim import (
     gd_run,
     gsgd_run,
 )
-from passive_gd.passivity import Verdict, certify_step_size
+from passive_gd.passivity import (
+    Classification,
+    Verdict,
+    _feedthrough_class,
+    certify_step_size,
+)
 from test_bench import _counting
 
 _FUNCTIONS = {"oscillatory": oscillatory(1.0, 100.0), "quadratic": quadratic(100.0)}
@@ -215,6 +220,51 @@ def test_certified_step_sizes_end_at_two_over_L(L, ratio, frac):
         assert verdict is (Verdict.WEAK if m < L else Verdict.NONE)
     else:
         assert verdict is Verdict.NONE
+
+
+# Step sizes at and around 2/L: the boundary itself, its float neighbours,
+# and relative offsets just outside the 1e-12 equality tolerance.
+_NEAR_TWO_OVER_L = {
+    "at": lambda b: b,
+    "ulp above": lambda b: float(np.nextafter(b, np.inf)),
+    "ulp below": lambda b: float(np.nextafter(b, 0.0)),
+    "2e-12 above": lambda b: b * (1.0 + 2e-12),
+    "2e-12 below": lambda b: b * (1.0 - 2e-12),
+}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    L=st.floats(1e-3, 1e3),
+    ratio=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+    where=st.one_of(st.sampled_from(sorted(_NEAR_TWO_OVER_L)), st.floats(1e-3, 3.0)),
+)
+def test_verdict_and_loop_simulator_read_one_feedthrough_rule(L, ratio, where):
+    # The verdict, the loop simulator's refusal and the standalone solver's
+    # refusal all follow the feedthrough class of d = alpha/2.
+    m = ratio * L
+    b = 2.0 / L
+    alpha = _NEAR_TWO_OVER_L[where](b) if isinstance(where, str) else where * b
+    d = alpha / 2.0
+    cls = _feedthrough_class(L, d)
+    verdict = certify_step_size(m, L, alpha).verdict
+    assert (verdict is Verdict.STRONG) == (cls is Classification.VSP)
+    assert (verdict is Verdict.WEAK) == (cls is Classification.ISP and m < L)
+    f = quadratic(L)
+    try:
+        run_transformed(f, alpha, d, np.ones(1), 3)
+    except ContractionError:
+        refused = True
+    else:
+        refused = False
+    assert refused == (cls is Classification.NONE)
+    try:
+        evaluate_delta_bar(f, d, np.zeros(1))
+    except ContractionError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == (cls is Classification.VSP)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -23,6 +23,11 @@ Hessian is available, and falls back to the algebraic elimination
 otherwise; plain iteration from grad_shift(u) remains the standalone
 evaluation route.
 
+The transformed loop, its equivalence report and evaluate_delta_bar take
+a point, or an ``(n, dim)`` block of rows with one alpha and d per row;
+every step of a block runs once for all rows, and each row's result is
+bitwise that of its point. A point is the block's one-row case.
+
 Which side of 1/L the feedthrough is on is decided by the verdict's rule,
 ``passivity._feedthrough_class``.
 """
@@ -44,7 +49,7 @@ from .errors import (
     _positive,
 )
 from .functions import SectorFunction, _row_norms, row_gradient, shifted_gradient
-from .lti import StateSpaceRealization, modified_gd_realization
+from .lti import StateSpaceRealization
 from .passivity import Classification, _close, _feedthrough_class
 from .signals import Signal
 
@@ -142,18 +147,34 @@ def run_untransformed(loop: FeedbackLoop, steps: int) -> LoopTrace:
     )
 
 
-def _check_feedthrough(f: SectorFunction, d: float):
-    _positive("feedthrough", d)
-    if _feedthrough_class(f.L, d) is not Classification.VSP:
+def _check_feedthrough(f: SectorFunction, d):
+    """Refuse a feedthrough, or a row of them, unless it is VSP.
+
+    The class only moves from VSP to ISP to NONE as d grows, so the
+    largest of positive feedthroughs decides for them all.
+    """
+    lo, hi = np.min(d), np.max(d)
+    _positive("feedthrough", lo)
+    _positive("feedthrough", hi)
+    if _feedthrough_class(f.L, hi) is not Classification.VSP:
         raise ContractionError(
-            f"d*L = {d * f.L} is not below 1 (boundary tolerance 1e-12): "
+            f"d*L = {hi * f.L} is not below 1 (boundary tolerance 1e-12): "
             "the standalone fixed point is not contractive"
         )
 
 
+def _check_block(f: SectorFunction, x, n: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if not n:
+        raise ShapeError("a block needs at least one row")
+    if x.shape != (n, f.dim):
+        raise ShapeError(f"block has shape {x.shape}, expected ({n}, {f.dim})")
+    return x
+
+
 def _solve_fixed_point(
     f: SectorFunction,
-    d: float,
+    d,
     u: np.ndarray,
     tol: float,
     max_iter: int,
@@ -162,15 +183,23 @@ def _solve_fixed_point(
 ) -> np.ndarray:
     """Solve y = grad_shift(u + d*y) for every row of the ``(n, dim)`` block ``u``.
 
+    ``d`` is one feedthrough for every row, or one per row, ``(n,)``.
     ``y`` holds the start rows; by default each row starts at
     grad_shift(u). Each row stops on its own once its update is within
     ``tol`` and leaves the active set; the others keep iterating. With
     ``damping`` every update is averaged 1/2 with the current iterate: at
     d*L = 1 the plain iteration is only non-expansive, and the averaging
     restores convergence wherever the local curvature is strictly below L.
+    Rows still active after ``max_iter`` iterations raise
+    ConvergenceError, whose ``unsolved`` and ``partial`` give the others'
+    solutions.
     """
     grad = row_gradient(f)
-    d, tol = np.array(float(d)), np.array(float(tol))  # 0-d, as _ONE above
+    tol = np.array(float(tol))  # 0-d, as _ONE above
+    # A scalar d stays 0-d; one d per row is a column against the rows.
+    d = np.asarray(d, dtype=float)
+    if d.ndim:
+        d = d[:, None]
     # The shift to the minimizer is hoisted out of the loop; for the zero
     # minimizer of every built-in, (u + x*) + d*y is bitwise (u + d*y) + x*.
     z = u + f.minimizer
@@ -180,7 +209,7 @@ def _solve_fixed_point(
     # Finished rows are copied out and the active block compacted only on
     # iterations where some, but not all, rows finish; a block whose rows
     # all finish together is returned as it stands.
-    out = rows = None
+    out, rows = None, np.arange(n)
     for _ in range(max_iter):
         y_next = grad(z + d * y)
         if damping:
@@ -191,27 +220,35 @@ def _solve_fixed_point(
         done = _row_norms(y_next - y) <= np.maximum(tol, floor)
         n_done = np.count_nonzero(done)
         if n_done == len(y_next):
-            if rows is None:
+            if out is None:
                 return y_next
             out[rows] = y_next
             return out
         if n_done:
-            if rows is None:
-                out, rows = np.empty_like(y_next), np.arange(n)
+            if out is None:
+                out = np.empty_like(y_next)
             out[rows[done]] = y_next[done]
             keep = ~done
             rows, z, y_next = rows[keep], z[keep], y_next[keep]
+            if d.ndim:
+                d = d[keep]
         y = y_next
+    if out is None:
+        out = np.empty_like(y)
+    out[rows] = y
+    unsolved = np.zeros(n, dtype=bool)
+    unsolved[rows] = True
     kind = "damped fixed point" if damping else "fixed point"
     raise ConvergenceError(
         f"{kind} did not reach tol={tol} within {max_iter} iterations "
-        f"for {len(y)} of {n} points"
+        f"for {len(y)} of {n} points",
+        unsolved=unsolved, partial=out,
     )
 
 
 def evaluate_delta_bar(
     f: SectorFunction,
-    d: float,
+    d,
     u,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -220,22 +257,32 @@ def evaluate_delta_bar(
 ) -> np.ndarray:
     """Solve y = grad_shift(u + d*y) by fixed-point iteration.
 
-    The iteration starts at ``y0`` when it is given and at grad_shift(u)
-    otherwise, and stops once an update is within ``tol``. Requires a VSP
-    feedthrough, d < 1/L. That bounds the slope of the gradient only along
-    chords through the minimizer, not f'', so the iteration is guaranteed
-    to contract only for the quadratic family (factor d*L); elsewhere it
-    may raise ConvergenceError.
+    ``u`` is a point with a scalar ``d``, or an ``(n, dim)`` block with
+    one feedthrough per row, ``(n,)``, whose rows iterate together and
+    each stop on their own. The iteration starts at ``y0`` (shaped like
+    ``u``) when it is given and at grad_shift(u) otherwise, and stops once
+    an update is within ``tol``. Requires a VSP feedthrough, d < 1/L. That
+    bounds the slope of the gradient only along chords through the
+    minimizer, not f'', so the iteration is guaranteed to contract only
+    for the quadratic family (factor d*L); elsewhere it may raise
+    ConvergenceError, which for a block names the unsolved rows and
+    carries the solved ones (see ``_solve_fixed_point``).
     """
+    if np.ndim(d):
+        u = _check_block(f, u, len(d))
+        y = None if y0 is None else _check_block(f, y0, len(d))
+    else:
+        u = f.check_point(u)[None]
+        y = None if y0 is None else f.check_point(y0)[None]
     _check_feedthrough(f, d)
-    y = None if y0 is None else f.check_point(y0)[None]
-    return _solve_fixed_point(f, d, f.check_point(u)[None], tol, max_iter, y=y)[0]
+    y = _solve_fixed_point(f, d, u, tol, max_iter, y=y)
+    return y if np.ndim(d) else y[0]
 
 
-def _on_branch(y_fp: np.ndarray, probe: np.ndarray) -> bool:
-    return bool(
-        np.linalg.norm(y_fp - probe) <= 1e-6 * (1.0 + np.linalg.norm(probe))
-    )
+def _on_branch(y_fp: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Each row of ``y_fp`` that lies on the probe's branch, else the probe's row."""
+    near = _row_norms(y_fp - probe) <= 1e-6 * (1.0 + _row_norms(probe))
+    return np.where(near[:, None], y_fp, probe)
 
 
 def delta_bar_operator(f: SectorFunction, d: float):
@@ -254,34 +301,67 @@ def delta_bar_operator(f: SectorFunction, d: float):
     return apply
 
 
+def _loop_rows(f: SectorFunction, alpha, d, x0, steps: int):
+    """The ``(n,)`` alpha and d and ``(n, dim)`` starts of a point or block call.
+
+    Each row is checked as the point call checks its one row.
+    """
+    block = np.ndim(alpha) == 1
+    alpha, d = np.atleast_1d(alpha), np.atleast_1d(d)
+    if d.shape != alpha.shape:
+        raise ShapeError(f"alpha and d differ in shape: {alpha.shape} vs {d.shape}")
+    for a, v in zip(alpha, d):
+        _positive("step size", a)
+        _positive("feedthrough", v)
+        if not _close(v, a / 2.0):
+            raise InvalidParameterError(
+                f"this loop is configured with d = alpha/2; got d={v}, alpha={a}"
+            )
+    _count("steps", steps, 1)
+    x0 = _check_block(f, x0, len(alpha)) if block else f.check_point(x0)[None]
+    for row in x0:
+        _finite("x0", row)
+    return alpha.astype(float), d.astype(float), x0
+
+
+def _rows_of(mask: np.ndarray):
+    """An index for the rows under ``mask``: None for no row, a slice for all.
+
+    The slice keeps a block whose rows share one class, the usual case,
+    free of an index copy at every step.
+    """
+    if mask.all():
+        return slice(None)
+    return np.flatnonzero(mask) if mask.any() else None
+
+
 def run_transformed(
     f: SectorFunction,
-    alpha: float,
-    d: float,
+    alpha,
+    d,
     x0,
     steps: int,
     r1: Signal | None = None,
     r2: Signal | None = None,
-) -> LoopTrace:
+):
     """Simulate the loop-transformed interconnection for ``steps`` steps.
 
-    The configuration is pinned to d = alpha/2. The controller state is
-    the shifted iterate, so ``x0`` is converted through the minimizer.
-    At an ISP feedthrough d = 1/L the per-step loop is solved in closed
-    form for the quadratic family and by damped iteration otherwise; past
-    1/L the loop is refused. Each per-step fixed point iterates to
+    ``x0`` is a point, with scalar ``alpha`` and ``d``, and the result its
+    LoopTrace; or an ``(n, dim)`` block, with ``(n,)`` ``alpha`` and
+    ``d``, and the result one LoopTrace per row, every step run once for
+    all rows. The exogenous inputs r1, r2 are shared by the rows. Each
+    row is pinned to d = alpha/2 and runs the controller
+    (I, alpha*I, I, d*I) of ``modified_gd_realization``, whose state is
+    the shifted iterate, so ``x0`` is converted through the minimizer. At
+    an ISP feedthrough d = 1/L the per-step loop is solved in closed form
+    for the quadratic family and by damped iteration otherwise; a row past
+    1/L refuses the call. Each per-step fixed point iterates to
     ``DEFAULT_TOL``, within ``DEFAULT_MAX_ITER`` iterations
     (``BOUNDARY_MAX_ITER`` at the boundary).
     """
-    dim = f.dim
-    controller = modified_gd_realization(alpha, d, dim=dim)
-    if not _close(d, alpha / 2.0):
-        raise InvalidParameterError(
-            f"this loop is configured with d = alpha/2; got d={d}, alpha={alpha}"
-        )
-    _count("steps", steps, 1)
-    x0 = f.check_point(x0)
-    _finite("x0", x0)
+    block = np.ndim(alpha) == 1
+    alpha, d, x0 = _loop_rows(f, alpha, d, x0, steps)
+    n, dim = x0.shape
     if r1 is None:
         r1 = Signal.zeros(dim, steps)
     if r2 is None:
@@ -291,78 +371,91 @@ def run_transformed(
     if r1.dim != dim or r2.dim != dim:
         raise ShapeError("exogenous inputs must match the function dimension")
 
-    classification = _feedthrough_class(f.L, d)
-    if classification is Classification.NONE:
+    # As in _check_feedthrough, the largest d decides whether any row is past 1/L.
+    if _feedthrough_class(f.L, d.max()) is Classification.NONE:
         raise ContractionError(
-            f"d*L = {d * f.L} > 1: no certified evaluation scheme for this loop"
+            f"d*L = {d.max() * f.L} > 1: no certified evaluation scheme for this loop"
         )
-    at_boundary = classification is Classification.ISP
-    u1 = np.empty((steps, dim))
-    y1 = np.empty((steps, dim))
-    u2 = np.empty((steps, dim))
-    y2 = np.empty((steps, dim))
-    states = np.empty((steps + 1, dim))
+    at_boundary = np.array([_feedthrough_class(f.L, v) is Classification.ISP for v in d])
+    boundary, interior = _rows_of(at_boundary), _rows_of(~at_boundary)
+    u1 = np.empty((steps, n, dim))
+    u2 = np.empty((steps, n, dim))
+    y2 = np.empty((steps, n, dim))
+    states = np.empty((steps + 1, n, dim))
     states[0] = x0 - f.minimizer
-    r2_bar = r2.samples[:steps] - d * r1.samples[:steps]
-
-    loop_matrix = None if f.hessian is None else np.eye(dim) - d * f.hessian
+    d_col, alpha_col = d[:, None], alpha[:, None]
+    r1_steps = r1.samples[:steps, None]
+    # v is the inner gradient argument; the wiring makes it loop-free:
+    # v = r2_bar + d*r1 + C xi = r2 + C xi, with r2_bar = r2 - d*r1.
+    v_offset = (r2.samples[:steps, None] - d_col * r1_steps) + d_col * r1_steps
+    grad = row_gradient(f)
+    if f.hessian is not None and interior is not None:
+        loop_matrix = np.eye(dim) - d[interior, None, None] * f.hessian
     for k in range(steps):
         xi = states[k]
-        c_xi = controller.C @ xi
-        # v is the inner gradient argument; the wiring makes it loop-free:
-        # v = r2_bar + d*r1 + C xi = r2 + C xi.
-        v = r2_bar[k] + d * r1.samples[k] + c_xi
-        probe = shifted_gradient(f, v)
-        u2[k] = v - d * probe
+        v = v_offset[k] + xi
+        probe = grad(v + f.minimizer)
+        u2[k] = v - d_col * probe
+        y2[k] = probe
         if f.hessian is not None:
-            if at_boundary:
-                # I - d*H is singular; the joint loop solution is the probe.
-                y2[k] = probe
-            else:
-                y2[k] = np.linalg.solve(loop_matrix, f.hessian @ u2[k])
-        elif at_boundary:
-            y_fp = _solve_fixed_point(
-                f, d, u2[k : k + 1], DEFAULT_TOL, BOUNDARY_MAX_ITER, y=probe[None],
-                damping=True,
-            )[0]
-            y2[k] = y_fp if _on_branch(y_fp, probe) else probe
+            # At the boundary I - d*H is singular, and the joint loop
+            # solution is the probe.
+            if interior is not None:
+                rhs = u2[k, interior] @ f.hessian.T
+                y2[k, interior] = np.linalg.solve(loop_matrix, rhs[..., None])[..., 0]
         else:
-            # The implicit relation can be multivalued away from the
-            # minimizer, where local curvature exceeds the sector slope; the
-            # iteration result is kept only when it lands on the
-            # loop-consistent branch, otherwise the exact elimination wins.
-            # The iteration starts at the probe, which solves the relation up
-            # to rounding, so it usually stops after its first update.
-            try:
-                y_fp = evaluate_delta_bar(f, d, u2[k], y0=probe)
-            except ConvergenceError:
-                y2[k] = probe
-            else:
-                y2[k] = y_fp if _on_branch(y_fp, probe) else probe
-        u1[k] = r1.samples[k] - y2[k]
-        y1[k] = c_xi + controller.D @ u1[k]
-        states[k + 1] = controller.A @ xi + controller.B @ u1[k]
-    return LoopTrace(
-        u1=Signal(u1), y1=Signal(y1), u2=Signal(u2), y2=Signal(y2),
-        states=Signal(states), steps=steps,
-    )
+            if boundary is not None:
+                y_fp = _solve_fixed_point(
+                    f, d[boundary], u2[k, boundary], DEFAULT_TOL, BOUNDARY_MAX_ITER,
+                    y=probe[boundary], damping=True,
+                )
+                y2[k, boundary] = _on_branch(y_fp, probe[boundary])
+            if interior is not None:
+                # The implicit relation can be multivalued away from the
+                # minimizer, where local curvature exceeds the sector slope;
+                # a row keeps its iteration result only when it lands on the
+                # loop-consistent branch, and otherwise, or when its solve
+                # misses tolerance, the exact elimination wins. The iteration
+                # starts at the probe, which solves the relation up to
+                # rounding, so a row usually stops after its first update.
+                p = probe[interior]
+                try:
+                    y_fp = evaluate_delta_bar(f, d[interior], u2[k, interior], y0=p)
+                except ConvergenceError as err:
+                    y_fp = np.where(err.unsolved[:, None], p, err.partial)
+                y2[k, interior] = _on_branch(y_fp, p)
+        u1[k] = r1_steps[k] - y2[k]
+        states[k + 1] = xi + alpha_col * u1[k]
+    y1 = states[:-1] + d_col * u1
+    traces = [
+        LoopTrace(
+            u1=Signal(u1[:, i]), y1=Signal(y1[:, i]), u2=Signal(u2[:, i]),
+            y2=Signal(y2[:, i]), states=Signal(states[:, i]), steps=steps,
+        )
+        for i in range(n)
+    ]
+    return traces if block else traces[0]
 
 
-def loop_equivalence_report(
-    f: SectorFunction, alpha: float, x0, steps: int
-) -> float:
+def loop_equivalence_report(f: SectorFunction, alpha, x0, steps: int):
     """Worst deviation between the raw recursion and the transformed loop.
 
-    Returns max over k <= steps of ||x_direct[k] - (xi_loop[k] + x*)||.
+    Returns max over k <= steps of ||x_direct[k] - (xi_loop[k] + x*)||: a
+    float for a point ``x0`` with scalar ``alpha``, and one deviation per
+    row, ``(n,)``, for an ``(n, dim)`` block with ``(n,)`` ``alpha``, whose
+    rows the recursion steps together.
     """
-    x0 = f.check_point(x0)
-    trace = run_transformed(f, alpha, alpha / 2.0, x0, steps)
-    x = x0.copy()
-    devs = []
-    for k in range(steps + 1):
-        loop_x = trace.states.samples[k] + f.minimizer
-        devs.append(float(np.linalg.norm(x - loop_x)))
-        if k < steps:
-            x = x - alpha * np.asarray(f.gradient(x), dtype=float)
+    block = np.ndim(alpha) == 1
+    traces = run_transformed(f, alpha, np.divide(alpha, 2.0), x0, steps)
+    if not block:
+        traces = [traces]
+    loop_x = np.stack([t.states.samples for t in traces], axis=1) + f.minimizer
+    direct = np.empty_like(loop_x)
+    # run_transformed has checked x0.
+    direct[0] = np.reshape(x0, loop_x.shape[1:])
+    grad, alpha_col = row_gradient(f), np.reshape(alpha, (-1, 1))
+    for k in range(steps):
+        direct[k + 1] = direct[k] - alpha_col * grad(direct[k])
     # np.max, unlike max(), keeps a NaN deviation.
-    return float(np.max(devs))
+    devs = np.max(_row_norms(direct - loop_x), axis=0)
+    return devs if block else float(devs[0])

@@ -16,14 +16,21 @@ def _failed_labels(report):
 
 
 def test_a_nan_loop_deviation_fails_the_loop_check(monkeypatch):
+    # One block call of 8 draws per built-in; a NaN deviation for the
+    # third oscillatory draw fails the oscillatory check alone.
     calls = []
 
-    def one_nan(f, alpha, x0, steps):
-        calls.append(f.name)
-        return math.nan if len(calls) == 3 else 0.0
+    def third_draw_nan(f, alpha, x0, steps):
+        calls.append((f.name, alpha.shape, x0.shape, steps))
+        devs = np.zeros(len(alpha))
+        if f.name == "oscillatory":
+            devs[2] = math.nan
+        return devs
 
-    monkeypatch.setattr(verify, "loop_equivalence_report", one_nan)
+    monkeypatch.setattr(verify, "loop_equivalence_report", third_draw_nan)
     report = verify.suite_loop(0)
+    assert calls == [("oscillatory", (8,), (8, 1), 100), ("quadratic", (8,), (8, 1), 100),
+                     ("diag-quadratic", (8,), (8, 2), 100)]
     assert _failed_labels(report) == ["oscillatory: loop vs direct recursion"]
     assert math.isnan(report.checks[0].value)
     assert not report.passed

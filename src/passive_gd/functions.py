@@ -3,7 +3,9 @@
 Each built-in carries its sector bounds ``(m, L)`` and minimizer, an
 analytic gradient, and (for the quadratic family) a constant Hessian.
 Each is written once, as block callables that evaluate a whole block of
-points in one vectorized pass; its point oracles are their one-row case.
+points in one vectorized pass; its point oracles are their one-row case,
+and its fused value-and-gradient oracle computes both from the same
+expressions, evaluating the subexpressions they share once.
 ``row_gradient`` and ``row_value`` give every function the same
 block-of-rows interface, on which the co-coercivity residual is written
 once.
@@ -58,6 +60,12 @@ class SectorFunction:
         when ``dim == 1`` and an ``(n, dim)`` block otherwise to ``(n,)``
         values and to gradients of the block's shape. Used through
         ``row_gradient`` and ``row_value`` by the batched engines.
+
+    A built-in also carries a private fused block oracle,
+    ``_value_and_gradient``, which returns both block callables' results
+    bit for bit from one pass. Only the built-in constructors set it, and
+    ``dataclasses.replace`` drops it, so a copy with replaced oracles
+    never reaches the originals through it.
     """
 
     dim: int
@@ -70,6 +78,9 @@ class SectorFunction:
     elementwise_value: Optional[Callable] = field(default=None, repr=False)
     elementwise_gradient: Optional[Callable] = field(default=None, repr=False)
     name: str = ""
+    _value_and_gradient: Optional[Callable] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         _sector(self.m, self.L)
@@ -94,20 +105,25 @@ class SectorFunction:
         return x
 
 
-def _from_blocks(dim, m, L, value, gradient, hessian=None, *, name):
+def _from_blocks(dim, m, L, value, gradient, hessian=None, *, name,
+                 value_and_gradient=None):
     """A built-in ``SectorFunction``, minimized at 0, from its block callables.
 
     ``value`` and ``gradient`` are the ``elementwise_*`` fields and accept
     array-likes. The point oracles are their one-row case: a point is a
     flat block of one row when ``dim == 1`` and otherwise a single row,
-    which the callables map along its last axis.
+    which the callables map along its last axis. ``value_and_gradient``
+    is the fused block oracle; it defaults to calling both callables.
     """
-    return SectorFunction(
+    f = SectorFunction(
         dim=dim, m=m, L=L, minimizer=np.zeros(dim),
         value=(lambda x: float(value(x)[0])) if dim == 1 else (lambda x: float(value(x))),
         gradient=gradient, hessian=hessian, elementwise_value=value,
         elementwise_gradient=gradient, name=name,
     )
+    object.__setattr__(f, "_value_and_gradient",
+                       value_and_gradient or (lambda x: (value(x), gradient(x))))
+    return f
 
 
 def oscillatory(m: float, L: float) -> SectorFunction:
@@ -123,17 +139,27 @@ def oscillatory(m: float, L: float) -> SectorFunction:
             f"oscillatory requires 0 < m < L, got m={m}, L={L}"
         )
 
-    def value(x):
+    # Both formulas take sin x as an operand; the fused oracle evaluates
+    # it once and passes it to each.
+    def value(x, sin_x=None):
         x = np.asarray(x, dtype=float)
+        sin_x = np.sin(x) if sin_x is None else sin_x
         return (L - m) / 4.0 * (
-            (L + m) / (L - m) * x * x + 2.0 * np.sin(x) - 2.0 * x * np.cos(x)
+            (L + m) / (L - m) * x * x + 2.0 * sin_x - 2.0 * x * np.cos(x)
         )
 
-    def gradient(x):
+    def gradient(x, sin_x=None):
         x = np.asarray(x, dtype=float)
-        return 0.5 * (L + m) * x + 0.5 * (L - m) * x * np.sin(x)
+        sin_x = np.sin(x) if sin_x is None else sin_x
+        return 0.5 * (L + m) * x + 0.5 * (L - m) * x * sin_x
 
-    return _from_blocks(1, m, L, value, gradient, name="oscillatory")
+    def value_and_gradient(x):
+        x = np.asarray(x, dtype=float)
+        sin_x = np.sin(x)
+        return value(x, sin_x), gradient(x, sin_x)
+
+    return _from_blocks(1, m, L, value, gradient, name="oscillatory",
+                        value_and_gradient=value_and_gradient)
 
 
 def quadratic(l: float) -> SectorFunction:

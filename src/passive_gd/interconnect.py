@@ -42,6 +42,7 @@ from .errors import (
     AlgebraicLoopError,
     ContractionError,
     ConvergenceError,
+    DivergenceError,
     InvalidParameterError,
     ShapeError,
     _count,
@@ -335,6 +336,9 @@ def _rows_of(mask: np.ndarray):
     return np.flatnonzero(mask) if mask.any() else None
 
 
+# Overflow is left to the finiteness test on each new state, so numpy
+# does not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def run_transformed(
     f: SectorFunction,
     alpha,
@@ -357,7 +361,9 @@ def run_transformed(
     for the quadratic family and by damped iteration otherwise; a row past
     1/L refuses the call. Each per-step fixed point iterates to
     ``DEFAULT_TOL``, within ``DEFAULT_MAX_ITER`` iterations
-    (``BOUNDARY_MAX_ITER`` at the boundary).
+    (``BOUNDARY_MAX_ITER`` at the boundary). A state that turns non-finite
+    raises DivergenceError, which carries the last finite iterate of the
+    first such row.
     """
     block = np.ndim(alpha) == 1
     alpha, d, x0 = _loop_rows(f, alpha, d, x0, steps)
@@ -426,6 +432,12 @@ def run_transformed(
                 y2[k, interior] = _on_branch(y_fp, p)
         u1[k] = r1_steps[k] - y2[k]
         states[k + 1] = xi + alpha_col * u1[k]
+        if not np.isfinite(states[k + 1]).all():
+            row = np.flatnonzero(~np.isfinite(states[k + 1]).all(axis=1))[0]
+            raise DivergenceError(
+                f"loop state became non-finite at step {k + 1}",
+                last_iterate=xi[row] + f.minimizer,
+            )
     y1 = states[:-1] + d_col * u1
     traces = [
         LoopTrace(

@@ -12,6 +12,13 @@ a block of start points, a flat ``(n,)`` array for one-dimensional
 functions and ``(n, dim)`` otherwise: ``gd_run``/``gsgd_run`` run it on
 one row and record the trace, ``armijo_alpha``/``armijo_s`` run one of
 its searches on one row, and ``bench`` runs it on blocks of samples.
+
+An Armijo trial gives f and grad f at its trial point, and the accepted
+trial is the next iterate, so the update reuses both. A built-in gives
+them from one pass of its fused oracle; any other function evaluates f
+at each trial and grad f once on the accepted block. Every sample tries
+the first value in one whole-block call; only the rejected ones
+backtrack.
 """
 
 from __future__ import annotations
@@ -200,81 +207,91 @@ def _col(t, x: np.ndarray):
     return t if x.ndim == 1 or not isinstance(t, np.ndarray) else t[:, None]
 
 
-def _backtrack(accepts, fx: np.ndarray, start: float, shrink: float):
-    """Shrink each sample's trial value from ``start`` until ``accepts`` passes it.
+def _backtrack(trial, x: np.ndarray, fx: np.ndarray, start: float, shrink: float):
+    """Shrink each sample's trial value from ``start`` until its trial passes.
 
-    ``accepts(rows, t)`` tests the trials of the samples ``rows`` at their
-    values ``t`` and returns the pass mask and the objective at each trial
-    point. A sample fails its search when its f(x) is not finite, since
-    no decrease can be measured from there, or when no trial passes
-    within MAX_BACKTRACKS backtracks. Returns the accepted values, the
-    objective at the accepted trial points and the failed mask.
+    ``trial(rows, t)`` tries the samples ``rows`` at their values ``t``; it
+    returns the pass mask and the trial points with f and grad f there,
+    grad f None when the oracle gives none. Every sample tries ``start``
+    in one whole-block call (``rows`` a slice, so nothing is gathered),
+    and only the rejected ones go on, by index. A sample fails when its
+    f(x) is not finite, since no decrease can be measured from there; it
+    then tries nothing, so the first trial goes by index and grad f is
+    left to the caller. A sample also fails when no trial passes within
+    MAX_BACKTRACKS backtracks. Returns the accepted values, points, f and
+    grad f, which are junk at failed samples, and the failed mask.
     """
     t = np.full(fx.shape, start)
-    f_new = np.empty_like(fx)
     failed = ~np.isfinite(fx)
-    rows = np.nonzero(~failed)[0]
-    for _ in range(MAX_BACKTRACKS + 1):
+    if failed.any():
+        rows, tries = np.nonzero(~failed)[0], MAX_BACKTRACKS + 1
+        x_new, f_new, g_new = x.copy(), fx.copy(), None
+    else:
+        ok, x_new, f_new, g_new = trial(slice(None), start)
+        rows, tries = np.nonzero(~ok)[0], MAX_BACKTRACKS
+        t[rows] *= shrink
+    for _ in range(tries):
         if rows.size == 0:
             break
-        ok, f_trial = accepts(rows, t[rows])
-        f_new[rows[ok]] = f_trial[ok]
+        ok, *tried = trial(rows, t[rows])
+        for new, got in zip((x_new, f_new, g_new), tried):
+            if new is not None:
+                new[rows[ok]] = got[ok]
         rows = rows[~ok]
         t[rows] *= shrink
     failed[rows] = True
-    return t, f_new, failed
+    return t, x_new, f_new, g_new, failed
 
 
 def _step_rule(f: SectorFunction, schedule, grad, value):
     """The update rule of ``schedule`` over a block of active samples.
 
     ``step(x, g, fx)`` takes the iterates, their gradients and, for the
-    Armijo rules, their objective values, and returns ``(t, d, f_new,
-    failed)`` for the update x <- x - t*d: the objective at the new
-    iterates and the samples whose search failed, both None for the fixed
-    rules. An accepted Armijo trial point is the new iterate, computed by
-    the same expression from the same operands, so its objective value
-    carries over to the next update and the scheduled search's
-    grad(s*x) is the update direction.
+    Armijo rules, their objective values, and returns ``(t, x_new, f_new,
+    g_new, failed)``: the values t of the update, the new iterates, f and
+    grad f there and the samples whose search failed. The fixed rules
+    compute x - t*d and leave the last three None. An Armijo trial gives
+    f and grad f at its point, so the accepted trial is the next iterate
+    and its f and grad f carry over to the next update; grad f comes from
+    the function's fused oracle, and is None without one, for the caller
+    to evaluate on the accepted block.
     """
     if isinstance(schedule, FixedAlpha):
         alpha = schedule.alpha
-        return lambda x, g, fx: (alpha, g, None, None)
+        return lambda x, g, fx: (alpha, x - alpha * g, None, None, None)
     if isinstance(schedule, FixedS):
         s = schedule.s
-        return lambda x, g, fx: (s, grad(s * x), None, None)
+        return lambda x, g, fx: (s, x - s * grad(s * x), None, None, None)
     p = schedule.params
     c = p.decrease
     start = _first_trial(f, schedule)
+    at = f._value_and_gradient or (lambda x: (value(x), None))
+
     if isinstance(schedule, ArmijoAlpha):
 
         def armijo_alpha(x, g, fx):
             gg = _row_dot(g, g)
 
-            def accepts(rows, a):
+            def trial(rows, a):
                 xr = x[rows]
-                f_trial = value(xr - _col(a, xr) * g[rows])
-                return f_trial <= fx[rows] - c * a * gg[rows], f_trial
+                x_t = xr - _col(a, xr) * g[rows]
+                f_t, g_t = at(x_t)
+                return f_t <= fx[rows] - c * a * gg[rows], x_t, f_t, g_t
 
-            a, f_new, failed = _backtrack(accepts, fx, start, p.shrink)
-            return a, g, f_new, failed
+            return _backtrack(trial, x, fx, start, p.shrink)
 
         return armijo_alpha
 
     def armijo_s(x, g, fx):
-        d = np.zeros_like(x)
-
-        def accepts(rows, s):
+        def trial(rows, s):
             xr = x[rows]
             sr = _col(s, xr)
             gs = grad(sr * xr)
-            f_trial = value(xr - sr * gs)
-            ok = f_trial <= fx[rows] - c * s * _row_dot(g[rows], gs)
-            d[rows[ok]] = gs[ok]
-            return ok, f_trial
+            x_t = xr - sr * gs
+            f_t, g_t = at(x_t)
+            return f_t <= fx[rows] - c * s * _row_dot(g[rows], gs), x_t, f_t, g_t
 
-        s, f_new, failed = _backtrack(accepts, fx, start, p.shrink)
-        return s, d, f_new, failed
+        return _backtrack(trial, x, fx, start, p.shrink)
 
     return armijo_s
 
@@ -323,16 +340,15 @@ def _run_block(step, grad, value, x0, tol, paired_tol, max_iter, record=None):
             if fx is None and value is not None:
                 fx = value(x)
             k += 1
-            t, d, fx, failed = step(x, g, fx)
-            x = x - _col(t, x) * d
+            t, x, fx, g_new, failed = step(x, g, fx)
             if not np.isfinite(x).all() or failed is not None and failed.any():
                 drop = ~np.isfinite(x) if x.ndim == 1 else ~np.isfinite(x).all(axis=1)
                 reasons[idx[drop]] = _NONFINITE
                 if failed is not None:
                     reasons[idx[failed]] = _FAILED
                     drop |= failed
-                idx, x, g, fx = _keep(~drop, idx, x, g, fx)
-            g_prev, g = g, grad(x)
+                idx, x, g, fx, g_new = _keep(~drop, idx, x, g, fx, g_new)
+            g_prev, g = g, grad(x) if g_new is None else g_new
             if record is not None and idx.size:
                 record(x, g, t)
 
@@ -356,7 +372,7 @@ def _one_search(f: SectorFunction, x, schedule) -> float:
         g = grad(block)
         if _row_dot(g, g)[0] == 0.0:
             raise InvalidParameterError("line search requires a nonzero gradient")
-        t, _, _, failed = _step_rule(f, schedule, grad, value)(block, g, value(block))
+        t, *_, failed = _step_rule(f, schedule, grad, value)(block, g, value(block))
     if failed[0]:
         raise _search_error(f, schedule, x)
     return float(t[0])

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,6 +29,10 @@ from passive_gd.optim import (
     GradNorm,
     MaxIter,
     Termination,
+    _block_runner,
+    _CAP,
+    _FAILED,
+    _MET,
     default_s_cap,
     gd_run,
     gsgd_run,
@@ -332,6 +337,82 @@ def test_overflowing_objective_fails_the_search_at_once():
             (stat,) = run_monte_carlo(target, dataclasses.replace(spec, methods=(method,)))
             assert stat.count_histogram == {2000: 8} and stat.flagged == 8
             assert points["value"] <= 8, method.label
+
+
+def _recording(f):
+    """A copy of ``f`` that records the points each oracle kind evaluates.
+
+    The copy keeps ``f``'s fused oracle, recorded as both kinds, when it
+    has one, so the engine takes the same path as on ``f``.
+    """
+    points = {"value": [], "grad": []}
+
+    def recorded(fn, *kinds):
+        def call(x):
+            for kind in kinds:
+                points[kind].append(np.ravel(x))
+            return fn(x)
+
+        return None if fn is None else call
+
+    copy = dataclasses.replace(
+        f,
+        value=recorded(f.value, "value"),
+        gradient=recorded(f.gradient, "grad"),
+        elementwise_value=recorded(f.elementwise_value, "value"),
+        elementwise_gradient=recorded(f.elementwise_gradient, "grad"),
+    )
+    object.__setattr__(copy, "_value_and_gradient",
+                       recorded(f._value_and_gradient, "value", "grad"))
+    return copy, points
+
+
+_TERMINATION_REASONS = {Termination.GRAD_NORM_MET: _MET, Termination.MAX_ITER_HIT: _CAP}
+
+
+@pytest.mark.parametrize("method, start", [
+    (MethodSpec("alpha-trial-0.05", "gd", ArmijoAlpha(ArmijoParams(trial=0.05))), 0.05),
+    (MethodSpec("s-cap-0.25", "gsgd", ArmijoS(ArmijoParams(), cap=0.25)), 0.25),
+], ids=("alpha-armijo", "s-armijo"))
+def test_mixed_block_rows_match_their_single_runs(method, start):
+    # One block mixes ordinary starts, overflowing ones (f(x0) = inf) and
+    # starts whose first trial is rejected: the first trials 0.05 and
+    # 0.25 lie past the certified 2/L and sqrt(2/L). Each row's count and
+    # stop reason are those of its own single run, with trials on the
+    # fused oracle (the built-in) or on value and gradient calls (the
+    # fallback), on the whole block or on chunks in two threads. A failed
+    # row is evaluated only at its start point.
+    f = oscillatory(1.0, 100.0)
+    x0 = np.random.default_rng(3).uniform(-1e3, 1e3, 24)
+    overflowing = [2, 9, 17]
+    x0[overflowing] = [1e160, -1e160, 3e159]
+    tol, max_iter = 1e-12, 500
+    runner = gd_run if method.kind == "gd" else gsgd_run
+    want = np.empty((2, len(x0)), dtype=np.int64)
+    first_accepted = []
+    for i, x in enumerate(x0):
+        try:
+            trace = runner(f, [x], method.schedule, [GradNorm(tol), MaxIter(max_iter)])
+        except LineSearchError:
+            want[:, i] = max_iter, _FAILED
+            continue
+        reason = _TERMINATION_REASONS[trace.termination]
+        want[:, i] = trace.iterations + 1 if reason == _MET else max_iter, reason
+        first_accepted.append(trace.step_history[0] == start)
+    assert list(np.flatnonzero(want[1] == _FAILED)) == overflowing
+    assert 0 < sum(first_accepted) < len(first_accepted)
+    for target in (f, _without_elementwise(f)):
+        recorded, points = _recording(target)
+        counts, reasons = _block_runner(recorded, method.schedule, tol, max_iter)(x0)
+        assert np.array_equal(counts, want[0]) and np.array_equal(reasons, want[1])
+        for kind in ("value", "grad"):
+            seen = np.concatenate(points[kind])
+            assert sorted(seen[np.abs(seen) > 1e6]) == sorted(x0[overflowing]), kind
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            parts = list(pool.map(_block_runner(target, method.schedule, tol, max_iter),
+                                  np.array_split(x0, 3)))
+        assert np.array_equal(np.concatenate([p[0] for p in parts]), counts)
+        assert np.array_equal(np.concatenate([p[1] for p in parts]), reasons)
 
 
 def test_determinism_across_thread_counts():

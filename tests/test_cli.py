@@ -348,6 +348,24 @@ def test_run_with_an_overflowing_final_gradient_writes_nothing_to_stderr():
     assert math.isfinite(doc["final_grad_norm"])
 
 
+def test_loop_mode_with_a_non_finite_state_prints_only_the_error_line():
+    result = _cli_subprocess("run", "--function", "diag-quadratic", "--m", "1", "--L", "100",
+                             "--x0", "1e308,-1e308", "--alpha", "0.019", "--mode", "loop",
+                             "--steps", "30", "--json")
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr == "error: loop state became non-finite at step 1\n"
+
+
+def test_loop_mode_with_an_overflowing_norm_writes_nothing_to_stderr():
+    # The solver's tolerance floor squares the state's norm, which
+    # overflows; the states stay finite.
+    result = _cli_subprocess("run", "--function", "oscillatory", "--m", "1", "--L", "100",
+                             "--x0", "1e300", "--alpha", "0.019", "--mode", "loop",
+                             "--steps", "30", "--json")
+    assert result.returncode == 0 and result.stderr == ""
+    assert json.loads(result.stdout)["final_x"] == [7.618428467197503e286]
+
+
 def test_bench_with_overflowing_samples_writes_nothing_to_stderr(tmp_path):
     doc = default_config()
     doc.update(n_samples=2000, x0_low=-1e160, x0_high=1e160, max_iter=2000)

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -229,6 +233,39 @@ def test_elementwise_callables_agree_with_pointwise():
             point = np.atleast_1d(x)
             assert np.float64(f.value(point)).tobytes() == vals[i].tobytes(), f.name
             assert f.gradient(point).tobytes() == np.atleast_1d(grads[i]).tobytes(), f.name
+
+
+def _same_bits(a, b):
+    """NaN in the same places and the same bits everywhere else."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+_EDGE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, np.nan]),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
+              st.integers(-300, 308)),
+    st.floats(),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(name=st.sampled_from(("oscillatory", "quadratic", "diag-quadratic")),
+       values=st.lists(_EDGE_VALUES, min_size=2, max_size=16))
+def test_fused_oracle_equals_the_block_callables(name, values):
+    # The fused oracle returns each block callable's result bit for bit,
+    # from 0 and subnormals up to 1e308, infinities and NaN. A copy made
+    # by dataclasses.replace has none, so a copy with counted oracles
+    # sees every evaluation.
+    f = builtin_function(name, 1.0, 100.0)
+    xs = np.array(values[: len(values) // f.dim * f.dim])
+    xs = xs if f.dim == 1 else xs.reshape(-1, f.dim)
+    with np.errstate(all="ignore"):
+        vals, grads = f._value_and_gradient(xs)
+        assert _same_bits(vals, f.elementwise_value(xs))
+        assert _same_bits(grads, f.elementwise_gradient(xs))
+    assert dataclasses.replace(f, name="copy")._value_and_gradient is None
 
 
 def test_builtin_lookup():

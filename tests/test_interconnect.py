@@ -10,6 +10,7 @@ from passive_gd.errors import (
     AlgebraicLoopError,
     ContractionError,
     ConvergenceError,
+    DivergenceError,
     InvalidParameterError,
     ShapeError,
 )
@@ -491,3 +492,13 @@ def test_a_block_with_one_row_past_the_boundary_is_refused(f):
         run_transformed(f, alpha, alpha / 2.0, x0, 5)
     with pytest.raises(ContractionError):
         loop_equivalence_report(f, alpha, x0, 5)
+
+
+def test_a_non_finite_loop_state_raises_divergence_without_warnings():
+    # The second row's first state overflows; the error carries its last
+    # finite iterate, and numpy does not warn on the way.
+    f = diag_quadratic(1.0, 100.0)
+    x0 = np.array([[1.0, -1.0], [1e308, -1e308]])
+    with np.errstate(all="raise"), pytest.raises(DivergenceError, match="at step 1") as err:
+        run_transformed(f, np.full(2, 0.019), np.full(2, 0.0095), x0, 30)
+    assert np.array_equal(err.value.last_iterate, x0[1])

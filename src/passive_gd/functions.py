@@ -3,9 +3,10 @@
 Each built-in carries its sector bounds ``(m, L)`` and minimizer, an
 analytic gradient, and (for the quadratic family) a constant Hessian.
 Each is written once, as block callables that evaluate a whole block of
-points in one vectorized pass; its point oracles are their one-row case,
-and its fused value-and-gradient oracle computes both from the same
-expressions, evaluating the subexpressions they share once.
+points in one vectorized pass; its point oracles are their one-row case.
+``oscillatory``, whose value and gradient share sin x, also has a fused
+value-and-gradient oracle that computes both from the same expressions
+and evaluates sin x once.
 ``row_gradient`` and ``row_value`` give every function the same
 block-of-rows interface, on which the co-coercivity residual is written
 once.
@@ -61,7 +62,7 @@ class SectorFunction:
         values and to gradients of the block's shape. Used through
         ``row_gradient`` and ``row_value`` by the batched engines.
 
-    A built-in also carries a private fused block oracle,
+    ``oscillatory`` also carries a private fused block oracle,
     ``_value_and_gradient``, which returns both block callables' results
     bit for bit from one pass. Only the built-in constructors set it, and
     ``dataclasses.replace`` drops it, so a copy with replaced oracles
@@ -112,8 +113,8 @@ def _from_blocks(dim, m, L, value, gradient, hessian=None, *, name,
     ``value`` and ``gradient`` are the ``elementwise_*`` fields and accept
     array-likes. The point oracles are their one-row case: a point is a
     flat block of one row when ``dim == 1`` and otherwise a single row,
-    which the callables map along its last axis. ``value_and_gradient``
-    is the fused block oracle; it defaults to calling both callables.
+    which the callables map along its last axis. ``value_and_gradient``,
+    when given, is the fused block oracle.
     """
     f = SectorFunction(
         dim=dim, m=m, L=L, minimizer=np.zeros(dim),
@@ -121,8 +122,7 @@ def _from_blocks(dim, m, L, value, gradient, hessian=None, *, name,
         gradient=gradient, hessian=hessian, elementwise_value=value,
         elementwise_gradient=gradient, name=name,
     )
-    object.__setattr__(f, "_value_and_gradient",
-                       value_and_gradient or (lambda x: (value(x), gradient(x))))
+    object.__setattr__(f, "_value_and_gradient", value_and_gradient)
     return f
 
 
@@ -141,22 +141,26 @@ def oscillatory(m: float, L: float) -> SectorFunction:
 
     # Both formulas take sin x as an operand; the fused oracle evaluates
     # it once and passes it to each.
-    def value(x, sin_x=None):
-        x = np.asarray(x, dtype=float)
-        sin_x = np.sin(x) if sin_x is None else sin_x
+    def value_at(x, sin_x):
         return (L - m) / 4.0 * (
             (L + m) / (L - m) * x * x + 2.0 * sin_x - 2.0 * x * np.cos(x)
         )
 
-    def gradient(x, sin_x=None):
-        x = np.asarray(x, dtype=float)
-        sin_x = np.sin(x) if sin_x is None else sin_x
+    def gradient_at(x, sin_x):
         return 0.5 * (L + m) * x + 0.5 * (L - m) * x * sin_x
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return value_at(x, np.sin(x))
+
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        return gradient_at(x, np.sin(x))
 
     def value_and_gradient(x):
         x = np.asarray(x, dtype=float)
         sin_x = np.sin(x)
-        return value(x, sin_x), gradient(x, sin_x)
+        return value_at(x, sin_x), gradient_at(x, sin_x)
 
     return _from_blocks(1, m, L, value, gradient, name="oscillatory",
                         value_and_gradient=value_and_gradient)

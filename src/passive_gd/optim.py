@@ -14,11 +14,11 @@ one row and record the trace, ``armijo_alpha``/``armijo_s`` run one of
 its searches on one row, and ``bench`` runs it on blocks of samples.
 
 An Armijo trial gives f and grad f at its trial point, and the accepted
-trial is the next iterate, so the update reuses both. A built-in gives
-them from one pass of its fused oracle; any other function evaluates f
-at each trial and grad f once on the accepted block. Every sample tries
-the first value in one whole-block call; only the rejected ones
-backtrack.
+trial is the next iterate, so the update reuses both. A function with a
+fused oracle (``oscillatory``) gives them from one pass; any other
+function evaluates f at each trial and grad f once on the accepted
+block. Every sample tries the first value in one whole-block call; only
+the rejected ones backtrack.
 """
 
 from __future__ import annotations
@@ -230,6 +230,10 @@ def _backtrack(trial, x: np.ndarray, fx: np.ndarray, start: float, shrink: float
         ok, x_new, f_new, g_new = trial(slice(None), start)
         rows, tries = np.nonzero(~ok)[0], MAX_BACKTRACKS
         t[rows] *= shrink
+        if rows.size:
+            # f and grad f may be arrays the oracle owns; write into copies.
+            f_new = np.array(f_new, dtype=float)
+            g_new = None if g_new is None else np.array(g_new, dtype=float)
     for _ in range(tries):
         if rows.size == 0:
             break

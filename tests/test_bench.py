@@ -415,6 +415,35 @@ def test_mixed_block_rows_match_their_single_runs(method, start):
         assert np.array_equal(np.concatenate([p[1] for p in parts]), reasons)
 
 
+def _read_only(fn):
+    """``fn`` with its result marked read-only."""
+
+    def call(x):
+        out = fn(x)
+        out.setflags(write=False)
+        return out
+
+    return call
+
+
+@pytest.mark.parametrize("schedule", [
+    ArmijoAlpha(ArmijoParams(trial=0.05)), ArmijoS(ArmijoParams(), cap=0.25),
+], ids=("alpha-armijo", "s-armijo"))
+def test_read_only_block_results_are_never_written(schedule):
+    # A custom block objective may return arrays that it owns, here
+    # read-only ones. Rows that reject the first trial backtrack into the
+    # engine's own arrays, so every count and stop reason is the built-in's.
+    f = oscillatory(1.0, 100.0)
+    custom = dataclasses.replace(
+        f, elementwise_value=_read_only(f.elementwise_value),
+        elementwise_gradient=_read_only(f.elementwise_gradient),
+    )
+    x0 = np.random.default_rng(3).uniform(-1e3, 1e3, 24)
+    want = _block_runner(f, schedule, 1e-12, 500)(x0)
+    got = _block_runner(custom, schedule, 1e-12, 500)(x0)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_determinism_across_thread_counts():
     f = oscillatory(1.0, 100.0)
     spec = _small_spec(

@@ -5,23 +5,27 @@ strictly proper. After the loop transformation both blocks carry the
 feedthrough d, so each step contains an algebraic loop. Wiring algebra
 eliminates the outer pass-through exactly (the inner gradient argument
 v = r2 + C xi is loop-free), which pins the transformed nonlinearity
-input u2 = v - d * grad_shift(v); the transformed output is then
-re-solved numerically from the implicit relation y = grad_shift(u2 + d*y).
-Each per-step solve starts at the algebraic elimination's output
-probe = grad_shift(v), which solves the relation up to rounding, and
-still iterates to the solver tolerance, so the state trajectory inherits
-that tolerance rather than being copied from the untransformed recursion.
+input u2 = v - d * grad_shift(v) and gives the output probe =
+grad_shift(v). At the ISP feedthrough d = 1/L every objective keeps that
+algebraic elimination as it stands, so with zero exogenous inputs and a
+zero minimizer, as every built-in has, the loop equals the untransformed
+recursion bit for bit. Below 1/L the transformed output is re-solved
+numerically from the implicit relation y = grad_shift(u2 + d*y). Each
+per-step solve starts at the probe, which solves the relation up to
+rounding, and still iterates to the solver tolerance, so the state
+trajectory inherits that tolerance rather than being copied from the
+untransformed recursion.
 
 The standalone fixed-point iteration contracts with factor d * sup|f''|
 over the region the iterates visit. For the quadratic family that factor
 is d*L, but a sector bound through the minimizer does not cap the second
 derivative, so the oscillatory built-in loses contraction (and the
-implicit relation loses uniqueness) at large amplitude. The loop
-executor therefore keeps the iteration result only when it returns the
-loop-consistent branch, uses the exact linear solve whenever a constant
-Hessian is available, and falls back to the algebraic elimination
-otherwise; plain iteration from grad_shift(u) remains the standalone
-evaluation route.
+implicit relation loses uniqueness) at large amplitude, and at d = 1/L
+wherever f'' reaches L. Below 1/L the loop executor therefore keeps the
+iteration result only when it returns the loop-consistent branch, uses
+the exact linear solve whenever a constant Hessian is available, and
+falls back to the algebraic elimination otherwise; plain iteration from
+grad_shift(u) remains the standalone evaluation route.
 
 The transformed loop, its equivalence report and evaluate_delta_bar take
 a point, or an ``(n, dim)`` block of rows with one alpha and d per row;
@@ -66,11 +70,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
-BOUNDARY_MAX_ITER = 10_000
 # Loop constants are 0-d arrays: numpy converts a Python float operand on
 # every call, which on a one-row block costs as much as the arithmetic.
 _ONE = np.array(1.0)
-_HALF = np.array(0.5)
 _ULP_FLOOR = np.array(8.0 * np.finfo(float).eps)
 
 
@@ -180,18 +182,13 @@ def _solve_fixed_point(
     tol: float,
     max_iter: int,
     y: np.ndarray | None = None,
-    damping: bool = False,
 ) -> np.ndarray:
     """Solve y = grad_shift(u + d*y) for every row of the ``(n, dim)`` block ``u``.
 
     ``d`` is one feedthrough for every row, or one per row, ``(n,)``.
     ``y`` holds the start rows; by default each row starts at
     grad_shift(u). Each row stops on its own once its update is within
-    ``tol`` and leaves the active set; the others keep iterating. With
-    ``damping`` every update is averaged 1/2 with the current iterate: at
-    d*L = 1 the plain iteration is only non-expansive, and the averaging
-    restores convergence wherever the local curvature is strictly below L.
-    Rows still active after ``max_iter`` iterations raise
+    ``tol`` and leaves the active set; the others keep iterating. Rows still active after ``max_iter`` iterations raise
     ConvergenceError, whose ``unsolved`` and ``partial`` give the others'
     solutions.
     """
@@ -213,8 +210,6 @@ def _solve_fixed_point(
     out, rows = None, np.arange(n)
     for _ in range(max_iter):
         y_next = grad(z + d * y)
-        if damping:
-            y_next = _HALF * y + _HALF * y_next
         # The tolerance is floored at a few ulps of the iterate magnitude;
         # below that, rounding noise keeps the differences from shrinking.
         floor = _ULP_FLOOR * (_ONE + _row_norms(y_next))
@@ -239,9 +234,8 @@ def _solve_fixed_point(
     out[rows] = y
     unsolved = np.zeros(n, dtype=bool)
     unsolved[rows] = True
-    kind = "damped fixed point" if damping else "fixed point"
     raise ConvergenceError(
-        f"{kind} did not reach tol={tol} within {max_iter} iterations "
+        f"fixed point did not reach tol={tol} within {max_iter} iterations "
         f"for {len(y)} of {n} points",
         unsolved=unsolved, partial=out,
     )
@@ -356,14 +350,15 @@ def run_transformed(
     all rows. The exogenous inputs r1, r2 are shared by the rows. Each
     row is pinned to d = alpha/2 and runs the controller
     (I, alpha*I, I, d*I) of ``modified_gd_realization``, whose state is
-    the shifted iterate, so ``x0`` is converted through the minimizer. At
-    an ISP feedthrough d = 1/L the per-step loop is solved in closed form
-    for the quadratic family and by damped iteration otherwise; a row past
-    1/L refuses the call. Each per-step fixed point iterates to
-    ``DEFAULT_TOL``, within ``DEFAULT_MAX_ITER`` iterations
-    (``BOUNDARY_MAX_ITER`` at the boundary). A state that turns non-finite
-    raises DivergenceError, which carries the last finite iterate of the
-    first such row.
+    the shifted iterate, so ``x0`` is converted through the minimizer. A
+    row at the ISP feedthrough d = 1/L takes the algebraic elimination for
+    every objective, so with zero exogenous inputs and a zero minimizer its
+    trace equals the recursion x <- x - alpha*grad f(x) bit for bit. A row
+    below 1/L re-solves its per-step loop: exactly through I - d*H for the
+    quadratic family, and otherwise by fixed-point iteration to
+    ``DEFAULT_TOL`` within ``DEFAULT_MAX_ITER`` iterations. A row past 1/L
+    refuses the call. A state that turns non-finite raises DivergenceError,
+    which carries the last finite iterate of the first such row.
     """
     block = np.ndim(alpha) == 1
     alpha, d, x0 = _loop_rows(f, alpha, d, x0, steps)
@@ -382,8 +377,9 @@ def run_transformed(
         raise ContractionError(
             f"d*L = {d.max() * f.L} > 1: no certified evaluation scheme for this loop"
         )
-    at_boundary = np.array([_feedthrough_class(f.L, v) is Classification.ISP for v in d])
-    boundary, interior = _rows_of(at_boundary), _rows_of(~at_boundary)
+    interior = _rows_of(
+        np.array([_feedthrough_class(f.L, v) is Classification.VSP for v in d])
+    )
     u1 = np.empty((steps, n, dim))
     u2 = np.empty((steps, n, dim))
     y2 = np.empty((steps, n, dim))
@@ -402,21 +398,15 @@ def run_transformed(
         v = v_offset[k] + xi
         probe = grad(v + f.minimizer)
         u2[k] = v - d_col * probe
+        # A boundary row keeps the probe, the joint loop solution: there the
+        # implicit relation is not a contraction wherever f'' reaches L (for
+        # the quadratics I - d*H is singular), so only interior rows re-solve.
         y2[k] = probe
-        if f.hessian is not None:
-            # At the boundary I - d*H is singular, and the joint loop
-            # solution is the probe.
-            if interior is not None:
+        if interior is not None:
+            if f.hessian is not None:
                 rhs = u2[k, interior] @ f.hessian.T
                 y2[k, interior] = np.linalg.solve(loop_matrix, rhs[..., None])[..., 0]
-        else:
-            if boundary is not None:
-                y_fp = _solve_fixed_point(
-                    f, d[boundary], u2[k, boundary], DEFAULT_TOL, BOUNDARY_MAX_ITER,
-                    y=probe[boundary], damping=True,
-                )
-                y2[k, boundary] = _on_branch(y_fp, probe[boundary])
-            if interior is not None:
+            else:
                 # The implicit relation can be multivalued away from the
                 # minimizer, where local curvature exceeds the sector slope;
                 # a row keeps its iteration result only when it lands on the

@@ -356,6 +356,14 @@ def test_loop_mode_with_a_non_finite_state_prints_only_the_error_line():
     assert result.stderr == "error: loop state became non-finite at step 1\n"
 
 
+def test_loop_mode_at_two_over_l_from_an_overflowing_start_prints_only_the_error_line():
+    result = _cli_subprocess("run", "--function", "oscillatory", "--m", "1", "--L", "100",
+                             "--x0", "1e308", "--alpha", "0.02", "--mode", "loop",
+                             "--steps", "30")
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr == "error: loop state became non-finite at step 1\n"
+
+
 def test_loop_mode_with_an_overflowing_norm_writes_nothing_to_stderr():
     # The solver's tolerance floor squares the state's norm, which
     # overflows; the states stay finite.

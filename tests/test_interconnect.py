@@ -22,10 +22,7 @@ from passive_gd.functions import (
     shifted_gradient,
 )
 from passive_gd.interconnect import (
-    BOUNDARY_MAX_ITER,
-    DEFAULT_TOL,
     FeedbackLoop,
-    _solve_fixed_point,
     delta_bar_operator,
     evaluate_delta_bar,
     loop_equivalence_report,
@@ -33,6 +30,7 @@ from passive_gd.interconnect import (
     run_untransformed,
 )
 from passive_gd.lti import gd_realization, modified_gd_realization
+from passive_gd.optim import FixedAlpha, MaxIter, gd_run
 from passive_gd.signals import Signal
 from passive_gd.verify import run_suite
 
@@ -218,20 +216,9 @@ def test_a_block_solve_names_its_unsolved_rows():
     )
 
 
-def test_damped_fixed_point_regression():
-    # Damped solves from a zero start at d*L = 1, recorded before the plain
-    # and damped solvers were merged; solved together as one block.
-    f = oscillatory(1.0, 100.0)
-    u = np.array([[0.004], [-0.02], [0.1]])
-    y = _solve_fixed_point(
-        f, 0.01, u, DEFAULT_TOL, BOUNDARY_MAX_ITER, y=np.zeros((3, 1)), damping=True
-    )
-    assert y[:, 0].tolist() == [0.41471839528339904, -1.8891846003792228, 17.868305399856077]
-
-
 def test_run_transformed_boundary_trace_regression():
-    # alpha = 2/L without a constant Hessian takes the damped branch every
-    # step; the trace was recorded before the solvers were merged.
+    # alpha = 2/L without a constant Hessian keeps the algebraic elimination
+    # every step; the trace was recorded before the solvers were merged.
     trace = run_transformed(oscillatory(1.0, 100.0), 0.02, 0.01, np.array([3.0]), 6)
     assert trace.states.samples[:, 0].tolist() == [
         3.0, -0.4491264239378059, -0.18855987769902993, -0.03310546687094704,
@@ -311,13 +298,14 @@ def test_loop_equivalence_examples():
 
 
 def test_run_transformed_boundary_nonquadratic_small_amplitude():
-    # d*L = 1 without a constant Hessian exercises the damped iteration.
+    # d*L = 1 without a constant Hessian keeps the algebraic elimination,
+    # so the loop is the recursion bit for bit.
     f = oscillatory(1.0, 100.0)
     x0 = np.array([0.05])
     trace = run_transformed(f, 0.02, 0.01, x0, 10)
     x = x0.copy()
     for k in range(11):
-        assert np.linalg.norm(trace.states.samples[k] - x) <= 1e-9
+        assert np.array_equal(trace.states.samples[k], x)
         x = x - 0.02 * np.asarray(f.gradient(x))
 
 
@@ -502,3 +490,72 @@ def test_a_non_finite_loop_state_raises_divergence_without_warnings():
     with np.errstate(all="raise"), pytest.raises(DivergenceError, match="at step 1") as err:
         run_transformed(f, np.full(2, 0.019), np.full(2, 0.0095), x0, 30)
     assert np.array_equal(err.value.last_iterate, x0[1])
+
+
+def test_an_overflowing_boundary_start_raises_divergence_without_a_solve(monkeypatch):
+    # At d = 1/L the overflowing probe goes straight into the state: the
+    # loop stops at step 1 and no fixed point is started.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a boundary row was re-solved")
+
+    monkeypatch.setattr(interconnect, "_solve_fixed_point", no_solve)
+    x0 = np.array([1e308])
+    with np.errstate(all="raise"), pytest.raises(DivergenceError, match="at step 1") as err:
+        run_transformed(oscillatory(1.0, 100.0), 0.02, 0.01, x0, 30)
+    assert np.array_equal(err.value.last_iterate, x0)
+
+
+def _gd_at_boundary(f, x0, steps):
+    """gd_run at alpha = 2/L: its trace, or the DivergenceError it raises."""
+    try:
+        return gd_run(f, x0, FixedAlpha(2.0 / f.L), [MaxIter(steps)])
+    except DivergenceError as err:
+        return err
+
+
+def _assert_loop_is_the_recursion(trace, run):
+    assert np.array_equal(trace.states.samples, run.iterates.samples)
+    assert np.array_equal(trace.y2.samples, run.gradients.samples[:-1])
+
+
+_BOUNDARY_FUNCTIONS = st.one_of(
+    st.sampled_from(_BUILTINS),
+    st.builds(
+        lambda m, ratio: oscillatory(m, m * ratio),
+        st.floats(0.01, 10.0), st.floats(1.5, 1e3),
+    ),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    f=_BOUNDARY_FUNCTIONS,
+    exponents=st.lists(st.floats(-3.0, 8.0), min_size=8, max_size=8),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=8, max_size=8),
+    steps=st.integers(1, 40),
+)
+def test_the_loop_at_two_over_l_is_the_recursion_bit_for_bit(f, exponents, signs, steps):
+    # At alpha = 2/L (d = 1/L) every objective keeps the algebraic
+    # elimination, so the point form and an 8-row block both equal gd_run:
+    # states against iterates and y2 against gradients, or the same
+    # DivergenceError.
+    alpha = 2.0 / f.L
+    x0 = (np.array(signs) * 10.0 ** np.array(exponents))[:, None] * np.ones(f.dim)
+    runs = [_gd_at_boundary(f, x, steps) for x in x0]
+    if isinstance(runs[0], DivergenceError):
+        with pytest.raises(DivergenceError) as err:
+            run_transformed(f, alpha, alpha / 2.0, x0[0], steps)
+        assert np.array_equal(err.value.last_iterate, runs[0].last_iterate)
+    else:
+        _assert_loop_is_the_recursion(
+            run_transformed(f, alpha, alpha / 2.0, x0[0], steps), runs[0]
+        )
+    diverged = [run for run in runs if isinstance(run, DivergenceError)]
+    alphas = np.full(len(x0), alpha)
+    if diverged:
+        with pytest.raises(DivergenceError) as err:
+            run_transformed(f, alphas, alphas / 2.0, x0, steps)
+        assert any(np.array_equal(err.value.last_iterate, run.last_iterate) for run in diverged)
+    else:
+        for trace, run in zip(run_transformed(f, alphas, alphas / 2.0, x0, steps), runs):
+            _assert_loop_is_the_recursion(trace, run)

@@ -67,6 +67,14 @@ def _positive(name, v):
         raise InvalidParameterError(f"{name} must be positive, got {v}")
 
 
+def _positive_entries(name, values):
+    """Refuse the first entry of the array ``values`` that ``_positive`` refuses,
+    found with one vectorized test of the same rule."""
+    ok = (0.0 < values) & (values < math.inf)
+    if not ok.all():
+        _positive(name, values[ok.argmin()])
+
+
 def _count(name, v, minimum):
     """Refuse ``v`` unless it is an integer, not a bool, of at least ``minimum``."""
     if isinstance(v, bool) or not isinstance(v, Integral):

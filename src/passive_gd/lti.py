@@ -3,6 +3,12 @@
 The two controller realizations used throughout are scalar multiples of
 identity blocks, so the certificate search is restricted to the family
 P = p*I, for which p = 1/alpha is the unique feasible shape.
+
+The positive-real test runs on a stack of realizations at once: one
+broadcast block matrix and one ``eigvalsh`` call for the whole stack.
+``positive_real_check`` is its one-matrix case, and
+``gd_passivity_certificate`` takes a pair of scalars or of ``(n,)``
+arrays, the scalar pair being the one-row case of the arrays.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .errors import ShapeError, _positive
+from .errors import ShapeError, _positive, _positive_entries
 from .signals import Signal
 
 __all__ = [
@@ -117,12 +123,41 @@ def simulate(ss: StateSpaceRealization, u: Signal, xi0) -> tuple[Signal, Signal]
     return Signal(states), Signal(outputs)
 
 
-def _block_matrix(ss: StateSpaceRealization, p_scalar: float) -> np.ndarray:
-    P = p_scalar * np.eye(ss.n_states)
-    top_left = ss.A.T @ P @ ss.A - P
-    off_diag = ss.A.T @ P @ ss.B - ss.C.T
-    corner = ss.B.T @ P @ ss.B - (ss.D + ss.D.T)
-    return np.block([[top_left, off_diag], [off_diag.T, corner]])
+def _t(M: np.ndarray) -> np.ndarray:
+    """The transpose of every matrix in a stack."""
+    return np.swapaxes(M, -1, -2)
+
+
+def _block_matrix(A, B, C, D, p: np.ndarray) -> np.ndarray:
+    """The block matrix of each realization in the ``(k, ., .)`` stacks, with
+    storage P = p[i]*I for the ``(k,)`` scalars ``p``."""
+    P = p[:, None, None] * np.eye(A.shape[-1])
+    top_left = _t(A) @ P @ A - P
+    off_diag = _t(A) @ P @ B - _t(C)
+    corner = _t(B) @ P @ B - (D + _t(D))
+    return np.concatenate(
+        [
+            np.concatenate([top_left, off_diag], axis=-1),
+            np.concatenate([_t(off_diag), corner], axis=-1),
+        ],
+        axis=-2,
+    )
+
+
+def _positive_real(A, B, C, D, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positive-real test on a stack of realizations: ``(k,)`` arrays of
+    the verdicts and of the largest eigenvalues."""
+    if B.shape[-1] != C.shape[-2]:
+        raise ShapeError(
+            f"positive-real test needs a square system, got {B.shape[-1]} inputs "
+            f"and {C.shape[-2]} outputs"
+        )
+    _positive_entries("p_scalar", p)
+    M = _block_matrix(A, B, C, D, p)
+    M = 0.5 * (M + _t(M))
+    max_eig = np.linalg.eigvalsh(M)[:, -1]
+    tol = 1e-10 * (1.0 + np.max(np.abs(M), axis=(-2, -1)))
+    return max_eig <= tol, max_eig
 
 
 def positive_real_check(
@@ -132,28 +167,47 @@ def positive_real_check(
 
     The matrix is symmetrized before the eigenvalue computation and the
     semidefiniteness threshold is scaled by its largest entry, so exact
-    boundary cases survive rounding.
+    boundary cases survive rounding. This is the one-matrix case of the
+    stacked test behind ``gd_passivity_certificate``.
     """
-    if not ss.is_square:
-        raise ShapeError(
-            f"positive-real test needs a square system, got {ss.n_inputs} inputs "
-            f"and {ss.n_outputs} outputs"
-        )
-    _positive("p_scalar", p_scalar)
-    M = _block_matrix(ss, p_scalar)
-    M = 0.5 * (M + M.T)
-    max_eig = float(np.linalg.eigvalsh(M)[-1])
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(M))))
-    return max_eig <= tol, max_eig
+    p = np.atleast_1d(p_scalar)
+    if p.shape != (1,):
+        raise ShapeError(f"p_scalar must be a scalar, got shape {np.shape(p_scalar)}")
+    feasible, max_eig = _positive_real(ss.A[None], ss.B[None], ss.C[None], ss.D[None], p)
+    return bool(feasible[0]), float(max_eig[0])
 
 
-def gd_passivity_certificate(alpha: float, d: float) -> PositiveRealCertificate:
+def gd_passivity_certificate(
+    alpha, d
+) -> PositiveRealCertificate | list[PositiveRealCertificate]:
     """Certify the modified controller with the closed-form candidate p = 1/alpha.
 
     The candidate is always submitted to the numeric positive-real check,
     which succeeds exactly when d >= alpha/2 up to the scaled tolerance.
+    Scalars ``alpha`` and ``d`` give one ``PositiveRealCertificate``;
+    ``(n,)`` arrays give a list of ``n``, checked as one stack of scalar
+    realizations. A scalar pair is the one-row case, so it gives the bits
+    of the same pair inside an array.
     """
-    ss = modified_gd_realization(alpha, d, dim=1)
-    p_scalar = 1.0 / alpha
-    feasible, max_eig = positive_real_check(ss, p_scalar)
-    return PositiveRealCertificate(p_scalar, max_eig, feasible)
+    alpha, d = np.asarray(alpha), np.asarray(d)
+    if alpha.shape != d.shape or alpha.ndim > 1:
+        raise ShapeError(
+            "alpha and d must be two scalars or two (n,) arrays of one length, "
+            f"got shapes {alpha.shape} and {d.shape}"
+        )
+    scalar = alpha.ndim == 0
+    alpha, d = alpha.reshape(-1), d.reshape(-1)
+    _positive_entries("step size", alpha)
+    _positive_entries("feedthrough", d)
+    # A subnormal alpha overflows p to inf, which the p_scalar check refuses.
+    with np.errstate(over="ignore"):
+        p = 1.0 / alpha
+    # The realization (I, alpha*I, I, d*I) at dim 1, for every pair.
+    ones = np.ones((len(alpha), 1, 1))
+    B, D = (v.reshape(-1, 1, 1) * ones for v in (alpha, d))
+    feasible, max_eig = _positive_real(ones, B, ones, D, p)
+    certs = [
+        PositiveRealCertificate(*row)
+        for row in zip(p.tolist(), max_eig.tolist(), feasible.tolist())
+    ]
+    return certs[0] if scalar else certs

@@ -21,6 +21,7 @@ from .errors import (
     HorizonError,
     InvalidParameterError,
     ShapeError,
+    _count,
     _positive,
     _sector,
 )
@@ -187,25 +188,27 @@ def empirical_passivity_margin(
         raise InvalidParameterError("need at least one input signal")
     if T < 1:
         raise HorizonError(f"inner-product horizon must be positive, got {T}")
+    _count("horizon T", T, 1)
     dim = inputs[0].dim
     for u in inputs:
         if u.horizon < T:
             raise ShapeError(f"input horizon {u.horizon} is shorter than T={T}")
         if u.dim != dim:
             raise ShapeError(f"input dimensions differ: {dim} vs {u.dim}")
-    blocks = [u.samples[:T] for u in inputs]
-    y = op(Signal(np.concatenate(blocks)))
+    n = len(inputs)
+    stacked = np.concatenate([u.samples[:T] for u in inputs])
+    y = op(Signal(stacked))
     if y.dim != dim:
         raise ShapeError(f"operator changed dimension: {dim} -> {y.dim}")
-    if y.horizon != len(blocks) * T:
-        raise ShapeError(
-            f"operator changed the sample count: {len(blocks) * T} -> {y.horizon}"
-        )
-    margins = [
-        float(np.sum(u * y_u))
+    if y.horizon != n * T:
+        raise ShapeError(f"operator changed the sample count: {n * T} -> {y.horizon}")
+    # Row i of each (n, T*dim) view is input i's first T samples, so every
+    # term is one reduction over all inputs.
+    u, y_u = stacked.reshape(n, -1), y.samples.reshape(n, -1)
+    margins = (
+        np.sum(u * y_u, axis=1)
         - indices.beta
-        - indices.delta * float(np.sum(u * u))
-        - indices.epsilon * float(np.sum(y_u * y_u))
-        for u, y_u in zip(blocks, np.split(y.samples, len(blocks)))
-    ]
+        - indices.delta * np.sum(u * u, axis=1)
+        - indices.epsilon * np.sum(y_u * y_u, axis=1)
+    )
     return float(np.min(margins))

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HorizonError, ShapeError
+from .errors import HorizonError, ShapeError, _count
 
 __all__ = [
     "Signal",
@@ -83,17 +83,22 @@ def norm_sq_truncated(u: Signal, T: int) -> float:
 
 
 def random_unit_energy(dim: int, horizon: int, count: int, seed: int) -> list[Signal]:
-    """Seeded Gaussian signals, each scaled to unit truncated energy."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        raw = rng.standard_normal((horizon, dim))
-        energy = np.sqrt(np.sum(raw * raw))
-        if energy == 0.0:
-            raw[0, 0] = 1.0
-            energy = 1.0
-        out.append(Signal(raw / energy))
-    return out
+    """Seeded Gaussian signals, each scaled to unit truncated energy.
+
+    One ``(count, horizon, dim)`` draw gives the signals that ``count``
+    draws of ``(horizon, dim)`` would, and one reduction their energies.
+    A signal of zero energy becomes the unit impulse in its first entry.
+    """
+    for name, v in (("dim", dim), ("horizon", horizon), ("count", count)):
+        _count(name, v, 1)
+    _count("seed", seed, 0)
+    raw = np.random.default_rng(seed).standard_normal((count, horizon, dim))
+    flat = raw.reshape(count, -1)
+    energy = np.sqrt(np.sum(flat * flat, axis=1))
+    zero = energy == 0.0
+    raw[zero, 0, 0] = 1.0
+    energy[zero] = 1.0
+    return [Signal(u) for u in raw / energy[:, None, None]]
 
 
 def _columns(name: str, samples: np.ndarray, indexed: bool = True) -> dict:

@@ -45,8 +45,15 @@ from passive_gd.optim import (
     gd_run,
     gsgd_run,
 )
-from passive_gd.passivity import certify_step_size, nabla_indices, transformed_indices
-from passive_gd.signals import Signal
+from passive_gd.passivity import (
+    Classification,
+    PassivityIndices,
+    certify_step_size,
+    empirical_passivity_margin,
+    nabla_indices,
+    transformed_indices,
+)
+from passive_gd.signals import Signal, random_unit_energy
 from passive_gd.verify import run_suite
 
 NAN, INF = math.nan, math.inf
@@ -70,6 +77,16 @@ def _threads(threads=None, env=None):
 
 def _sector_function(m=0.5, L=1.0):
     SectorFunction(1, m, L, np.zeros(1), lambda x: 0.0, lambda x: 0.0 * x)
+
+
+def _margin(T):
+    ident = PassivityIndices(0.0, 0.5, 0.5, Classification.VSP)
+    empirical_passivity_margin(lambda u: u, ident, [Signal(np.ones((3, 1)))], T)
+
+
+def _certificates(alpha=0.1, d=0.05):
+    # The bad value sits in the middle of an array of good ones.
+    gd_passivity_certificate(np.array([0.1, alpha, 0.2]), np.array([0.05, d, 0.1]))
 
 
 def _loop(steps):
@@ -155,6 +172,10 @@ SITES = [
      lambda v: gd_passivity_certificate(v, 0.05), POSITIVE),
     ("gd_passivity_certificate.d", "feedthrough",
      lambda v: gd_passivity_certificate(0.1, v), POSITIVE),
+    ("gd_passivity_certificate.alpha[1]", "step size",
+     lambda v: _certificates(alpha=v), (0.0, NAN, INF)),
+    ("gd_passivity_certificate.d[1]", "feedthrough",
+     lambda v: _certificates(d=v), (0.0, NAN, INF)),
     # passivity
     ("nabla_indices.m", "m=", lambda v: nabla_indices(v, 100.0), POSITIVE),
     ("nabla_indices.L", "L=", lambda v: nabla_indices(0.5, v), POSITIVE),
@@ -168,6 +189,16 @@ SITES = [
     ("certify_step_size.L", "L=", lambda v: certify_step_size(0.5, v, 0.01), POSITIVE),
     ("certify_step_size.alpha", "step size",
      lambda v: certify_step_size(1.0, 100.0, v), POSITIVE),
+    ("empirical_passivity_margin.T", "horizon T", _margin, (NAN, INF, 1.5, True)),
+    # signals
+    ("random_unit_energy.dim", "dim", lambda v: random_unit_energy(v, 5, 3, 0),
+     COUNT + (0, -1)),
+    ("random_unit_energy.horizon", "horizon", lambda v: random_unit_energy(1, v, 3, 0),
+     COUNT + (0, -1)),
+    ("random_unit_energy.count", "count", lambda v: random_unit_energy(1, 5, v, 0),
+     COUNT + (0, -1)),
+    ("random_unit_energy.seed", "seed", lambda v: random_unit_energy(1, 5, 3, v),
+     COUNT + (-1,)),
     # verify
     ("run_suite.seed", "seed", lambda v: run_suite("counterexample", v), COUNT),
 ]

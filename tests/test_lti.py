@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from passive_gd.errors import InvalidParameterError, ShapeError
@@ -136,6 +140,11 @@ def test_positive_real_check_requires_square():
         positive_real_check(ss, 1.0)
 
 
+def test_positive_real_check_refuses_an_array_of_storages():
+    with pytest.raises(ShapeError, match="p_scalar must be a scalar"):
+        positive_real_check(modified_gd_realization(0.01, 0.005), np.array([100.0, 50.0]))
+
+
 def test_certificate_examples():
     cert = gd_passivity_certificate(0.01, 0.005)
     assert isinstance(cert, PositiveRealCertificate) and cert.feasible
@@ -189,3 +198,96 @@ def test_certified_controller_dissipation_bound():
         for T in (1, 5, 20):
             ip = inner_product_truncated(u, y, T)
             assert ip >= beta - 1e-9 * (1.0 + abs(beta))
+
+
+def _bits(cert):
+    """A certificate's fields, with each float as its IEEE-754 bytes."""
+    return (struct.pack("d", cert.p_scalar), struct.pack("d", cert.max_eigenvalue_M),
+            cert.feasible)
+
+
+# The 12 x 13 grid that verify's passivity suite checks in one call.
+_GRID_ALPHA = np.repeat(np.geomspace(1e-3, 1.0, 12), 13)
+_GRID_D = np.tile(np.linspace(0.1, 2.0, 13), 12) * _GRID_ALPHA
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(1e-6, 1e2),
+            st.one_of(st.just(0.5), st.floats(1e-3, 4.0)),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_block_certificate_equals_the_scalar_calls(pairs):
+    # A ratio of exactly 0.5 gives d = alpha/2, the boundary of the check.
+    alpha = np.array([a for a, _ in pairs] + list(_GRID_ALPHA))
+    d = np.array([a * r for a, r in pairs] + list(_GRID_D))
+    block = gd_passivity_certificate(alpha, d)
+    assert len(block) == len(alpha)
+    for a, dd, cert in zip(alpha, d, block):
+        assert isinstance(cert, PositiveRealCertificate)
+        assert _bits(cert) == _bits(gd_passivity_certificate(float(a), float(dd)))
+
+
+def test_block_certificate_on_the_verify_grid_agrees_with_the_half_step_rule():
+    block = gd_passivity_certificate(_GRID_ALPHA, _GRID_D)
+    assert [c.feasible for c in block] == list(_GRID_D >= _GRID_ALPHA / 2.0)
+    assert gd_passivity_certificate(np.array([]), np.array([])) == []
+
+
+@pytest.mark.parametrize("alpha, d", [
+    (np.array([0.1, 0.2]), np.array([0.05])),
+    (0.1, np.array([0.05])),
+    (np.array([0.1]), 0.05),
+    (np.full((2, 2), 0.1), np.full((2, 2), 0.05)),
+])
+def test_block_certificate_refuses_mismatched_shapes(alpha, d):
+    with pytest.raises(ShapeError, match="two scalars or two"):
+        gd_passivity_certificate(alpha, d)
+
+
+def _reference_check(ss, p):
+    """The positive-real test written out for one matrix."""
+    P = p * np.eye(ss.n_states)
+    M = np.block([
+        [ss.A.T @ P @ ss.A - P, ss.A.T @ P @ ss.B - ss.C.T],
+        [(ss.A.T @ P @ ss.B - ss.C.T).T, ss.B.T @ P @ ss.B - (ss.D + ss.D.T)],
+    ])
+    M = 0.5 * (M + M.T)
+    max_eig = float(np.linalg.eigvalsh(M)[-1])
+    return max_eig <= 1e-10 * (1.0 + float(np.max(np.abs(M)))), max_eig
+
+
+def _assert_check_equals_reference(ss, p):
+    ok, eig = positive_real_check(ss, p)
+    want_ok, want_eig = _reference_check(ss, p)
+    assert ok is want_ok
+    assert struct.pack("d", eig) == struct.pack("d", want_eig)
+
+
+def test_positive_real_check_equals_a_per_matrix_reference_on_dim_2():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        alpha = float(10 ** rng.uniform(-4, 1))
+        p = float(10 ** rng.uniform(-2, 3))
+        for ss in (modified_gd_realization(alpha, alpha * float(rng.uniform(0.01, 3.0)), 2),
+                   modified_gd_realization(alpha, alpha / 2.0, 2),
+                   gd_realization(alpha, 2)):
+            _assert_check_equals_reference(ss, p)
+    # Just below d = alpha/2 the largest eigenvalue is alpha*r, which crosses
+    # the scaled tolerance 1e-10 at r = 1e-8.
+    for r in np.geomspace(1e-12, 1e-4, 17):
+        _assert_check_equals_reference(modified_gd_realization(0.01, 0.005 * (1 - r), 2), 100.0)
+
+
+def test_positive_real_check_equals_a_per_matrix_reference_on_general_systems():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        ss = StateSpaceRealization(rng.standard_normal((n, n)), rng.standard_normal((n, m)),
+                                   rng.standard_normal((m, n)), rng.standard_normal((m, m)))
+        _assert_check_equals_reference(ss, float(10 ** rng.uniform(-2, 2)))

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from passive_gd.errors import (
     ContractionError,
     DegenerateSectorError,
+    HorizonError,
     InvalidParameterError,
     ShapeError,
 )
@@ -149,6 +152,13 @@ def test_margin_requires_inputs():
     idx = PassivityIndices(0.0, 0.0, 0.0, Classification.PASSIVE)
     with pytest.raises(InvalidParameterError):
         empirical_passivity_margin(lambda u: u, idx, [], 5)
+
+
+@pytest.mark.parametrize("T", [0, -1, 0.5, -math.inf])
+def test_margin_refuses_a_horizon_below_one(T):
+    idx = PassivityIndices(0.0, 0.5, 0.5, Classification.VSP)
+    with pytest.raises(HorizonError, match="horizon must be positive"):
+        empirical_passivity_margin(lambda u: u, idx, [Signal(np.ones((3, 1)))], T)
 
 
 def _per_input_minimum(op, idx, inputs, T):

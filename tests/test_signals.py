@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -126,3 +128,25 @@ def test_random_unit_energy_signals():
     for a, b in zip(sigs, again):
         assert_allclose(a.samples, b.samples)
 
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_random_unit_energy_equals_one_draw_per_signal(dim):
+    for seed in (0, 7, 31):
+        rng = np.random.default_rng(seed)
+        for sig in random_unit_energy(dim, 40, 25, seed):
+            raw = rng.standard_normal((40, dim))
+            want = raw / np.sqrt(np.sum(raw * raw))
+            assert sig.samples.tobytes() == want.tobytes()
+
+
+def test_random_unit_energy_turns_a_zero_signal_into_a_unit_impulse():
+    draw = np.ones((3, 4, 2))
+    draw[1] = 0.0
+    with mock.patch("numpy.random.default_rng") as rng:
+        rng.return_value.standard_normal.return_value = draw
+        sigs = random_unit_energy(2, 4, 3, seed=0)
+    impulse = np.zeros((4, 2))
+    impulse[0, 0] = 1.0
+    assert sigs[1].samples.tolist() == impulse.tolist()
+    assert sigs[0].samples.tolist() == sigs[2].samples.tolist() == (
+        np.ones((4, 2)) / np.sqrt(8.0)).tolist()

@@ -11,15 +11,18 @@ failed line search are treated the same way.
 This module holds the specs, the sampling, the threading, the statistics,
 the CSV export and the config parsing. The iterations themselves run in
 ``optim``'s batched engine, the one that ``gd_run``/``gsgd_run`` run on a
-single row, so each sample's count is theirs. A sample's arithmetic never
-depends on its neighbors, and the chunk layout is fixed, so results are
-bit-identical for any worker count.
+single row, so each sample's count is theirs. The samples run in chunks
+of the package's one block size. A sample's arithmetic never depends on
+its neighbors, and the chunk layout is fixed, so results are
+bit-identical for any thread count.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -27,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, _count, _interval, _positive
-from .functions import SectorFunction, builtin_function
+from .functions import _BLOCK_ROWS, SectorFunction, builtin_function
 from .optim import ArmijoAlpha, ArmijoParams, ArmijoS, FixedAlpha, FixedS
 from .optim import _CAP, _block_runner
 
@@ -45,7 +48,6 @@ __all__ = [
 ]
 
 THREADS_ENV_VAR = "PASSIVE_GD_THREADS"
-_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,43 @@ def _resolve_threads(threads: Optional[int]) -> int:
     return threads
 
 
+def _run_chunks(runner, chunks: list, n_threads: int) -> list:
+    """``runner`` of each chunk, in chunk order, on ``n_threads`` threads.
+
+    The calling thread is one of them. It and ``min(n_threads, chunks) - 1``
+    pool helpers take chunk indices from one queue and store each result
+    by its index. After a failure in any thread the others take no new
+    chunk; every helper has stopped when the failure is raised here.
+    """
+    helpers = min(n_threads, len(chunks)) - 1
+    if helpers == 0:
+        return [runner(c) for c in chunks]
+    todo = queue.SimpleQueue()
+    for i in range(len(chunks)):
+        todo.put(i)
+    parts = [None] * len(chunks)
+    failed = threading.Event()
+
+    def work():
+        try:
+            while not failed.is_set():
+                try:
+                    i = todo.get_nowait()
+                except queue.Empty:
+                    return
+                parts[i] = runner(chunks[i])
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+    for future in futures:
+        future.result()
+    return parts
+
+
 def run_monte_carlo(
     f: SectorFunction,
     spec: MonteCarloSpec,
@@ -143,23 +182,21 @@ def run_monte_carlo(
 ) -> list[SummaryStats]:
     """Run every configured method on the same x0 sequence and summarize.
 
-    ``threads`` overrides the PASSIVE_GD_THREADS environment variable;
-    results do not depend on the worker count.
+    ``threads`` overrides the PASSIVE_GD_THREADS environment variable; it
+    counts the calling thread. Results do not depend on the thread count.
+    Each method's chunks all finish before the next method starts, so only
+    one method's counts are held at a time.
     """
     n = spec.n_samples
     rng = np.random.default_rng(spec.seed)
     # For dim == 1 the flat draw is the same sequence as an (n, 1) draw.
     x0 = rng.uniform(spec.x0_low, spec.x0_high, n if f.dim == 1 else (n, f.dim))
-    chunks = [x0[i : i + _CHUNK] for i in range(0, n, _CHUNK)]
+    chunks = [x0[i : i + _BLOCK_ROWS] for i in range(0, n, _BLOCK_ROWS)]
     n_threads = _resolve_threads(threads)
     results = []
     for method in spec.methods:
         runner = _block_runner(f, method.schedule, spec.tol, spec.max_iter)
-        if n_threads == 1 or len(chunks) == 1:
-            parts = [runner(c) for c in chunks]
-        else:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                parts = list(pool.map(runner, chunks))
+        parts = _run_chunks(runner, chunks, n_threads)
         counts = np.concatenate([p[0] for p in parts])
         flagged = np.concatenate([p[1] for p in parts]) >= _CAP
         results.append(_summarize(method.label, counts, flagged))

@@ -275,12 +275,21 @@ def _step_rule(f: SectorFunction, schedule, grad, value):
 
         def armijo_alpha(x, g, fx):
             gg = _row_dot(g, g)
+            # Where <g, g> overflows, c*a*gg is inf at every trial; there
+            # the decrease is <c*a*g, g>, finite once a is small enough.
+            over = np.isinf(gg)
+            over = over if over.any() else None
 
             def trial(rows, a):
-                xr = x[rows]
-                x_t = xr - _col(a, xr) * g[rows]
+                xr, gr = x[rows], g[rows]
+                ar = _col(a, xr)
+                x_t = xr - ar * gr
                 f_t, g_t = at(x_t)
-                return f_t <= fx[rows] - c * a * gg[rows], x_t, f_t, g_t
+                decrease = c * a * gg[rows]
+                if over is not None:
+                    scaled = _row_dot(c * ar * gr, gr)
+                    decrease = np.where(over[rows], scaled, decrease)
+                return f_t <= fx[rows] - decrease, x_t, f_t, g_t
 
             return _backtrack(trial, x, fx, start, p.shrink)
 

@@ -55,6 +55,7 @@ def truncate(u: Signal, T: int) -> Signal:
     """Return the first ``T`` samples of ``u`` as a new signal."""
     if T < 0:
         raise HorizonError(f"truncation horizon must be non-negative, got {T}")
+    _count("truncation horizon", T, 0)
     if T > u.horizon:
         raise HorizonError(f"truncation horizon {T} exceeds stored horizon {u.horizon}")
     return Signal(u.samples[:T].copy())
@@ -65,6 +66,7 @@ def _check_pair(u: Signal, y: Signal, T: int):
         raise ShapeError(f"signal dimensions differ: {u.dim} vs {y.dim}")
     if T < 1:
         raise HorizonError(f"inner-product horizon must be positive, got {T}")
+    _count("inner-product horizon", T, 0)
     if T > u.horizon or T > y.horizon:
         raise HorizonError(
             f"horizon {T} exceeds stored horizons ({u.horizon}, {y.horizon})"

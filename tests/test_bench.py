@@ -1,15 +1,21 @@
 import csv
 import dataclasses
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from passive_gd import bench as bench_mod
 from passive_gd.bench import (
     MethodSpec,
     MonteCarloSpec,
+    _run_chunks,
     _summarize,
     default_config,
     default_methods,
@@ -19,7 +25,7 @@ from passive_gd.bench import (
     write_summary_csv,
 )
 from passive_gd.errors import DivergenceError, InvalidParameterError, LineSearchError
-from passive_gd.functions import diag_quadratic, oscillatory, quadratic
+from passive_gd.functions import _BLOCK_ROWS, diag_quadratic, oscillatory, quadratic
 from passive_gd.optim import (
     ArmijoAlpha,
     ArmijoParams,
@@ -455,8 +461,87 @@ def test_determinism_across_thread_counts():
         seed=5,
     )
     one = run_monte_carlo(f, spec, threads=1)
-    four = run_monte_carlo(f, spec, threads=4)
-    assert one == four
+    for threads in (2, 3, 4):
+        assert run_monte_carlo(f, spec, threads=threads) == one
+
+
+@pytest.mark.parametrize("threads, n, helpers", [
+    (1, 3 * _BLOCK_ROWS, []),
+    (4, 100, []),
+    (2, 3 * _BLOCK_ROWS, [1]),
+    (3, 3 * _BLOCK_ROWS, [2]),
+    (8, 3 * _BLOCK_ROWS, [2]),
+])
+def test_threads_count_the_calling_thread(threads, n, helpers):
+    # --threads N runs N threads, the caller included, and never more
+    # than there are chunks: one pool of min(N, chunks) - 1 helpers per
+    # method, none when that is 0.
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kw):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+    f = quadratic(1.0)
+    spec = _small_spec([MethodSpec("a", "gd", FixedAlpha(1.0))] * 2, n=n)
+    with mock.patch.object(bench_mod, "ThreadPoolExecutor", RecordingPool):
+        run_monte_carlo(f, spec, threads=threads)
+    assert sizes == helpers * 2
+
+
+def _fake_runner(fail_in, ran):
+    """A ``_block_runner`` stand-in whose runners sleep briefly, record the
+    chunk and raise in the threads that ``fail_in`` picks."""
+
+    def make(*args):
+        def runner(chunk):
+            ran.append(len(chunk))
+            if fail_in(threading.current_thread()):
+                raise ZeroDivisionError("chunk failed")
+            time.sleep(0.01)
+            return np.ones(len(chunk), dtype=np.int64), np.zeros(len(chunk), dtype=np.int8)
+
+        return runner
+
+    return make
+
+
+@pytest.mark.parametrize("where", ["caller", "helper"])
+def test_a_failing_chunk_stops_every_thread_and_is_raised(where):
+    # 10 chunks on 3 threads; the first chunk that the caller (or a
+    # helper) runs raises. The failure reaches the caller, the other
+    # threads take no new chunk, and no helper is left running.
+    main = threading.main_thread()
+    fail_in = (lambda t: t is main) if where == "caller" else (lambda t: t is not main)
+    ran = []
+    spec = _small_spec([MethodSpec("a", "gd", FixedAlpha(1.0))], n=10 * _BLOCK_ROWS)
+    before = set(threading.enumerate())
+    with mock.patch.object(bench_mod, "_block_runner", _fake_runner(fail_in, ran)):
+        with pytest.raises(ZeroDivisionError, match="chunk failed"):
+            run_monte_carlo(quadratic(1.0), spec, threads=3)
+    assert set(threading.enumerate()) <= before
+    assert len(ran) < 10
+
+
+def test_chunks_come_back_in_order_under_contention():
+    # More threads than cores, a short switch interval and many small
+    # chunks: each chunk runs once and its result lands at its index.
+    chunks = [np.arange(i, i + 3) for i in range(200)]
+    ran = []
+
+    def runner(chunk):
+        ran.append(int(chunk[0]))
+        return chunk * 2
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parts = _run_chunks(runner, chunks, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(200))
+    assert all(np.array_equal(p, c * 2) for p, c in zip(parts, chunks, strict=True))
 
 
 def test_determinism_repeated_run():

@@ -53,7 +53,13 @@ from passive_gd.passivity import (
     nabla_indices,
     transformed_indices,
 )
-from passive_gd.signals import Signal, random_unit_energy
+from passive_gd.signals import (
+    Signal,
+    inner_product_truncated,
+    norm_sq_truncated,
+    random_unit_energy,
+    truncate,
+)
 from passive_gd.verify import run_suite
 
 NAN, INF = math.nan, math.inf
@@ -63,6 +69,7 @@ COUNT = POSITIVE + (1.5, True)
 NON_FINITE = (NAN, INF, -INF)
 
 F = quadratic(1.0)
+U = Signal(np.ones((3, 1)))
 
 
 def _spec(**kw):
@@ -191,6 +198,11 @@ SITES = [
      lambda v: certify_step_size(1.0, 100.0, v), POSITIVE),
     ("empirical_passivity_margin.T", "horizon T", _margin, (NAN, INF, 1.5, True)),
     # signals
+    ("truncate.T", "truncation horizon", lambda v: truncate(U, v), (NAN, INF, 2.5, True)),
+    ("inner_product_truncated.T", "inner-product horizon",
+     lambda v: inner_product_truncated(U, U, v), (NAN, INF, 2.5, True)),
+    ("norm_sq_truncated.T", "inner-product horizon", lambda v: norm_sq_truncated(U, v),
+     (NAN, INF, 2.5, True)),
     ("random_unit_energy.dim", "dim", lambda v: random_unit_energy(v, 5, 3, 0),
      COUNT + (0, -1)),
     ("random_unit_energy.horizon", "horizon", lambda v: random_unit_energy(1, v, 3, 0),

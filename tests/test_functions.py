@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from passive_gd import functions as functions_mod
 from passive_gd.errors import InvalidParameterError, ShapeError
 from passive_gd.functions import (
+    _BLOCK_ROWS,
     SectorFunction,
     _cocoercivity_block,
     builtin_function,
@@ -148,6 +151,80 @@ def test_sector_membership_scan():
         sector_membership_scan(f, -1.0, 1.0, 0, seed=0)
     with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
         sector_membership_scan(f, -1.0, 1.0, 10, seed=-1)
+
+
+def _one_block_scan(f, lo, hi, n, seed, block=_cocoercivity_block):
+    """The reference scan: one draw of all ``n`` points and one residual pass."""
+    points = np.random.default_rng(seed).uniform(lo, hi, (n, f.dim))
+    residual, scale = block(f, points)
+    normalized = residual / scale
+    i = int(np.argmin(normalized))
+    return float(normalized[i]), points[i]
+
+
+def _assert_same_scan(got, want):
+    """Value and point bit for bit, a NaN value matching only a NaN."""
+    assert np.array_equal(np.float64(got[0]), np.float64(want[0]), equal_nan=True)
+    assert np.signbit(got[0]) == np.signbit(want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+B = _BLOCK_ROWS
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing range
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 5])
+@pytest.mark.parametrize("make", [lambda: oscillatory(1.0, 100.0),
+                                  lambda: diag_quadratic(1.0, 100.0)],
+                         ids=("oscillatory", "diag-quadratic"))
+def test_streamed_scan_equals_one_block(make, n):
+    # The scan draws and scans B rows at a time; its minimum and point are
+    # those of one draw of all n points, also where residuals are NaN.
+    f = make()
+    for (lo, hi), seed in (((-1e5, 1e5), 3), ((-1e160, 1e160), 4)):
+        got = sector_membership_scan(f, lo, hi, n, seed)
+        _assert_same_scan(got, _one_block_scan(f, lo, hi, n, seed))
+    assert np.isnan(got[0])
+
+
+def _tied_block(nan_above):
+    """A stand-in residual in {0, -1, -2, -3} at points in [0, 1), with
+    scale 1, so the minimum -3 recurs in every block; NaN above ``nan_above``."""
+
+    def block(f, points):
+        x = points[:, 0]
+        residual = np.where(x > nan_above, np.nan, -np.floor(4.0 * x))
+        return residual, np.ones_like(residual)
+
+    return block
+
+
+@pytest.mark.parametrize("nan_above", [1.0, 0.999], ids=("ties", "nan"))
+def test_streamed_scan_keeps_the_first_tie_and_the_first_nan(monkeypatch, nan_above):
+    f = oscillatory(1.0, 100.0)
+    n = 3 * B + 5
+    block = _tied_block(nan_above)
+    want = _one_block_scan(f, 0.0, 1.0, n, 5, block)
+    # The reference's point recurs in later blocks: a tie or a NaN there.
+    x = np.random.default_rng(5).uniform(0.0, 1.0, n)
+    hits = np.flatnonzero(x > nan_above if nan_above < 1.0 else x >= 0.75)
+    assert hits[0] < B <= hits[-1]
+    assert x[hits[0]] == want[1][0]
+    monkeypatch.setattr(functions_mod, "_cocoercivity_block", block)
+    _assert_same_scan(sector_membership_scan(f, 0.0, 1.0, n, 5), want)
+
+
+def test_sector_scan_memory_does_not_grow_with_the_sample_count():
+    # One draw of 10**6 points peaked at 48.8 MB; a block of B rows needs
+    # about 2 MB whatever the sample count.
+    f = oscillatory(1.0, 100.0)
+    tracemalloc.start()
+    try:
+        sector_membership_scan(f, -1e5, 1e5, 10**6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -18,6 +18,8 @@ from passive_gd.optim import (
     MaxIter,
     PairedGrad,
     Termination,
+    _MET,
+    _block_runner,
     armijo_alpha,
     armijo_s,
     default_s_cap,
@@ -229,6 +231,33 @@ def test_armijo_search_without_an_acceptable_step_names_the_backtrack_cap():
         armijo_alpha(f, np.ones(1), ArmijoParams())
     with pytest.raises(LineSearchError, match=message):
         gd_run(f, np.ones(1), ArmijoAlpha(ArmijoParams()), [MaxIter(5)])
+
+
+def test_armijo_alpha_accepts_a_step_where_the_squared_gradient_overflows():
+    # At 2.5e153, f is finite but <g, g> overflows, so c*a*<g, g> is inf
+    # at every trial; <c*a*g, g> is finite for small enough a. The gain-
+    # scheduled search converges from the same start.
+    f = oscillatory(1.0, 100.0)
+    schedule = ArmijoAlpha(ArmijoParams(trial=0.05))
+    stops = [GradNorm(1e-12), MaxIter(5000)]
+    x = np.array([2.5e153])
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.dot(f.gradient(x), f.gradient(x)))
+    assert np.isfinite(f.value(x))
+    assert armijo_alpha(f, x, schedule.params) == 0.025
+    trace = gd_run(f, x, schedule, stops)
+    assert trace.termination is Termination.GRAD_NORM_MET
+    assert gsgd_run(f, x, ArmijoS(), stops).termination is Termination.GRAD_NORM_MET
+    # In a block, rows with and without the overflow each take their own
+    # run's count, on both a flat and an (n, 2) block.
+    dq = diag_quadratic(1.0, 100.0)
+    for fn, x0 in ((f, np.array([3.0, 2.5e153, -1e3, -2.5e153, 7e152])),
+                   (dq, np.array([[1.0, 1.4e152], [3.0, -4.0], [-1.0, -1.4e152]]))):
+        counts, reasons = _block_runner(fn, schedule, 1e-12, 5000)(x0)
+        for x_i, count, reason in zip(x0, counts, reasons):
+            one = gd_run(fn, np.atleast_1d(x_i), schedule, stops)
+            assert one.termination is Termination.GRAD_NORM_MET
+            assert (count, reason) == (one.iterations + 1, _MET)
 
 
 def test_armijo_params_validation():

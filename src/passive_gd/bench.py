@@ -20,19 +20,18 @@ bit-identical for any thread count.
 from __future__ import annotations
 
 import csv
-import os
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError, _count, _interval, _positive
 from .functions import _BLOCK_ROWS, SectorFunction, builtin_function
 from .optim import ArmijoAlpha, ArmijoParams, ArmijoS, FixedAlpha, FixedS
-from .optim import _CAP, _block_runner
+from .optim import _CAP, _block_runner, _check_schedule
 
 __all__ = [
     "MethodSpec",
@@ -44,10 +43,7 @@ __all__ = [
     "default_methods",
     "default_config",
     "spec_from_config",
-    "THREADS_ENV_VAR",
 ]
-
-THREADS_ENV_VAR = "PASSIVE_GD_THREADS"
 
 
 @dataclass(frozen=True)
@@ -57,20 +53,7 @@ class MethodSpec:
     schedule: object
 
     def __post_init__(self):
-        if self.kind == "gd":
-            if not isinstance(self.schedule, (FixedAlpha, ArmijoAlpha)):
-                raise InvalidParameterError(
-                    f"method {self.label!r}: gd needs a step-size schedule"
-                )
-        elif self.kind == "gsgd":
-            if not isinstance(self.schedule, (FixedS, ArmijoS)):
-                raise InvalidParameterError(
-                    f"method {self.label!r}: gsgd needs a scheduling schedule"
-                )
-        else:
-            raise InvalidParameterError(
-                f"method {self.label!r}: kind must be 'gd' or 'gsgd', got {self.kind!r}"
-            )
+        _check_schedule(self.kind, self.schedule, self.label)
 
 
 @dataclass(frozen=True)
@@ -121,23 +104,6 @@ def _summarize(label: str, counts: np.ndarray, flagged: np.ndarray) -> SummarySt
     )
 
 
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is not None:
-        _count("threads", threads, 1)
-        return threads
-    env = os.environ.get(THREADS_ENV_VAR, "")
-    if not env.strip():
-        return 1
-    try:
-        threads = int(env)
-    except ValueError:
-        raise InvalidParameterError(
-            f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
-        ) from None
-    _count(THREADS_ENV_VAR, threads, 1)
-    return threads
-
-
 def _run_chunks(runner, chunks: list, n_threads: int) -> list:
     """``runner`` of each chunk, in chunk order, on ``n_threads`` threads.
 
@@ -178,25 +144,24 @@ def _run_chunks(runner, chunks: list, n_threads: int) -> list:
 def run_monte_carlo(
     f: SectorFunction,
     spec: MonteCarloSpec,
-    threads: Optional[int] = None,
+    threads: int = 1,
 ) -> list[SummaryStats]:
     """Run every configured method on the same x0 sequence and summarize.
 
-    ``threads`` overrides the PASSIVE_GD_THREADS environment variable; it
-    counts the calling thread. Results do not depend on the thread count.
+    ``threads`` counts the calling thread. Results do not depend on it.
     Each method's chunks all finish before the next method starts, so only
     one method's counts are held at a time.
     """
+    _count("threads", threads, 1)
     n = spec.n_samples
     rng = np.random.default_rng(spec.seed)
     # For dim == 1 the flat draw is the same sequence as an (n, 1) draw.
     x0 = rng.uniform(spec.x0_low, spec.x0_high, n if f.dim == 1 else (n, f.dim))
     chunks = [x0[i : i + _BLOCK_ROWS] for i in range(0, n, _BLOCK_ROWS)]
-    n_threads = _resolve_threads(threads)
     results = []
     for method in spec.methods:
         runner = _block_runner(f, method.schedule, spec.tol, spec.max_iter)
-        parts = _run_chunks(runner, chunks, n_threads)
+        parts = _run_chunks(runner, chunks, threads)
         counts = np.concatenate([p[0] for p in parts])
         flagged = np.concatenate([p[1] for p in parts]) >= _CAP
         results.append(_summarize(method.label, counts, flagged))

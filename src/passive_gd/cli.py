@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import verify as verify_mod
-from .errors import InvalidParameterError, PassiveGdError
+from .errors import InvalidParameterError, PassiveGdError, _count
 from .functions import BUILTIN_NAMES, builtin_function
 from .interconnect import run_transformed
 from .optim import (
@@ -90,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config", help="JSON config; omit for the built-in spec")
     p_bench.add_argument("--out-dir", required=True)
     p_bench.add_argument("--seed", type=int, help="override the config seed")
-    p_bench.add_argument("--threads", type=int,
-                         help=f"override {bench_mod.THREADS_ENV_VAR}")
+    p_bench.add_argument("--threads", type=int, default=1,
+                         help="threads to run, the calling thread included")
     p_bench.add_argument("--json", action="store_true")
     return parser
 
@@ -254,11 +254,11 @@ def _cmd_bench(args) -> int:
     if args.seed is not None and isinstance(doc, dict):
         doc["seed"] = args.seed
     f, spec = bench_mod.spec_from_config(doc)
-    # Resolved before the output directory exists, so a refused count leaves none.
-    threads = bench_mod._resolve_threads(args.threads)
+    # Checked before the output directory exists, so a refused count leaves none.
+    _count("threads", args.threads, 1)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stats = bench_mod.run_monte_carlo(f, spec, threads=threads)
+    stats = bench_mod.run_monte_carlo(f, spec, threads=args.threads)
     for s in stats:
         bench_mod.export_histogram(s, out_dir / f"hist-{_slug(s.label)}.csv")
     bench_mod.write_summary_csv(stats, out_dir / "summary.csv")

@@ -91,7 +91,7 @@ class SectorFunction:
 
     def __post_init__(self):
         _sector(self.m, self.L)
-        x_star = np.asarray(self.minimizer, dtype=float).reshape(-1)
+        x_star = np.array(self.minimizer, dtype=float).reshape(-1)
         if x_star.shape != (self.dim,):
             raise ShapeError(
                 f"minimizer has shape {x_star.shape}, expected ({self.dim},)"
@@ -297,9 +297,10 @@ def sector_membership_scan(
 
     Draws ``n_samples`` points uniformly from [lo, hi]^dim and returns the
     minimum of residual / scale (see ``_cocoercivity_block``) and a copy of
-    the first point where it occurs; a NaN residual is the minimum, as for
-    ``np.argmin``. The scale makes one threshold hold at any amplitude,
-    and ``verify --suite sector`` checks this minimum. The points are
+    the first point where it occurs; a NaN residual, where squares
+    overflow, is the minimum, as for ``np.argmin``, and numpy does not
+    warn. The scale makes one threshold hold at any amplitude, and
+    ``verify --suite sector`` checks this minimum. The points are
     drawn and scanned ``_BLOCK_ROWS`` rows at a time from one generator,
     which gives the draws of one ``(n_samples, dim)`` call, so memory does
     not grow with ``n_samples``.
@@ -311,8 +312,9 @@ def sector_membership_scan(
     worst = point = None
     for start in range(0, n_samples, _BLOCK_ROWS):
         points = rng.uniform(lo, hi, (min(_BLOCK_ROWS, n_samples - start), f.dim))
-        residual, scale = _cocoercivity_block(f, points)
-        residual /= scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual, scale = _cocoercivity_block(f, points)
+            residual /= scale
         i = int(np.argmin(residual))
         # As np.argmin over all rows: a tie keeps the earlier point, and
         # the first NaN, once found, stays.

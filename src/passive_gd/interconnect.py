@@ -99,7 +99,7 @@ class FeedbackLoop:
             )
         if self.r1.dim != self.function.dim or self.r2.dim != self.function.dim:
             raise ShapeError("exogenous inputs must match the loop dimension")
-        xi = np.asarray(self.xi0, dtype=float).reshape(-1)
+        xi = np.array(self.xi0, dtype=float).reshape(-1)
         if xi.shape != (ss.n_states,):
             raise ShapeError(f"xi0 has shape {xi.shape}, expected ({ss.n_states},)")
         xi.setflags(write=False)

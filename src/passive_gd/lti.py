@@ -41,7 +41,7 @@ class StateSpaceRealization:
 
     def __post_init__(self):
         for name in ("A", "B", "C", "D"):
-            mat = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            mat = np.atleast_2d(np.array(getattr(self, name), dtype=float))
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
         n = self.A.shape[0]
@@ -67,10 +67,6 @@ class StateSpaceRealization:
     @property
     def n_outputs(self) -> int:
         return self.C.shape[0]
-
-    @property
-    def is_square(self) -> bool:
-        return self.n_inputs == self.n_outputs
 
     @property
     def is_strictly_proper(self) -> bool:

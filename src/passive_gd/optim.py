@@ -113,6 +113,28 @@ class ArmijoS:
 AlphaSchedule = Union[FixedAlpha, ArmijoAlpha]
 SSchedule = Union[FixedS, ArmijoS]
 
+# The schedules that each iteration takes: a step size alpha for gd, a
+# scheduling value s for gsgd.
+_SCHEDULES = {"gd": (FixedAlpha, ArmijoAlpha), "gsgd": (FixedS, ArmijoS)}
+
+
+def _check_schedule(kind: str, schedule, label: Optional[str] = None) -> None:
+    """Refuse ``schedule`` unless the iteration ``kind`` takes it.
+
+    The message names ``gd_run`` or ``gsgd_run``, or the bench method
+    ``label`` when one is given.
+    """
+    if not (isinstance(kind, str) and kind in _SCHEDULES):
+        raise InvalidParameterError(
+            f"method {label!r}: kind must be 'gd' or 'gsgd', got {kind!r}"
+        )
+    if not isinstance(schedule, _SCHEDULES[kind]):
+        who = f"{kind}_run" if label is None else f"method {label!r}: {kind}"
+        what = "step-size" if kind == "gd" else "scheduling"
+        raise InvalidParameterError(
+            f"{who} needs a {what} schedule, got {type(schedule).__name__}"
+        )
+
 
 @dataclass(frozen=True)
 class GradNorm:
@@ -429,8 +451,8 @@ def _run_one(f: SectorFunction, x0, schedule, stops: Sequence[StoppingRule]) -> 
     if reason == _FAILED:
         raise _search_error(f, schedule, iterates[-1])
     return RunTrace(
-        iterates=Signal(np.array(iterates)),
-        gradients=Signal(np.array(gradients)),
+        iterates=Signal(iterates),
+        gradients=Signal(gradients),
         iterations=len(steps),
         termination=list(Termination)[reason],
         step_history=tuple(steps),
@@ -444,10 +466,7 @@ def gd_run(
     stops: Sequence[StoppingRule],
 ) -> RunTrace:
     """Run x <- x - alpha*grad(x) until the first stopping rule fires."""
-    if not isinstance(schedule, (FixedAlpha, ArmijoAlpha)):
-        raise InvalidParameterError(
-            f"gd_run needs a step-size schedule, got {type(schedule).__name__}"
-        )
+    _check_schedule("gd", schedule)
     return _run_one(f, x0, schedule, stops)
 
 
@@ -458,8 +477,5 @@ def gsgd_run(
     stops: Sequence[StoppingRule],
 ) -> RunTrace:
     """Run x <- x - s*grad(s*x) until the first stopping rule fires."""
-    if not isinstance(schedule, (FixedS, ArmijoS)):
-        raise InvalidParameterError(
-            f"gsgd_run needs a scheduling schedule, got {type(schedule).__name__}"
-        )
+    _check_schedule("gsgd", schedule)
     return _run_one(f, x0, schedule, stops)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -186,7 +187,7 @@ def empirical_passivity_margin(
     """
     if not inputs:
         raise InvalidParameterError("need at least one input signal")
-    if T < 1:
+    if isinstance(T, Real) and T < 1:
         raise HorizonError(f"inner-product horizon must be positive, got {T}")
     _count("horizon T", T, 1)
     dim = inputs[0].dim

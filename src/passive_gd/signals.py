@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -29,12 +30,12 @@ class Signal:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
+        # A copy, so the caller's array stays writable and never aliases it.
+        arr = np.array(self.samples, dtype=float, order="C")
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2:
             raise ShapeError(f"signal samples must be 2-D, got shape {arr.shape}")
-        arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -53,18 +54,18 @@ class Signal:
 
 def truncate(u: Signal, T: int) -> Signal:
     """Return the first ``T`` samples of ``u`` as a new signal."""
-    if T < 0:
+    if isinstance(T, Real) and T < 0:
         raise HorizonError(f"truncation horizon must be non-negative, got {T}")
     _count("truncation horizon", T, 0)
     if T > u.horizon:
         raise HorizonError(f"truncation horizon {T} exceeds stored horizon {u.horizon}")
-    return Signal(u.samples[:T].copy())
+    return Signal(u.samples[:T])
 
 
 def _check_pair(u: Signal, y: Signal, T: int):
     if u.dim != y.dim:
         raise ShapeError(f"signal dimensions differ: {u.dim} vs {y.dim}")
-    if T < 1:
+    if isinstance(T, Real) and T < 1:
         raise HorizonError(f"inner-product horizon must be positive, got {T}")
     _count("inner-product horizon", T, 0)
     if T > u.horizon or T > y.horizon:

@@ -598,6 +598,27 @@ def test_method_kind_schedule_mismatch_rejected():
         MethodSpec("bad", "newton", FixedAlpha(0.1))
 
 
+@pytest.mark.parametrize("kind, schedule, message", [
+    ("gd", FixedS(0.1), "gd needs a step-size schedule, got FixedS"),
+    ("gd", ArmijoS(), "gd needs a step-size schedule, got ArmijoS"),
+    ("gsgd", FixedAlpha(0.1), "gsgd needs a scheduling schedule, got FixedAlpha"),
+    ("gsgd", None, "gsgd needs a scheduling schedule, got NoneType"),
+    ("newton", FixedAlpha(0.1), "kind must be 'gd' or 'gsgd', got 'newton'"),
+    (["gd"], FixedAlpha(0.1), "kind must be 'gd' or 'gsgd', got ['gd']"),
+])
+def test_a_method_and_a_single_run_refuse_a_schedule_alike(kind, schedule, message):
+    # MethodSpec and gd_run/gsgd_run check one table of which schedules
+    # each iteration takes; a config's kind may be any JSON value.
+    with pytest.raises(InvalidParameterError) as info:
+        MethodSpec("bad", kind, schedule)
+    assert str(info.value) == f"method 'bad': {message}"
+    if kind in ("gd", "gsgd"):
+        run = gd_run if kind == "gd" else gsgd_run
+        with pytest.raises(InvalidParameterError) as info:
+            run(quadratic(1.0), np.ones(1), schedule, [MaxIter(5)])
+        assert str(info.value) == message.replace(kind, f"{kind}_run", 1)
+
+
 def test_spec_validation():
     with pytest.raises(InvalidParameterError):
         MonteCarloSpec(0, -1.0, 1.0, 0, 1e-12, ())

@@ -210,13 +210,11 @@ def test_bench_writes_outputs(tmp_path, capsys):
     assert len(rows) == 7
 
 
-def test_bench_byte_identical_reruns(tmp_path, monkeypatch):
+def test_bench_byte_identical_reruns(tmp_path):
     cfg = _small_bench_config(tmp_path)
     dirs = [tmp_path / "a", tmp_path / "b", tmp_path / "c"]
-    for i, out_dir in enumerate(dirs):
-        if i == 2:
-            monkeypatch.setenv("PASSIVE_GD_THREADS", "4")
-        assert main(["bench", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    for out_dir, flag in zip(dirs, ([], [], ["--threads", "4"])):
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(out_dir), *flag]) == 0
     ref = sorted(p.name for p in dirs[0].iterdir())
     for other in dirs[1:]:
         assert sorted(p.name for p in other.iterdir()) == ref
@@ -272,26 +270,13 @@ def test_bench_config_not_an_object(tmp_path, capsys):
     _assert_one_error_line(capsys, "JSON object")
 
 
-def test_bench_rejects_non_integer_thread_count(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_bench_rejects_a_thread_count_below_one(tmp_path, capsys, threads):
     cfg = _small_bench_config(tmp_path, n=10)
-    monkeypatch.setenv("PASSIVE_GD_THREADS", "abc")
-    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
-    _assert_one_error_line(capsys, "PASSIVE_GD_THREADS", "'abc'")
-
-
-@pytest.mark.parametrize("flag, env, fragment", [
-    (["--threads", "0"], None, "threads must be >= 1, got 0"),
-    (["--threads", "-2"], None, "threads must be >= 1, got -2"),
-    ([], "-3", "PASSIVE_GD_THREADS must be >= 1, got -3"),
-])
-def test_bench_rejects_a_thread_count_below_one(tmp_path, capsys, monkeypatch, flag, env,
-                                                fragment):
-    cfg = _small_bench_config(tmp_path, n=10)
-    if env is not None:
-        monkeypatch.setenv("PASSIVE_GD_THREADS", env)
     out = tmp_path / "out"
-    assert main(["bench", "--config", str(cfg), "--out-dir", str(out), *flag]) == 1
-    _assert_one_error_line(capsys, fragment)
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(out),
+                 "--threads", threads]) == 1
+    _assert_one_error_line(capsys, f"threads must be >= 1, got {threads}")
     assert not out.exists()
 
 

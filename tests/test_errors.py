@@ -6,13 +6,11 @@ the bad values it must refuse with InvalidParameterError.
 """
 
 import math
-import os
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from passive_gd.bench import THREADS_ENV_VAR, MonteCarloSpec, run_monte_carlo
+from passive_gd.bench import MonteCarloSpec, run_monte_carlo
 from passive_gd.errors import InvalidParameterError
 from passive_gd.functions import (
     SectorFunction,
@@ -67,6 +65,8 @@ NAN, INF = math.nan, math.inf
 POSITIVE = (NAN, INF, -INF, 0.0, -1.0)
 COUNT = POSITIVE + (1.5, True)
 NON_FINITE = (NAN, INF, -INF)
+# A horizon that is not a number is not compared with its minimum.
+NOT_A_NUMBER = ("2", None)
 
 F = quadratic(1.0)
 U = Signal(np.ones((3, 1)))
@@ -75,11 +75,6 @@ U = Signal(np.ones((3, 1)))
 def _spec(**kw):
     args = dict(n_samples=10, x0_low=-1.0, x0_high=1.0, seed=0, tol=1e-12, methods=())
     return MonteCarloSpec(**{**args, **kw})
-
-
-def _threads(threads=None, env=None):
-    with mock.patch.dict(os.environ, {} if env is None else {THREADS_ENV_VAR: env}):
-        run_monte_carlo(F, _spec(), threads=threads)
 
 
 def _sector_function(m=0.5, L=1.0):
@@ -125,10 +120,8 @@ SITES = [
      lambda v: _spec(x0_low=v, x0_high=1e308), (-1e308,)),
     ("MonteCarloSpec.tol", "tolerance", lambda v: _spec(tol=v), POSITIVE),
     ("MonteCarloSpec.max_iter", "max_iter", lambda v: _spec(max_iter=v), COUNT),
-    ("run_monte_carlo.threads", "threads", lambda v: _threads(threads=v),
+    ("run_monte_carlo.threads", "threads", lambda v: run_monte_carlo(F, _spec(), v),
      COUNT + (0, -3)),
-    ("run_monte_carlo.PASSIVE_GD_THREADS", THREADS_ENV_VAR, lambda v: _threads(env=v),
-     ("0", "-3", "1.5")),
     # functions
     ("SectorFunction.m", "m=", lambda v: _sector_function(m=v), POSITIVE),
     ("SectorFunction.L", "L=", lambda v: _sector_function(L=v), POSITIVE),
@@ -196,13 +189,15 @@ SITES = [
     ("certify_step_size.L", "L=", lambda v: certify_step_size(0.5, v, 0.01), POSITIVE),
     ("certify_step_size.alpha", "step size",
      lambda v: certify_step_size(1.0, 100.0, v), POSITIVE),
-    ("empirical_passivity_margin.T", "horizon T", _margin, (NAN, INF, 1.5, True)),
+    ("empirical_passivity_margin.T", "horizon T", _margin,
+     (NAN, INF, 1.5, True) + NOT_A_NUMBER),
     # signals
-    ("truncate.T", "truncation horizon", lambda v: truncate(U, v), (NAN, INF, 2.5, True)),
+    ("truncate.T", "truncation horizon", lambda v: truncate(U, v),
+     (NAN, INF, 2.5, True) + NOT_A_NUMBER),
     ("inner_product_truncated.T", "inner-product horizon",
-     lambda v: inner_product_truncated(U, U, v), (NAN, INF, 2.5, True)),
+     lambda v: inner_product_truncated(U, U, v), (NAN, INF, 2.5, True) + NOT_A_NUMBER),
     ("norm_sq_truncated.T", "inner-product horizon", lambda v: norm_sq_truncated(U, v),
-     (NAN, INF, 2.5, True)),
+     (NAN, INF, 2.5, True) + NOT_A_NUMBER),
     ("random_unit_energy.dim", "dim", lambda v: random_unit_energy(v, 5, 3, 0),
      COUNT + (0, -1)),
     ("random_unit_energy.horizon", "horizon", lambda v: random_unit_energy(1, v, 3, 0),

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,18 @@ from passive_gd.functions import (
     shifted_gradient,
 )
 from passive_gd.verify import suite_sector
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1)])
+def test_the_minimizer_is_a_copy_of_the_callers_array(shape):
+    # The stationarity check passed at 0; a later write by the caller
+    # must not move the minimizer, nor make the caller's array read-only.
+    q = quadratic(1.0)
+    m = np.zeros(shape)
+    f = SectorFunction(1, 1.0, 1.0, m, q.value, q.gradient)
+    m[0] = 3.0
+    assert f.minimizer.tolist() == [0.0]
+    assert m.flags.writeable
 
 
 def test_oscillatory_at_minimizer():
@@ -185,6 +198,22 @@ def test_streamed_scan_equals_one_block(make, n):
         got = sector_membership_scan(f, lo, hi, n, seed)
         _assert_same_scan(got, _one_block_scan(f, lo, hi, n, seed))
     assert np.isnan(got[0])
+
+
+@pytest.mark.parametrize("make", [lambda: oscillatory(1.0, 100.0),
+                                  lambda: diag_quadratic(1.0, 100.0)],
+                         ids=("oscillatory", "diag-quadratic"))
+def test_scan_of_an_overflowing_range_does_not_warn(make):
+    # Squares of +-1e160 overflow, so the residual is NaN by design; the
+    # scan returns the NaN and its point without a numpy warning.
+    f = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sector_membership_scan(f, -1e160, 1e160, 1000, 0)
+    with np.errstate(all="ignore"):
+        want = _one_block_scan(f, -1e160, 1e160, 1000, 0)
+    assert np.isnan(got[0])
+    _assert_same_scan(got, want)
 
 
 def _tied_block(nan_above):

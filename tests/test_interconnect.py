@@ -40,6 +40,15 @@ def _zero_loop(controller, f, xi0, steps):
     return FeedbackLoop(controller, f, zeros, zeros, xi0)
 
 
+@pytest.mark.parametrize("shape", [(1,), (1, 1)])
+def test_a_loop_copies_the_callers_initial_state(shape):
+    xi0 = np.zeros(shape)
+    loop = _zero_loop(gd_realization(0.1), quadratic(1.0), xi0, 3)
+    xi0[0] = 3.0
+    assert loop.xi0.tolist() == [0.0]
+    assert xi0.flags.writeable
+
+
 def test_untransformed_one_step_convergence():
     # alpha = 1/L drives a quadratic to its minimizer in one step.
     loop = _zero_loop(gd_realization(0.01), quadratic(100.0), np.array([1.0]), 3)

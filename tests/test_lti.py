@@ -58,6 +58,19 @@ def test_realization_shape_validation():
         StateSpaceRealization(np.eye(2), np.ones((3, 1)), np.eye(2), np.zeros((2, 1)))
 
 
+def test_a_realization_copies_the_callers_matrices():
+    # C is given flat, as a vector that becomes the one row of C.
+    mats = [np.eye(2), np.ones((2, 1)), np.ones(2), np.zeros((1, 1))]
+    ss = StateSpaceRealization(*mats)
+    for mat in mats:
+        mat[...] = 7.0
+        assert mat.flags.writeable
+    assert_allclose(ss.A, np.eye(2))
+    assert_allclose(ss.B, np.ones((2, 1)))
+    assert_allclose(ss.C, np.ones((1, 2)))
+    assert_allclose(ss.D, np.zeros((1, 1)))
+
+
 def test_simulate_one_step():
     ss = gd_realization(1.0, dim=1)
     states, y = simulate(ss, Signal(np.array([[-1.0]])), np.array([5.0]))

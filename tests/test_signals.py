@@ -81,6 +81,17 @@ def test_samples_are_immutable():
         u.samples[0, 0] = 9.0
 
 
+@pytest.mark.parametrize("shape, order", [((3,), "C"), ((3, 1), "C"), ((2, 2), "F")])
+def test_a_signal_copies_the_callers_array(shape, order):
+    # The caller's array stays writable, and writing to it leaves the
+    # signal's C-ordered samples as they were.
+    samples = np.zeros(shape, order=order)
+    u = Signal(samples)
+    samples[0] = 5.0
+    assert not u.samples.any() and u.samples.flags.c_contiguous
+    assert samples.flags.writeable
+
+
 def test_signal_rejects_higher_rank_arrays():
     with pytest.raises(ShapeError):
         Signal(np.zeros((2, 2, 2)))

@@ -256,8 +256,17 @@ def row_value(f: SectorFunction) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row dot products of two blocks, bitwise ``np.dot`` of each row pair."""
-    return a * b if a.ndim == 1 else np.vecdot(a, b)
+    """Per-row dot products of two blocks, bitwise ``np.dot`` of each row pair.
+
+    A flat block's rows are scalars, whose dot is their product. Rows of
+    width 1 take the flat product too, far cheaper than ``np.vecdot``, plus
+    +0.0, since ``np.vecdot`` sums from +0.0 and so turns -0.0 into +0.0.
+    """
+    if a.ndim == 1:
+        return a * b
+    if a.shape[-1] == 1:
+        return a[..., 0] * b[..., 0] + 0.0
+    return np.vecdot(a, b)
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ the rejected ones backtrack.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -218,10 +219,17 @@ def _search_error(f: SectorFunction, schedule, x) -> LineSearchError:
     )
 
 
-def _converged(g: np.ndarray, tol: float) -> np.ndarray:
-    """The ``GradNorm`` test of each sample, as ``np.linalg.norm`` makes it."""
-    norm = np.abs(g) if g.ndim == 1 else np.sqrt(_row_dot(g, g))
-    return norm < tol
+def _sqrt_bound(tol: float) -> float:
+    """The least double T with sqrt(T) >= tol.
+
+    A correctly rounded sqrt is monotone, so sqrt(y) < tol exactly when y < T.
+    """
+    t = tol * tol
+    while t > 0.0 and math.sqrt(t) >= tol:
+        t = math.nextafter(t, 0.0)
+    while math.sqrt(t) < tol:
+        t = math.nextafter(t, math.inf)
+    return t
 
 
 def _col(t, x: np.ndarray):
@@ -245,14 +253,14 @@ def _backtrack(trial, x: np.ndarray, fx: np.ndarray, start: float, shrink: float
     """
     t = np.full(fx.shape, start)
     failed = ~np.isfinite(fx)
-    if failed.any():
+    if np.count_nonzero(failed):
         rows, tries = np.nonzero(~failed)[0], MAX_BACKTRACKS + 1
         x_new, f_new, g_new = x.copy(), fx.copy(), None
     else:
         ok, x_new, f_new, g_new = trial(slice(None), start)
         rows, tries = np.nonzero(~ok)[0], MAX_BACKTRACKS
-        t[rows] *= shrink
         if rows.size:
+            t[rows] *= shrink
             # f and grad f may be arrays the oracle owns; write into copies.
             f_new = np.array(f_new, dtype=float)
             g_new = None if g_new is None else np.array(g_new, dtype=float)
@@ -282,11 +290,12 @@ def _step_rule(f: SectorFunction, schedule, grad, value):
     the function's fused oracle, and is None without one, for the caller
     to evaluate on the accepted block.
     """
+    # 0-d values multiply a small block faster than floats, to the same bits.
     if isinstance(schedule, FixedAlpha):
-        alpha = schedule.alpha
+        alpha = np.array(schedule.alpha, dtype=float)
         return lambda x, g, fx: (alpha, x - alpha * g, None, None, None)
     if isinstance(schedule, FixedS):
-        s = schedule.s
+        s = np.array(schedule.s, dtype=float)
         return lambda x, g, fx: (s, x - s * grad(s * x), None, None, None)
     p = schedule.params
     c = p.decrease
@@ -300,7 +309,7 @@ def _step_rule(f: SectorFunction, schedule, grad, value):
             # Where <g, g> overflows, c*a*gg is inf at every trial; there
             # the decrease is <c*a*g, g>, finite once a is small enough.
             over = np.isinf(gg)
-            over = over if over.any() else None
+            over = over if np.count_nonzero(over) else None
 
             def trial(rows, a):
                 xr, gr = x[rows], g[rows]
@@ -336,7 +345,7 @@ def _keep(mask, *arrays):
     return [a if a is None else a[mask] for a in arrays]
 
 
-def _run_block(step, grad, value, x0, tol, paired_tol, max_iter, record=None):
+def _run_block(step, grad, value, x0, tol, paired_tol, max_iter, trace=None):
     """Run one method on a block of samples; return per-sample counts and stop codes.
 
     The stopping rules are tested in a fixed order: a gradient norm below
@@ -347,24 +356,31 @@ def _run_block(step, grad, value, x0, tol, paired_tol, max_iter, record=None):
     sample whose iterate turns non-finite or whose line search fails
     leaves at once; it and every sample stopped by the cap count
     ``max_iter``. Stop codes are ``_MET``, ``_PAIRED``, ``_CAP``,
-    ``_NONFINITE`` or ``_FAILED``. ``record(x, g, t)``, for a block of one
-    row, receives the start point with t = None and then each update.
+    ``_NONFINITE`` or ``_FAILED``. A list ``trace``, for a block of one
+    row, gets ``(x, g, t)`` at the start (t None) and after each update.
     Overflow is left to the finiteness tests, so numpy does not warn.
+
+    A one-row block pays mostly numpy's per-call cost: masks are read with
+    ``np.count_nonzero``, finiteness counts finite entries (a sum of finite
+    entries may overflow), and ``GradNorm`` compares <g, g> with ``_sqrt_bound(tol)``.
     """
+    gate = None if tol is None else np.array(tol if x0.ndim == 1 else _sqrt_bound(tol))
+    paired_tol = None if paired_tol is None else np.array(paired_tol)
     counts = np.full(len(x0), max_iter, dtype=np.int64)
     reasons = np.full(len(x0), _MET, dtype=np.int8)
     idx = np.arange(len(x0))
     with np.errstate(over="ignore", invalid="ignore"):
         x, g, g_prev, fx, k = x0, grad(x0), None, None, 0
-        if record is not None:
-            record(x, g, None)
+        if trace is not None:
+            trace.append((x, g, None))
         while True:
-            done = met = None if tol is None else _converged(g, tol)
+            done = met = None if gate is None else (
+                np.abs(g) if g.ndim == 1 else _row_dot(g, g)) < gate
             if paired_tol is not None and g_prev is not None:
                 gsum = g + g_prev
                 paired = _row_dot(gsum, gsum) < paired_tol
                 done = paired if met is None else met | paired
-            if done is not None and done.any():
+            if done is not None and np.count_nonzero(done):
                 counts[idx[done]] = k + 1
                 if paired_tol is not None:
                     reasons[idx[done if met is None else done & ~met]] = _PAIRED
@@ -376,7 +392,8 @@ def _run_block(step, grad, value, x0, tol, paired_tol, max_iter, record=None):
                 fx = value(x)
             k += 1
             t, x, fx, g_new, failed = step(x, g, fx)
-            if not np.isfinite(x).all() or failed is not None and failed.any():
+            if (np.count_nonzero(np.isfinite(x)) < x.size
+                    or failed is not None and np.count_nonzero(failed)):
                 drop = ~np.isfinite(x) if x.ndim == 1 else ~np.isfinite(x).all(axis=1)
                 reasons[idx[drop]] = _NONFINITE
                 if failed is not None:
@@ -384,17 +401,17 @@ def _run_block(step, grad, value, x0, tol, paired_tol, max_iter, record=None):
                     drop |= failed
                 idx, x, g, fx, g_new = _keep(~drop, idx, x, g, fx, g_new)
             g_prev, g = g, grad(x) if g_new is None else g_new
-            if record is not None and idx.size:
-                record(x, g, t)
+            if trace is not None and idx.size:
+                trace.append((x, g, t))
 
 
 def _block_runner(f: SectorFunction, schedule, tol, max_iter, paired_tol=None):
-    """``runner(x0, record=None)``: ``_run_block`` of ``schedule`` on the block ``x0``."""
+    """``runner(x0, trace=None)``: ``_run_block`` of ``schedule`` on the block ``x0``."""
     grad = row_gradient(f)
     value = row_value(f) if isinstance(schedule, (ArmijoAlpha, ArmijoS)) else None
     step = _step_rule(f, schedule, grad, value)
-    return lambda x0, record=None: _run_block(
-        step, grad, value, x0, tol, paired_tol, max_iter, record
+    return lambda x0, trace=None: _run_block(
+        step, grad, value, x0, tol, paired_tol, max_iter, trace
     )
 
 
@@ -434,28 +451,22 @@ def _run_one(f: SectorFunction, x0, schedule, stops: Sequence[StoppingRule]) -> 
     grad_rule, paired_rule, max_rule = _normalize_stops(stops)
     runner = _block_runner(f, schedule, grad_rule and grad_rule.tol, max_rule.cap,
                            paired_rule and paired_rule.tol)
-    iterates, gradients, steps = [], [], []
-
-    def record(x, g, t):
-        iterates.append(x.reshape(-1))
-        gradients.append(g.reshape(-1))
-        if t is not None:
-            steps.append(float(t[0] if isinstance(t, np.ndarray) else t))
-
-    _, (reason,) = runner(x if f.dim == 1 else x[None, :], record)
+    trace = []
+    _, (reason,) = runner(x if f.dim == 1 else x[None, :], trace)
+    iterates, gradients, (_, *steps) = zip(*trace)
     if reason == _NONFINITE:
         raise DivergenceError(
             f"iterate became non-finite after {len(iterates)} updates",
-            last_iterate=iterates[-1].copy(),
+            last_iterate=iterates[-1].reshape(-1).copy(),
         )
     if reason == _FAILED:
-        raise _search_error(f, schedule, iterates[-1])
+        raise _search_error(f, schedule, iterates[-1].reshape(-1))
     return RunTrace(
-        iterates=Signal(iterates),
-        gradients=Signal(gradients),
+        iterates=Signal(np.concatenate(iterates)),
+        gradients=Signal(np.concatenate(gradients)),
         iterations=len(steps),
         termination=list(Termination)[reason],
-        step_history=tuple(steps),
+        step_history=tuple(np.reshape(steps, -1).tolist()),
     )
 
 

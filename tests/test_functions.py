@@ -15,6 +15,8 @@ from passive_gd.functions import (
     _BLOCK_ROWS,
     SectorFunction,
     _cocoercivity_block,
+    _row_dot,
+    _row_norms,
     builtin_function,
     central_difference_gradient,
     diag_quadratic,
@@ -372,6 +374,30 @@ def test_fused_oracle_equals_the_block_callables(values):
     assert dataclasses.replace(f, name="copy")._value_and_gradient is None
     assert quadratic(100.0)._value_and_gradient is None
     assert diag_quadratic(1.0, 100.0)._value_and_gradient is None
+
+
+_WIDTH_ONE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-160, 1e-160, 1.0,
+                    -2.5, 1e200, -1e200, 1.7e308, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_width_one_row_dot_and_norms_equal_vecdot_and_linalg_norm(lead):
+    # Blocks of width-1 rows take the flat product plus +0.0; np.vecdot
+    # sums from +0.0, so -2.5 * 0.0 must come out +0.0, as it does there.
+    # Every pair of edge values (signed zeros, subnormals, overflowing
+    # squares, infinities, NaN) and a seeded draw, as (n, 1) blocks and
+    # as (steps, n, 1) stacks.
+    a, b = (v.reshape(-1) for v in np.meshgrid(_WIDTH_ONE_EDGES, _WIDTH_ONE_EDGES))
+    draw = np.random.default_rng(21).standard_normal((2, 64)) * 10.0 ** np.arange(-4, 4, 0.125)
+    a, b = np.concatenate([a, draw[0]]), np.concatenate([b, draw[1]])
+    n = len(a) // 3 * 3 if lead else len(a)
+    a, b = a[:n].reshape(*lead, -1, 1), b[:n].reshape(*lead, -1, 1)
+    with np.errstate(all="ignore"):
+        assert _same_bits(_row_dot(a, b), np.vecdot(a, b))
+        assert _same_bits(_row_dot(a, a), np.vecdot(a, a))
+        norms = np.array([np.linalg.norm(row) for row in a.reshape(-1, 1)])
+        assert _same_bits(_row_norms(a), norms.reshape(a.shape[:-1]))
+    assert not np.signbit(_row_dot(np.array([[-2.5]]), np.array([[0.0]]))[0])
 
 
 def test_builtin_lookup():

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from passive_gd.errors import (
@@ -18,8 +22,11 @@ from passive_gd.optim import (
     MaxIter,
     PairedGrad,
     Termination,
+    _CAP,
     _MET,
+    _NONFINITE,
     _block_runner,
+    _sqrt_bound,
     armijo_alpha,
     armijo_s,
     default_s_cap,
@@ -337,3 +344,105 @@ def test_max_iter_default_applied():
     trace = gd_run(f, np.array([1.0]), FixedAlpha(0.02), [GradNorm(1e-12), MaxIter(7)])
     assert trace.iterations == 7
     assert len(trace.step_history) == 7
+
+
+def _counted(f):
+    """A copy of ``f`` whose oracles count their calls in ``calls[0]``."""
+    calls = [0]
+
+    def count(oracle):
+        def counted(x):
+            calls[0] += 1
+            return oracle(x)
+        return counted
+
+    copy = SectorFunction(
+        dim=f.dim, m=f.m, L=f.L, minimizer=f.minimizer, value=count(f.value),
+        gradient=count(f.gradient), elementwise_value=count(f.elementwise_value),
+        elementwise_gradient=count(f.elementwise_gradient),
+    )
+    calls[0] = 0  # the constructor's check at the minimizer
+    return copy, calls
+
+
+def test_engine_stops_calling_the_oracle_once_no_row_is_left():
+    # Once its last row leaves, the engine returns. An engine that went on
+    # stepping the empty block would call the oracle up to the cap.
+    f, calls = _counted(oscillatory(1.0, 100.0))
+    with pytest.raises(LineSearchError, match="objective is inf"):
+        gsgd_run(f, np.array([1e160]), ArmijoS(), [GradNorm(1e-12), MaxIter(500)])
+    assert calls[0] <= 5
+    f, calls = _counted(diag_quadratic(1.0, 100.0))
+    with pytest.raises(DivergenceError, match="after 1 updates"):
+        gd_run(f, np.array([1e308, -1e308]), FixedAlpha(0.019), [MaxIter(500)])
+    assert calls[0] <= 5
+    # Every row converges at the first update, so the block is done there.
+    f, calls = _counted(quadratic(1.0))
+    counts, reasons = _block_runner(f, FixedAlpha(1.0), 1e-12, 500)(np.array([1.0, -2.0, 3.0]))
+    assert counts.tolist() == [2, 2, 2] and reasons.tolist() == [_MET] * 3
+    assert calls[0] <= 3
+
+
+def _half_square_norm():
+    """f(x) = ||x||^2 / 2 on R^2, whose gradient is x: a custom function."""
+
+    def value(x):
+        return 0.5 * np.vecdot(x, x)
+
+    def gradient(x):
+        return np.array(x, dtype=float)
+
+    return SectorFunction(dim=2, m=1.0, L=1.0, minimizer=np.zeros(2), value=value,
+                          gradient=gradient, elementwise_value=value,
+                          elementwise_gradient=gradient)
+
+
+def test_finite_rows_whose_sums_overflow_are_not_flagged():
+    # The first two rows sum past the largest double, as does the whole
+    # block, but every entry stays finite, so every row runs to the cap.
+    x0 = np.array([[1.5e308, 1.5e308], [-1.7e308, -1.7e308], [1.7e308, 0.0], [1.0, -1.0]])
+    counts, reasons = _block_runner(_half_square_norm(), FixedAlpha(1e-3), 1e-12, 50)(x0)
+    assert counts.tolist() == [50] * 4 and reasons.tolist() == [_CAP] * 4
+
+
+@pytest.mark.parametrize("f, bad, good", [
+    (quadratic(100.0), [1.7e308, np.inf], [1.0, -3.0, 0.5]),
+    (diag_quadratic(1.0, 100.0), [[1.0, 1.7e308], [np.inf, 1.0]],
+     [[1.0, 1.0], [3.0, -2.0], [-0.5, 0.25]]),
+])
+def test_only_the_rows_that_turn_inf_or_nan_are_flagged(f, bad, good):
+    # The first update makes the first bad row inf and the second NaN
+    # (inf - inf). The good rows keep the counts they get without them.
+    x0 = np.concatenate([np.array(good[:1]), np.array(bad), np.array(good[1:])])
+    runner = _block_runner(f, FixedAlpha(0.019), 1e-12, 5000, paired_tol=1e-20)
+    with np.errstate(all="ignore"):
+        first = x0[1:3] - 0.019 * f.elementwise_gradient(x0[1:3])
+    assert np.isinf(first[0]).any() and np.isnan(first[1]).any()
+    counts, reasons = runner(x0)
+    want_counts, want_reasons = runner(np.array(good))
+    assert reasons[1:3].tolist() == [_NONFINITE] * 2
+    assert np.delete(counts, [1, 2]).tolist() == want_counts.tolist()
+    assert np.delete(reasons, [1, 2]).tolist() == want_reasons.tolist()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(tol=st.floats(min_value=5e-324, max_value=1.7e308, allow_subnormal=True))
+def test_sqrt_bound_is_the_least_square_whose_root_reaches_tol(tol):
+    bound = _sqrt_bound(tol)
+    assert math.sqrt(bound) >= tol
+    assert bound == 0.0 or math.sqrt(math.nextafter(bound, 0.0)) < tol
+
+
+def test_grad_norm_test_of_a_block_equals_the_linalg_norm_test():
+    # Rows whose norms straddle tol by a few ulps stop at the start point
+    # exactly when np.linalg.norm of their gradient is below tol; the tiny
+    # step leaves the others in place, for the cap.
+    rng = np.random.default_rng(5)
+    for tol in (1e-150, 1e-12, 0.3, 7.0, 1e150):
+        angle = rng.uniform(0.0, 2.0 * np.pi, 64)
+        radius = tol * (1.0 + np.finfo(float).eps * rng.integers(-4, 5, 64))
+        x0 = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+        counts, reasons = _block_runner(_half_square_norm(), FixedAlpha(1e-300), tol, 1)(x0)
+        want = [np.linalg.norm(row) < tol for row in x0]
+        assert reasons.tolist() == [_MET if w else _CAP for w in want]
+        assert 0 < sum(want) < 64

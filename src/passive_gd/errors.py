@@ -33,17 +33,7 @@ class AlgebraicLoopError(PassiveGdError):
 
 
 class ConvergenceError(PassiveGdError):
-    """An iterative solver exhausted its iteration budget.
-
-    A solver over the rows of a block names the rows it left unsolved in
-    the ``(n,)`` mask ``unsolved`` and carries the block in ``partial``:
-    every other row holds its solution, an unsolved row its last iterate.
-    """
-
-    def __init__(self, message, unsolved=None, partial=None):
-        super().__init__(message)
-        self.unsolved = unsolved
-        self.partial = partial
+    """An iterative solver exhausted its iteration budget."""
 
 
 class DivergenceError(PassiveGdError):

@@ -2,30 +2,30 @@
 
 The untransformed loop is delay-free only because the controller is
 strictly proper. After the loop transformation both blocks carry the
-feedthrough d, so each step contains an algebraic loop. Wiring algebra
-eliminates the outer pass-through exactly (the inner gradient argument
-v = r2 + C xi is loop-free), which pins the transformed nonlinearity
-input u2 = v - d * grad_shift(v) and gives the output probe =
-grad_shift(v). At the ISP feedthrough d = 1/L every objective keeps that
-algebraic elimination as it stands, so with zero exogenous inputs and a
-zero minimizer, as every built-in has, the loop equals the untransformed
-recursion bit for bit. Below 1/L the transformed output is re-solved
-numerically from the implicit relation y = grad_shift(u2 + d*y). Each
-per-step solve starts at the probe, which solves the relation up to
-rounding, and still iterates to the solver tolerance, so the state
-trajectory inherits that tolerance rather than being copied from the
-untransformed recursion.
+feedthrough d, so each step contains the algebraic loop
+y2 = grad_shift(u2 + d*y2). Wiring algebra solves it exactly: the inner
+gradient argument v = u2 + d*y2 = r2 + C xi is loop-free, so one gradient
+call gives y2 = grad_shift(v), and u2 = v - d*y2. The transformed loop
+takes that elimination on every row, for d = alpha/2 in (0, 1/L]; at
+d = 0 the same step is the untransformed loop, u2 = v. With zero
+exogenous inputs and a zero minimizer, as every built-in has, both equal
+the recursion x <- x - alpha*grad f(x) bit for bit.
 
-The standalone fixed-point iteration contracts with factor d * sup|f''|
-over the region the iterates visit. For the quadratic family that factor
-is d*L, but a sector bound through the minimizer does not cap the second
-derivative, so the oscillatory built-in loses contraction (and the
-implicit relation loses uniqueness) at large amplitude, and at d = 1/L
-wherever f'' reaches L. Below 1/L the loop executor therefore keeps the
-iteration result only when it returns the loop-consistent branch, uses
-the exact linear solve whenever a constant Hessian is available, and
-falls back to the algebraic elimination otherwise; plain iteration from
-grad_shift(u) remains the standalone evaluation route.
+``loop_equivalence_report`` checks the transformation's own claim. It
+runs every row at d = alpha/2 and at d = 0 in one block under shared
+exogenous inputs, and gives the worst distance between the two states,
+which differ only by the rounding of (r2 - d*r1) + d*r1 in v, and the
+worst per-step residual of the implicit relation, which the elimination
+solves up to the rounding of (v - d*y2) + d*y2.
+
+``evaluate_delta_bar`` and ``delta_bar_operator`` evaluate the
+transformed nonlinearity on inputs that no loop produced (the passivity
+margin), so they solve y = grad_shift(u + d*y) by fixed-point iteration.
+It contracts with factor d * sup|f''| over the region the iterates visit.
+For the quadratic family that factor is d*L, but a sector bound through
+the minimizer does not cap the second derivative, so at large amplitude
+the oscillatory built-in may lose contraction (and the relation its
+uniqueness).
 
 The transformed loop, its equivalence report and evaluate_delta_bar take
 a point, or an ``(n, dim)`` block of rows with one alpha and d per row;
@@ -181,28 +181,24 @@ def _solve_fixed_point(
     u: np.ndarray,
     tol: float,
     max_iter: int,
-    y: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve y = grad_shift(u + d*y) for every row of the ``(n, dim)`` block ``u``.
 
-    ``d`` is one feedthrough for every row, or one per row, ``(n,)``.
-    ``y`` holds the start rows; by default each row starts at
-    grad_shift(u). Each row stops on its own once its update is within
-    ``tol`` and leaves the active set; the others keep iterating. Rows still active after ``max_iter`` iterations raise
-    ConvergenceError, whose ``unsolved`` and ``partial`` give the others'
-    solutions.
+    ``d`` is one feedthrough per row, ``(n,)``. Each row starts at
+    grad_shift(u), stops on its own once its update is within ``tol`` and
+    leaves the active set; the others keep iterating. Rows still active
+    after ``max_iter`` iterations raise ConvergenceError.
     """
     grad = row_gradient(f)
     tol = np.array(float(tol))  # 0-d, as _ONE above
-    # A scalar d stays 0-d; one d per row is a column against the rows.
+    # A feedthrough shared by every row stays 0-d, as delta_bar_operator's
+    # does: a column of it would be multiplied and compacted at every step.
     d = np.asarray(d, dtype=float)
-    if d.ndim:
-        d = d[:, None]
+    d = d[0] if (d == d[0]).all() else d[:, None]
     # The shift to the minimizer is hoisted out of the loop; for the zero
     # minimizer of every built-in, (u + x*) + d*y is bitwise (u + d*y) + x*.
     z = u + f.minimizer
-    if y is None:
-        y = grad(z)
+    y = grad(z)
     n = len(u)
     # Finished rows are copied out and the active block compacted only on
     # iterations where some, but not all, rows finish; a block whose rows
@@ -229,15 +225,9 @@ def _solve_fixed_point(
             if d.ndim:
                 d = d[keep]
         y = y_next
-    if out is None:
-        out = np.empty_like(y)
-    out[rows] = y
-    unsolved = np.zeros(n, dtype=bool)
-    unsolved[rows] = True
     raise ConvergenceError(
         f"fixed point did not reach tol={tol} within {max_iter} iterations "
-        f"for {len(y)} of {n} points",
-        unsolved=unsolved, partial=out,
+        f"for {len(y)} of {n} points"
     )
 
 
@@ -247,51 +237,42 @@ def evaluate_delta_bar(
     u,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    *,
-    y0=None,
 ) -> np.ndarray:
     """Solve y = grad_shift(u + d*y) by fixed-point iteration.
 
     ``u`` is a point with a scalar ``d``, or an ``(n, dim)`` block with
     one feedthrough per row, ``(n,)``, whose rows iterate together and
-    each stop on their own. The iteration starts at ``y0`` (shaped like
-    ``u``) when it is given and at grad_shift(u) otherwise, and stops once
-    an update is within ``tol``. Requires a VSP feedthrough, d < 1/L. That
-    bounds the slope of the gradient only along chords through the
-    minimizer, not f'', so the iteration is guaranteed to contract only
-    for the quadratic family (factor d*L); elsewhere it may raise
-    ConvergenceError, which for a block names the unsolved rows and
-    carries the solved ones (see ``_solve_fixed_point``).
+    each stop on their own. The iteration starts at grad_shift(u) and
+    stops once an update is within ``tol``. Requires a VSP feedthrough,
+    d < 1/L. That bounds the slope of the gradient only along chords
+    through the minimizer, not f'', so the iteration is guaranteed to
+    contract only for the quadratic family (factor d*L); elsewhere it may
+    raise ConvergenceError.
     """
     if np.ndim(d):
         u = _check_block(f, u, len(d))
-        y = None if y0 is None else _check_block(f, y0, len(d))
     else:
         u = f.check_point(u)[None]
-        y = None if y0 is None else f.check_point(y0)[None]
     _check_feedthrough(f, d)
-    y = _solve_fixed_point(f, d, u, tol, max_iter, y=y)
+    y = _solve_fixed_point(f, np.atleast_1d(d), u, tol, max_iter)
     return y if np.ndim(d) else y[0]
-
-
-def _on_branch(y_fp: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """Each row of ``y_fp`` that lies on the probe's branch, else the probe's row."""
-    near = _row_norms(y_fp - probe) <= 1e-6 * (1.0 + _row_norms(probe))
-    return np.where(near[:, None], y_fp, probe)
 
 
 def delta_bar_operator(f: SectorFunction, d: float):
     """Signal-to-signal form of the transformed nonlinearity (memoryless).
 
-    All time steps of a signal are solved together in one fixed point, to
-    ``DEFAULT_TOL`` within ``DEFAULT_MAX_ITER`` iterations.
+    All time steps of a signal are solved together, as one block call of
+    ``evaluate_delta_bar``, to ``DEFAULT_TOL`` within ``DEFAULT_MAX_ITER``
+    iterations.
     """
 
     def apply(u: Signal) -> Signal:
         if u.dim != f.dim:
             raise ShapeError(f"signal dim {u.dim} does not match function dim {f.dim}")
         _check_feedthrough(f, d)
-        return Signal(_solve_fixed_point(f, d, u.samples, DEFAULT_TOL, DEFAULT_MAX_ITER))
+        if not u.horizon:
+            return u
+        return Signal(evaluate_delta_bar(f, np.full(u.horizon, d), u.samples))
 
     return apply
 
@@ -307,27 +288,19 @@ def _loop_rows(f: SectorFunction, alpha, d, x0, steps: int):
         raise ShapeError(f"alpha and d differ in shape: {alpha.shape} vs {d.shape}")
     for a, v in zip(alpha, d):
         _positive("step size", a)
+        if v == 0.0:
+            continue
         _positive("feedthrough", v)
         if not _close(v, a / 2.0):
             raise InvalidParameterError(
-                f"this loop is configured with d = alpha/2; got d={v}, alpha={a}"
+                "this loop is configured with d = alpha/2, or d = 0 for the "
+                f"untransformed loop; got d={v}, alpha={a}"
             )
     _count("steps", steps, 1)
     x0 = _check_block(f, x0, len(alpha)) if block else f.check_point(x0)[None]
     for row in x0:
         _finite("x0", row)
     return alpha.astype(float), d.astype(float), x0
-
-
-def _rows_of(mask: np.ndarray):
-    """An index for the rows under ``mask``: None for no row, a slice for all.
-
-    The slice keeps a block whose rows share one class, the usual case,
-    free of an index copy at every step.
-    """
-    if mask.all():
-        return slice(None)
-    return np.flatnonzero(mask) if mask.any() else None
 
 
 # Overflow is left to the finiteness test on each new state, so numpy
@@ -347,18 +320,18 @@ def run_transformed(
     ``x0`` is a point, with scalar ``alpha`` and ``d``, and the result its
     LoopTrace; or an ``(n, dim)`` block, with ``(n,)`` ``alpha`` and
     ``d``, and the result one LoopTrace per row, every step run once for
-    all rows. The exogenous inputs r1, r2 are shared by the rows. Each
-    row is pinned to d = alpha/2 and runs the controller
-    (I, alpha*I, I, d*I) of ``modified_gd_realization``, whose state is
-    the shifted iterate, so ``x0`` is converted through the minimizer. A
-    row at the ISP feedthrough d = 1/L takes the algebraic elimination for
-    every objective, so with zero exogenous inputs and a zero minimizer its
-    trace equals the recursion x <- x - alpha*grad f(x) bit for bit. A row
-    below 1/L re-solves its per-step loop: exactly through I - d*H for the
-    quadratic family, and otherwise by fixed-point iteration to
-    ``DEFAULT_TOL`` within ``DEFAULT_MAX_ITER`` iterations. A row past 1/L
-    refuses the call. A state that turns non-finite raises DivergenceError,
-    which carries the last finite iterate of the first such row.
+    all rows. The exogenous inputs r1, r2 of the untransformed loop are
+    shared by the rows; a row sees r2_bar = r2 - d*r1. Each row runs the
+    controller (I, alpha*I, I, d*I) of ``modified_gd_realization`` with
+    d = alpha/2, or with d = 0, which is the untransformed loop of
+    ``gd_realization``. Its state is the shifted iterate, so ``x0`` is
+    converted through the minimizer. Every row takes the algebraic
+    elimination of the module docstring, one gradient call per step, so
+    with zero exogenous inputs and a zero minimizer its trace equals the
+    recursion x <- x - alpha*grad f(x) bit for bit. A row past d = 1/L
+    refuses the call. A state that turns non-finite raises
+    DivergenceError, which carries the last finite iterate of the first
+    such row.
     """
     block = np.ndim(alpha) == 1
     alpha, d, x0 = _loop_rows(f, alpha, d, x0, steps)
@@ -375,11 +348,8 @@ def run_transformed(
     # As in _check_feedthrough, the largest d decides whether any row is past 1/L.
     if _feedthrough_class(f.L, d.max()) is Classification.NONE:
         raise ContractionError(
-            f"d*L = {d.max() * f.L} > 1: no certified evaluation scheme for this loop"
+            f"d*L = {d.max() * f.L} > 1: past d = 1/L the transformed loop is not certified"
         )
-    interior = _rows_of(
-        np.array([_feedthrough_class(f.L, v) is Classification.VSP for v in d])
-    )
     u1 = np.empty((steps, n, dim))
     u2 = np.empty((steps, n, dim))
     y2 = np.empty((steps, n, dim))
@@ -387,39 +357,14 @@ def run_transformed(
     states[0] = x0 - f.minimizer
     d_col, alpha_col = d[:, None], alpha[:, None]
     r1_steps = r1.samples[:steps, None]
-    # v is the inner gradient argument; the wiring makes it loop-free:
-    # v = r2_bar + d*r1 + C xi = r2 + C xi, with r2_bar = r2 - d*r1.
+    # v = r2_bar + d*r1 + C xi, with r2_bar = r2 - d*r1; at d = 0 it is r2 + C xi.
     v_offset = (r2.samples[:steps, None] - d_col * r1_steps) + d_col * r1_steps
     grad = row_gradient(f)
-    if f.hessian is not None and interior is not None:
-        loop_matrix = np.eye(dim) - d[interior, None, None] * f.hessian
     for k in range(steps):
         xi = states[k]
         v = v_offset[k] + xi
-        probe = grad(v + f.minimizer)
-        u2[k] = v - d_col * probe
-        # A boundary row keeps the probe, the joint loop solution: there the
-        # implicit relation is not a contraction wherever f'' reaches L (for
-        # the quadratics I - d*H is singular), so only interior rows re-solve.
-        y2[k] = probe
-        if interior is not None:
-            if f.hessian is not None:
-                rhs = u2[k, interior] @ f.hessian.T
-                y2[k, interior] = np.linalg.solve(loop_matrix, rhs[..., None])[..., 0]
-            else:
-                # The implicit relation can be multivalued away from the
-                # minimizer, where local curvature exceeds the sector slope;
-                # a row keeps its iteration result only when it lands on the
-                # loop-consistent branch, and otherwise, or when its solve
-                # misses tolerance, the exact elimination wins. The iteration
-                # starts at the probe, which solves the relation up to
-                # rounding, so a row usually stops after its first update.
-                p = probe[interior]
-                try:
-                    y_fp = evaluate_delta_bar(f, d[interior], u2[k, interior], y0=p)
-                except ConvergenceError as err:
-                    y_fp = np.where(err.unsolved[:, None], p, err.partial)
-                y2[k, interior] = _on_branch(y_fp, p)
+        y2[k] = grad(v + f.minimizer)
+        u2[k] = v - d_col * y2[k]
         u1[k] = r1_steps[k] - y2[k]
         states[k + 1] = xi + alpha_col * u1[k]
         if not np.isfinite(states[k + 1]).all():
@@ -439,25 +384,42 @@ def run_transformed(
     return traces if block else traces[0]
 
 
-def loop_equivalence_report(f: SectorFunction, alpha, x0, steps: int):
-    """Worst deviation between the raw recursion and the transformed loop.
+def loop_equivalence_report(
+    f: SectorFunction,
+    alpha,
+    x0,
+    steps: int,
+    r1: Signal | None = None,
+    r2: Signal | None = None,
+):
+    """The loop transformation's claim, checked on a point or a block of starts.
 
-    Returns max over k <= steps of ||x_direct[k] - (xi_loop[k] + x*)||: a
-    float for a point ``x0`` with scalar ``alpha``, and one deviation per
-    row, ``(n,)``, for an ``(n, dim)`` block with ``(n,)`` ``alpha``, whose
-    rows the recursion steps together.
+    Every row runs at d = alpha/2 and, as the untransformed loop, at d = 0,
+    all in one block call of ``run_transformed`` under the shared
+    exogenous inputs r1, r2 (zero by default). Returns ``(deviation,
+    residual)``: the worst distance max_k ||xi_transformed[k] -
+    xi_untransformed[k]|| between the two states, and the worst per-step
+    implicit-relation residual ||grad_shift(u2 + d*y2) - y2|| / (1 +
+    ||y2||), evaluated after the run in one gradient call over all steps
+    and rows. Each is a float for a point ``x0`` with scalar ``alpha``,
+    and ``(n,)`` for an ``(n, dim)`` block with ``(n,)`` ``alpha``.
     """
     block = np.ndim(alpha) == 1
-    traces = run_transformed(f, alpha, np.divide(alpha, 2.0), x0, steps)
-    if not block:
-        traces = [traces]
-    loop_x = np.stack([t.states.samples for t in traces], axis=1) + f.minimizer
-    direct = np.empty_like(loop_x)
-    # run_transformed has checked x0.
-    direct[0] = np.reshape(x0, loop_x.shape[1:])
-    grad, alpha_col = row_gradient(f), np.reshape(alpha, (-1, 1))
-    for k in range(steps):
-        direct[k + 1] = direct[k] - alpha_col * grad(direct[k])
-    # np.max, unlike max(), keeps a NaN deviation.
-    devs = np.max(_row_norms(direct - loop_x), axis=0)
-    return devs if block else float(devs[0])
+    alpha, d, x0 = _loop_rows(f, alpha, np.divide(alpha, 2.0), x0, steps)
+    n = len(alpha)
+    d = np.concatenate([d, np.zeros(n)])
+    traces = run_transformed(
+        f, np.concatenate([alpha, alpha]), d, np.concatenate([x0, x0]), steps, r1, r2
+    )
+    states, u2, y2 = (
+        np.stack([getattr(t, name).samples for t in traces], axis=1)
+        for name in ("states", "u2", "y2")
+    )
+    y = row_gradient(f)(u2 + d[:, None] * y2 + f.minimizer)
+    relation = _row_norms(y - y2) / (_ONE + _row_norms(y2))
+    # np.max, unlike max(), keeps a NaN, which fails a check on it.
+    devs = np.max(_row_norms(states[:, :n] - states[:, n:]), axis=0)
+    residuals = np.max(np.maximum(relation[:, :n], relation[:, n:]), axis=0)
+    if block:
+        return devs, residuals
+    return float(devs[0]), float(residuals[0])

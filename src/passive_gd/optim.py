@@ -455,8 +455,9 @@ def _run_one(f: SectorFunction, x0, schedule, stops: Sequence[StoppingRule]) -> 
     _, (reason,) = runner(x if f.dim == 1 else x[None, :], trace)
     iterates, gradients, (_, *steps) = zip(*trace)
     if reason == _NONFINITE:
+        n = len(iterates)
         raise DivergenceError(
-            f"iterate became non-finite after {len(iterates)} updates",
+            f"iterate became non-finite after {n} update{'s' * (n != 1)}",
             last_iterate=iterates[-1].reshape(-1).copy(),
         )
     if reason == _FAILED:

@@ -167,7 +167,8 @@ def test_verify_loop_suite_seeded(capsys):
     assert main(["verify", "--suite", "loop", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] suite loop" in out
-    assert "loop vs direct recursion" in out
+    assert "transformed vs untransformed loop with inputs" in out
+    assert "implicit-relation residual" in out
 
 
 def test_verify_unknown_suite(capsys):

@@ -148,8 +148,9 @@ SITES = [
     ("run_untransformed.steps", "steps", _loop, COUNT),
     ("run_transformed.alpha", "step size",
      lambda v: run_transformed(F, v, 0.05, [1.0], 3), POSITIVE),
+    # d = 0 is the untransformed loop, so only a negative or non-finite d is refused.
     ("run_transformed.d", "feedthrough",
-     lambda v: run_transformed(F, 0.1, v, [1.0], 3), POSITIVE),
+     lambda v: run_transformed(F, 0.1, v, [1.0], 3), (NAN, INF, -INF, -1.0)),
     ("run_transformed.steps", "steps",
      lambda v: run_transformed(F, 0.1, 0.05, [1.0], v), COUNT),
     ("run_transformed.x0", "x0", lambda v: run_transformed(F, 0.1, 0.05, [v], 3),
@@ -230,6 +231,8 @@ def test_unknown_suite_raises_an_invalid_parameter_error():
 
 
 def test_a_negative_scheduling_value_and_a_finite_start_point_are_valid():
-    # FixedS refuses only s = 0 and non-finite s; x0 only when not finite.
+    # FixedS refuses only s = 0 and non-finite s; x0 only when not finite;
+    # the loop takes d = 0, the untransformed loop, besides d = alpha/2.
     assert gsgd_run(F, [1.0], FixedS(-0.1), [MaxIter(5)]).iterations >= 1
     assert run_transformed(F, 0.1, 0.05, [-0.0], 3).steps == 3
+    assert run_transformed(F, 0.1, 0.0, [1.0], 3).steps == 3

@@ -211,16 +211,16 @@ def test_delta_bar_operator_empty_signal():
     assert y.samples.shape == (0, 1)
 
 
-def test_a_block_solve_names_its_unsolved_rows():
-    # A NaN row never converges; the error carries the other rows, each
-    # solved at its own feedthrough exactly as its one-row solve.
+def test_a_block_solve_with_a_nan_row_raises():
+    # A NaN row never converges, so the block solve raises and counts it;
+    # without it, each row is solved at its own feedthrough exactly as its
+    # one-row solve.
     f = oscillatory(1.0, 100.0)
     d = np.array([0.005, 0.005, 0.004])
-    with pytest.raises(ConvergenceError) as info:
+    with pytest.raises(ConvergenceError, match="for 1 of 3 points"):
         evaluate_delta_bar(f, d, np.array([[0.1], [np.nan], [-0.2]]))
-    assert info.value.unsolved.tolist() == [False, True, False]
     assert np.array_equal(
-        info.value.partial[[0, 2]],
+        evaluate_delta_bar(f, d[[0, 2]], np.array([[0.1], [-0.2]])),
         [evaluate_delta_bar(f, 0.005, [0.1]), evaluate_delta_bar(f, 0.004, [-0.2])],
     )
 
@@ -244,14 +244,21 @@ def test_run_transformed_boundary_trace_regression():
 
 
 def test_run_transformed_matches_untransformed_for_quadratic():
+    # A d = 0 row is the strictly proper loop of gd_realization, under the
+    # same exogenous inputs, bit for bit; without inputs so is a d = alpha/2
+    # row.
     f = quadratic(100.0)
+    rng = np.random.default_rng(4)
     x0 = np.array([1.0])
-    loop = _zero_loop(gd_realization(0.01), f, x0.copy(), 20)
-    plain = run_untransformed(loop, 20)
+    r1, r2 = (Signal(rng.standard_normal((20, 1))) for _ in range(2))
+    plain = run_untransformed(FeedbackLoop(gd_realization(0.01), f, r1, r2, x0), 20)
+    untransformed = run_transformed(f, 0.01, 0.0, x0, 20, r1, r2)
+    for name in ("u1", "y1", "u2", "y2", "states"):
+        assert np.array_equal(getattr(untransformed, name).samples,
+                              getattr(plain, name).samples)
+    plain = run_untransformed(_zero_loop(gd_realization(0.01), f, x0, 20), 20)
     transformed = run_transformed(f, 0.01, 0.005, x0, 20)
-    assert_allclose(
-        transformed.states.samples, plain.states.samples, atol=1e-11
-    )
+    assert np.array_equal(transformed.states.samples, plain.states.samples)
 
 
 def test_run_transformed_stationary_at_minimizer():
@@ -293,17 +300,19 @@ def test_run_transformed_wiring_with_exogenous_inputs():
 
 
 def test_loop_equivalence_examples():
-    assert loop_equivalence_report(
-        quadratic(100.0), 0.01, np.array([7.0]), 100
-    ) <= 1e-9
-    assert loop_equivalence_report(
-        oscillatory(1.0, 100.0), 0.01, np.array([5.0]), 50
-    ) <= 1e-9
-    assert loop_equivalence_report(quadratic(100.0), 0.02, np.zeros(1), 50) == 0.0
-    # Boundary step size: x2 never converges, equivalence is still algebraic.
-    assert loop_equivalence_report(
-        diag_quadratic(1.0, 100.0), 0.02, np.array([1.0, 1.0]), 100
-    ) <= 1e-9
+    # Without exogenous inputs the two loops are the same recursion bit
+    # for bit, and the elimination solves the implicit relation to rounding.
+    cases = [
+        (quadratic(100.0), 0.01, [7.0], 100),
+        (oscillatory(1.0, 100.0), 0.01, [5.0], 50),
+        (quadratic(100.0), 0.02, [0.0], 50),
+        # Boundary step size: x2 never converges, equivalence is still algebraic.
+        (diag_quadratic(1.0, 100.0), 0.02, [1.0, 1.0], 100),
+    ]
+    for f, alpha, x0, steps in cases:
+        dev, residual = loop_equivalence_report(f, alpha, np.array(x0), steps)
+        assert dev == 0.0
+        assert residual <= 1e-15
 
 
 def test_run_transformed_boundary_nonquadratic_small_amplitude():
@@ -319,13 +328,18 @@ def test_run_transformed_boundary_nonquadratic_small_amplitude():
 
 
 def test_loop_equivalence_large_amplitude():
+    # Far from the minimizer f'' of the oscillatory built-in grows like
+    # L|x|/2, and the residual with it: the rounding of v is read through
+    # that slope.
     f = oscillatory(1.0, 100.0)
     rng = np.random.default_rng(21)
     for _ in range(5):
         alpha = float(rng.uniform(0.05, 0.95)) * 2.0 / f.L
         x0 = rng.uniform(-5e4, 5e4, 1)
-        dev = loop_equivalence_report(f, alpha, x0, 100)
-        assert dev <= 1e-9 * (1.0 + np.linalg.norm(x0))
+        r1, r2 = (Signal(rng.standard_normal((100, 1))) for _ in range(2))
+        dev, residual = loop_equivalence_report(f, alpha, x0, 100, r1, r2)
+        assert dev <= 1e-12 * (1.0 + np.linalg.norm(x0))
+        assert residual <= 1e-14 * (1.0 + np.linalg.norm(x0))
 
 
 def test_transformation_invariance_random_configs():
@@ -334,8 +348,10 @@ def test_transformation_invariance_random_configs():
         for _ in range(5):
             alpha = float(rng.uniform(0.05, 0.95)) * 2.0 / f.L
             x0 = rng.uniform(-50.0, 50.0, f.dim)
-            dev = loop_equivalence_report(f, alpha, x0, 100)
-            assert dev <= 1e-9 * (1.0 + np.linalg.norm(x0))
+            r1, r2 = (Signal(rng.standard_normal((100, f.dim))) for _ in range(2))
+            dev, residual = loop_equivalence_report(f, alpha, x0, 100, r1, r2)
+            assert dev <= 1e-12 * (1.0 + np.linalg.norm(x0))
+            assert residual <= 1e-12
 
 
 def test_loop_horizon_validation():
@@ -354,8 +370,6 @@ def test_block_shape_validation():
         (lambda: run_transformed(f, alpha, alpha / 2.0, np.ones((3, 1)), 3), "expected \\(2, 1\\)"),
         (lambda: loop_equivalence_report(f, alpha, np.ones(2), 3), "expected \\(2, 1\\)"),
         (lambda: evaluate_delta_bar(f, alpha / 2.0, np.ones((2, 2))), "expected \\(2, 1\\)"),
-        (lambda: evaluate_delta_bar(f, alpha / 2.0, np.ones((2, 1)), y0=np.ones(2)),
-         "expected \\(2, 1\\)"),
         (lambda: run_transformed(f, np.array([]), np.array([]), np.ones((0, 1)), 3),
          "at least one row"),
     ]
@@ -366,20 +380,24 @@ def test_block_shape_validation():
 
 @pytest.mark.parametrize("seed", [65, 73, 135, 175])
 def test_loop_suite_passes_on_high_gain_seeds(seed):
-    # On these seeds the direct map's gain |1 - alpha f''(x)| multiplies a
-    # per-step solve error over 100 steps; a solve started away from the
-    # loop solution left errors of about 1e-13 that grew past 1e-9.
+    # On these seeds the direct map's gain |1 - alpha f''(x)| is largest; it
+    # multiplies, over 100 steps, the rounding by which the gradient
+    # arguments of the transformed and the untransformed loop differ.
     (report,) = run_suite("loop", seed)
     assert report.passed, [(c.label, c.value) for c in report.checks]
 
 
-# Loop check values recorded while each draw still ran as its own loop.
-# On seeds 2 and 39 some oscillatory solves miss tolerance and fall back to
-# the probe; 65 is a seed where the direct map's gain is large.
+# Loop check values, in suite order: per built-in, the two loops' worst
+# state distance divided by 1 + |x0|, then the worst implicit-relation
+# residual. On seeds 2 and 39 the re-solve of the transformed relation
+# used to miss tolerance; 65 is a seed where the direct map's gain is large.
 _LOOP_CHECK_VALUES = {
-    2: [4.626729478911077e-16, 3.312299229522603e-15, 1.1427734144735296e-15],
-    39: [3.4337730744898546e-22, 1.8328089804780514e-15, 7.210205336611184e-16],
-    65: [4.770026943899628e-12, 2.66885526899902e-15, 4.983800801516352e-16],
+    2: [5.3110038698672726e-18, 1.2468906070872427e-15, 0.0, 2.1920970296759703e-16,
+        5.291678585371825e-18, 1.6189434145927058e-16],
+    39: [0.0, 9.97149719931394e-16, 2.855004534831433e-19, 1.9756081964411494e-16,
+         1.802551334152796e-17, 1.921142166689162e-16],
+    65: [9.51179774995865e-17, 1.1602624066372575e-15, 7.37298006585864e-17,
+         2.197637567310493e-16, 1.5959489844481016e-17, 1.9969404174744783e-16],
 }
 
 
@@ -395,88 +413,87 @@ def test_run_suite_rejects_a_negative_seed():
             run_suite(name, -1)
 
 
-def test_loop_suite_one_point_solves_converge(monkeypatch):
+def test_the_loop_suite_makes_no_fixed_point_solve(monkeypatch):
     # verify seed 3 reaches amplitudes where the oscillatory relation has
-    # several solutions; started at the probe, every row of every block
-    # solve still converges: 8 draws x 100 steps.
-    solve = interconnect._solve_fixed_point
-    outcomes = []
+    # several solutions; the elimination needs no solve to pick one.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the loop suite started a fixed-point solve")
 
-    def recording(f, d, u, *args, **kwargs):
-        try:
-            y = solve(f, d, u, *args, **kwargs)
-        except ConvergenceError as err:
-            outcomes.extend(~err.unsolved)
-            raise
-        outcomes.extend([True] * len(u))
-        return y
-
-    monkeypatch.setattr(interconnect, "_solve_fixed_point", recording)
+    monkeypatch.setattr(interconnect, "_solve_fixed_point", no_solve)
     (report,) = run_suite("loop", 3)
     assert report.passed
-    assert len(outcomes) == 8 * 100 and all(outcomes)
 
 
-def test_run_transformed_starts_each_solve_at_the_probe(monkeypatch):
-    # The per-step solve of a block goes through the module attribute
-    # evaluate_delta_bar, once per step for all rows, each row started at
-    # its own probe; a wrapper installed there, as the benchmark's traced
-    # pass does, sees every solve.
-    evaluate = interconnect.evaluate_delta_bar
+def test_the_loop_takes_one_gradient_call_per_step():
+    # One call for all rows of a block, d = alpha/2 and d = 0 rows alike.
+    base = oscillatory(1.0, 100.0)
     calls = []
 
-    def recording(f, d, u, *args, **kwargs):
-        calls.append((np.array(d), np.array(u), kwargs.get("y0")))
-        return evaluate(f, d, u, *args, **kwargs)
+    def gradient(x):
+        calls.append(np.shape(x))
+        return base.gradient(x)
 
-    monkeypatch.setattr(interconnect, "evaluate_delta_bar", recording)
-    f = oscillatory(1.0, 100.0)
+    f = SectorFunction(dim=1, m=1.0, L=100.0, minimizer=np.zeros(1), value=base.value,
+                       gradient=gradient, elementwise_gradient=gradient)
+    calls.clear()
     alpha = np.array([0.012, 0.017, 0.006])
-    traces = run_transformed(f, alpha, alpha / 2.0, np.array([[37.0], [-4.0], [0.5]]), 25)
-    assert len(calls) == 25
-    for k, (d, u, y0) in enumerate(calls):
-        assert np.array_equal(d, alpha / 2.0)
-        for i, trace in enumerate(traces):
-            assert np.array_equal(u[i], trace.u2.samples[k])
-            assert np.array_equal(y0[i], shifted_gradient(f, trace.states.samples[k]))
+    run_transformed(f, alpha, np.array([0.006, 0.0, 0.003]),
+                    np.array([[37.0], [-4.0], [0.5]]), 25)
+    assert calls == [(3, 1)] * 25
+
+
+def test_the_report_reaches_the_loop_through_its_module_attribute(monkeypatch):
+    # loop_equivalence_report makes one block call of run_transformed: each
+    # row at d = alpha/2, then again at d = 0, under the caller's inputs. A
+    # wrapper installed on the module attribute, as the benchmark's traced
+    # pass does, sees that call.
+    run, calls = interconnect.run_transformed, []
+
+    def recording(f, alpha, d, x0, steps, r1, r2):
+        calls.append((alpha, d, x0, steps, r1, r2))
+        return run(f, alpha, d, x0, steps, r1, r2)
+
+    monkeypatch.setattr(interconnect, "run_transformed", recording)
+    f = diag_quadratic(1.0, 100.0)
+    alpha, x0 = np.array([0.01, 0.015]), np.array([[1.0, -2.0], [3.0, 4.0]])
+    r1, r2 = Signal(np.ones((10, 2))), Signal(np.full((10, 2), -0.5))
+    loop_equivalence_report(f, alpha, x0, 10, r1, r2)
+    ((a, d, x, steps, r1_seen, r2_seen),) = calls
+    assert a.tolist() == [0.01, 0.015, 0.01, 0.015]
+    assert d.tolist() == [0.005, 0.0075, 0.0, 0.0]
+    assert x.tolist() == [[1.0, -2.0], [3.0, 4.0], [1.0, -2.0], [3.0, 4.0]]
+    assert (steps, r1_seen, r2_seen) == (10, r1, r2)
 
 
 _BUILTINS = [oscillatory(1.0, 100.0), quadratic(100.0), diag_quadratic(1.0, 100.0)]
 
 
 @pytest.mark.parametrize("f", _BUILTINS, ids=lambda f: f.name)
-def test_block_rows_equal_one_row_calls_bit_for_bit(f, monkeypatch):
-    # Verify seed 2's fourth oscillatory draw, whose solve misses tolerance
-    # once and falls back to the probe, three VSP rows and an alpha = 2/L
-    # (ISP) row, under shared nonzero exogenous inputs.
+def test_block_rows_equal_one_row_calls_bit_for_bit(f):
+    # Verify seed 2's fourth oscillatory draw, whose re-solve of the
+    # implicit relation used to miss tolerance, three VSP rows, one of them
+    # at d = 0, and an alpha = 2/L (ISP) row, under shared nonzero
+    # exogenous inputs.
     rng = np.random.default_rng(17)
     alpha = np.array([0.004382219320598861, *rng.uniform(0.1, 1.9, 3) / f.L, 2.0 / f.L])
+    d = alpha / 2.0
+    d[2] = 0.0
     x0 = np.vstack([np.full(f.dim, -44.48533726669318),
                     rng.uniform(-50.0, 50.0, (3, f.dim)), np.full(f.dim, 3.0)])
     rng = np.random.default_rng(5)
     r1 = Signal(1e-3 * rng.standard_normal((100, f.dim)))
     r2 = Signal(1e-3 * rng.standard_normal((100, f.dim)))
-    solve, misses = interconnect._solve_fixed_point, []
-
-    def recording(*args, **kwargs):
-        try:
-            return solve(*args, **kwargs)
-        except ConvergenceError as err:
-            misses.append(err.unsolved)
-            raise
-
-    monkeypatch.setattr(interconnect, "_solve_fixed_point", recording)
-    traces = run_transformed(f, alpha, alpha / 2.0, x0, 100, r1, r2)
-    if f.hessian is None:
-        assert [m.tolist() for m in misses] == [[True, False, False, False]]
+    traces = run_transformed(f, alpha, d, x0, 100, r1, r2)
     assert len(traces) == 5
-    for a, x, trace in zip(alpha, x0, traces):
-        one = run_transformed(f, a, a / 2.0, x, 100, r1, r2)
+    for a, v, x, trace in zip(alpha, d, x0, traces):
+        one = run_transformed(f, a, v, x, 100, r1, r2)
         for name in ("u1", "y1", "u2", "y2", "states"):
             assert np.array_equal(getattr(trace, name).samples, getattr(one, name).samples)
-    devs = loop_equivalence_report(f, alpha, x0, 100)
-    assert devs.shape == (5,)
-    assert devs.tolist() == [loop_equivalence_report(f, a, x, 100) for a, x in zip(alpha, x0)]
+    devs, residuals = loop_equivalence_report(f, alpha, x0, 100, r1, r2)
+    assert devs.shape == residuals.shape == (5,)
+    assert list(zip(devs.tolist(), residuals.tolist())) == [
+        loop_equivalence_report(f, a, x, 100, r1, r2) for a, x in zip(alpha, x0)
+    ]
 
 
 @pytest.mark.parametrize("f", _BUILTINS, ids=lambda f: f.name)
@@ -568,3 +585,45 @@ def test_the_loop_at_two_over_l_is_the_recursion_bit_for_bit(f, exponents, signs
     else:
         for trace, run in zip(run_transformed(f, alphas, alphas / 2.0, x0, steps), runs):
             _assert_loop_is_the_recursion(trace, run)
+
+
+_EQUIVALENCE_FUNCTIONS = st.one_of(
+    st.sampled_from(_BUILTINS),
+    st.builds(
+        lambda m, ratio: oscillatory(m, m * ratio),
+        st.floats(0.01, 10.0), st.floats(1.5, 1e3),
+    ),
+    st.builds(quadratic, st.floats(0.01, 1e3)),
+    st.builds(
+        lambda m, ratio: diag_quadratic(m, m * ratio),
+        st.floats(0.01, 10.0), st.floats(1.01, 1e3),
+    ),
+)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    f=_EQUIVALENCE_FUNCTIONS,
+    frac=st.one_of(st.just(1.0), st.floats(1e-6, 1.0)),
+    x0=st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 60),
+)
+def test_the_transformed_loop_is_the_untransformed_one_to_rounding(f, frac, x0, seed, steps):
+    # Under seeded exogenous inputs, for any alpha <= 2/L: the elimination
+    # solves the implicit relation up to the rounding of (v - d*y2) + d*y2,
+    # read through the slope of the gradient; and the rows at d = alpha/2
+    # follow the rows at d = 0 up to the rounding of (r2 - d*r1) + d*r1,
+    # carried by the map x - alpha*grad f(x). That map does not expand on
+    # the quadratic family, so the state bound is checked there; on the
+    # oscillatory family f'' grows with |x|, and the map can expand that
+    # rounding past any fixed multiple of it.
+    alpha = frac * 2.0 / f.L
+    rng = np.random.default_rng(seed)
+    r1, r2 = (Signal(rng.standard_normal((steps, f.dim))) for _ in range(2))
+    x0 = np.array(x0[: f.dim])
+    dev, residual = loop_equivalence_report(f, alpha, x0, steps, r1, r2)
+    with np.errstate(divide="ignore"):
+        assert residual <= np.divide(1e-12, 1.0 - alpha / 2.0 * f.L)
+    if f.hessian is not None:
+        assert dev <= 1e-12 * (1.0 + np.linalg.norm(x0))

@@ -16,37 +16,87 @@ def _failed_labels(report):
 
 
 def test_a_nan_loop_deviation_fails_the_loop_check(monkeypatch):
-    # One block call of 8 draws per built-in; a NaN deviation for the
-    # third oscillatory draw fails the oscillatory check alone.
+    # One block call of 8 draws per built-in under 100 steps of shared
+    # inputs; a NaN deviation for the third oscillatory draw, or a NaN
+    # residual for the fifth quadratic one, fails that check alone.
     calls = []
 
-    def third_draw_nan(f, alpha, x0, steps):
-        calls.append((f.name, alpha.shape, x0.shape, steps))
-        devs = np.zeros(len(alpha))
+    def one_nan(f, alpha, x0, steps, r1, r2):
+        calls.append((f.name, alpha.shape, x0.shape, steps, r1.samples.shape, r2.samples.shape))
+        devs, residuals = np.zeros(len(alpha)), np.zeros(len(alpha))
         if f.name == "oscillatory":
             devs[2] = math.nan
-        return devs
+        if f.name == "quadratic":
+            residuals[4] = math.nan
+        return devs, residuals
 
-    monkeypatch.setattr(verify, "loop_equivalence_report", third_draw_nan)
+    monkeypatch.setattr(verify, "loop_equivalence_report", one_nan)
     report = verify.suite_loop(0)
-    assert calls == [("oscillatory", (8,), (8, 1), 100), ("quadratic", (8,), (8, 1), 100),
-                     ("diag-quadratic", (8,), (8, 2), 100)]
-    assert _failed_labels(report) == ["oscillatory: loop vs direct recursion"]
+    assert calls == [("oscillatory", (8,), (8, 1), 100, (100, 1), (100, 1)),
+                     ("quadratic", (8,), (8, 1), 100, (100, 1), (100, 1)),
+                     ("diag-quadratic", (8,), (8, 2), 100, (100, 2), (100, 2))]
+    assert _failed_labels(report) == ["oscillatory: transformed vs untransformed loop with inputs",
+                                      "quadratic: implicit-relation residual"]
     assert math.isnan(report.checks[0].value)
     assert not report.passed
 
 
 def test_a_nan_state_makes_the_loop_deviation_nan(monkeypatch):
+    # A NaN in the transformed row's state or output makes that row's
+    # deviation or residual NaN.
     real = interconnect.run_transformed
 
-    def nan_state(*args):
-        trace = real(*args)
-        states = trace.states.samples.copy()
-        states[4] = np.nan
-        return dataclasses.replace(trace, states=Signal(states))
+    def nan_in(name):
+        def run(*args):
+            first, *rest = real(*args)
+            samples = getattr(first, name).samples.copy()
+            samples[4] = np.nan
+            return [dataclasses.replace(first, **{name: Signal(samples)}), *rest]
+        return run
 
-    monkeypatch.setattr(interconnect, "run_transformed", nan_state)
-    assert math.isnan(interconnect.loop_equivalence_report(quadratic(100.0), 0.01, [1.0], 10))
+    f = quadratic(100.0)
+    monkeypatch.setattr(interconnect, "run_transformed", nan_in("states"))
+    dev, residual = interconnect.loop_equivalence_report(f, 0.01, [1.0], 10)
+    assert math.isnan(dev) and residual == 0.0
+    monkeypatch.setattr(interconnect, "run_transformed", nan_in("y2"))
+    dev, residual = interconnect.loop_equivalence_report(f, 0.01, [1.0], 10)
+    assert dev == 0.0 and math.isnan(residual)
+
+
+_LOOP_LABELS = ["oscillatory", "quadratic", "diag-quadratic"]
+
+
+def test_the_residual_check_fails_on_an_output_off_by_one_part_in_1e9(monkeypatch):
+    # Negative control: every loop output y2 scaled by 1 + 1e-9 no longer
+    # solves y2 = grad_shift(u2 + d*y2); the states, and so the state
+    # check, are untouched.
+    real = interconnect.run_transformed
+
+    def perturbed(*args):
+        return [dataclasses.replace(t, y2=Signal(t.y2.samples * (1.0 + 1e-9)))
+                for t in real(*args)]
+
+    monkeypatch.setattr(interconnect, "run_transformed", perturbed)
+    report = verify.suite_loop(0)
+    assert _failed_labels(report) == [f"{name}: implicit-relation residual"
+                                      for name in _LOOP_LABELS]
+
+
+def test_the_input_check_fails_when_the_loop_drops_the_add_back(monkeypatch):
+    # Negative control: a loop whose gradient argument is v = r2_bar + C xi,
+    # without the + d*r1 that the transformation adds back, runs each row as
+    # the correct loop under r2 - d*r1.
+    real = interconnect.run_transformed
+
+    def no_add_back(f, alpha, d, x0, steps, r1, r2):
+        return [real(f, a, v, x, steps, r1, Signal(r2.samples - v * r1.samples))
+                for a, v, x in zip(alpha, d, x0)]
+
+    monkeypatch.setattr(interconnect, "run_transformed", no_add_back)
+    report = verify.suite_loop(0)
+    assert _failed_labels(report) == [
+        f"{name}: transformed vs untransformed loop with inputs" for name in _LOOP_LABELS
+    ]
 
 
 def test_a_nan_finite_difference_fails_the_sector_check(monkeypatch):

@@ -9,7 +9,6 @@ from .bench import (
     run_monte_carlo,
 )
 from .errors import (
-    AlgebraicLoopError,
     ContractionError,
     ConvergenceError,
     DegenerateSectorError,
@@ -28,26 +27,15 @@ from .functions import (
     row_gradient,
     row_value,
     sector_membership_scan,
-    shifted_gradient,
 )
 from .interconnect import (
-    FeedbackLoop,
     LoopTrace,
     delta_bar_operator,
     evaluate_delta_bar,
     loop_equivalence_report,
     run_transformed,
-    run_untransformed,
 )
-from .lti import (
-    PositiveRealCertificate,
-    StateSpaceRealization,
-    gd_passivity_certificate,
-    gd_realization,
-    modified_gd_realization,
-    positive_real_check,
-    simulate,
-)
+from .lti import PositiveRealCertificate, gd_passivity_certificate
 from .optim import (
     ArmijoAlpha,
     ArmijoParams,
@@ -59,8 +47,6 @@ from .optim import (
     PairedGrad,
     RunTrace,
     Termination,
-    armijo_alpha,
-    armijo_s,
     gd_run,
     gsgd_run,
 )
@@ -74,12 +60,6 @@ from .passivity import (
     nabla_indices,
     transformed_indices,
 )
-from .signals import (
-    Signal,
-    inner_product_truncated,
-    norm_sq_truncated,
-    random_unit_energy,
-    truncate,
-)
+from .signals import Signal, random_unit_energy
 
 __version__ = "0.1.0"

@@ -160,12 +160,13 @@ def _cmd_run(args) -> int:
             raise InvalidParameterError("loop mode needs --alpha")
         trace = run_transformed(f, args.alpha, args.alpha / 2.0, x0, args.steps)
         if args.trace:
+            # The last row holds the final state alone; its u1 .. y2 cells are blank.
             columns = {}
-            for name, sig in zip(("u1", "y1", "u2", "y2", "state"),
-                                 (trace.u1, trace.y1, trace.u2, trace.y2, trace.states)):
-                columns.update(_columns(name, sig.samples, indexed=sig.dim > 1))
-            _write_columns(args.trace, columns, trace.steps)
-        final = trace.states.samples[-1] + f.minimizer
+            for name, a in zip(("u1", "y1", "u2", "y2", "state"),
+                               (trace.u1, trace.y1, trace.u2, trace.y2, trace.states)):
+                columns.update(_columns(name, a, indexed=f.dim > 1))
+            _write_columns(args.trace, columns, trace.steps + 1)
+        final = trace.states[-1] + f.minimizer
         doc = {
             "mode": "loop",
             "steps": trace.steps,

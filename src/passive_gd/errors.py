@@ -13,7 +13,7 @@ class ShapeError(PassiveGdError):
 
 
 class HorizonError(PassiveGdError):
-    """A truncation or inner-product horizon exceeds the stored samples."""
+    """An inner-product horizon is below one sample."""
 
 
 class InvalidParameterError(PassiveGdError):
@@ -26,10 +26,6 @@ class ContractionError(PassiveGdError):
 
 class DegenerateSectorError(PassiveGdError):
     """An operation requires strict sector separation (m < L) but m == L."""
-
-
-class AlgebraicLoopError(PassiveGdError):
-    """A feedback loop has an unresolvable instantaneous dependency."""
 
 
 class ConvergenceError(PassiveGdError):

@@ -30,7 +30,6 @@ __all__ = [
     "diag_quadratic",
     "builtin_function",
     "BUILTIN_NAMES",
-    "shifted_gradient",
     "row_gradient",
     "row_value",
     "sector_membership_scan",
@@ -210,12 +209,6 @@ def builtin_function(name: str, m: float, L: float) -> SectorFunction:
     raise InvalidParameterError(
         f"unknown function {name!r}; choose from {', '.join(BUILTIN_NAMES)}"
     )
-
-
-def shifted_gradient(f: SectorFunction, u) -> np.ndarray:
-    """Gradient evaluated at ``u + minimizer``; maps zero to zero."""
-    u = f.check_point(u)
-    return np.asarray(f.gradient(u + f.minimizer), dtype=float)
 
 
 def row_gradient(f: SectorFunction) -> Callable[[np.ndarray], np.ndarray]:

@@ -1,11 +1,12 @@
 """Negative feedback loops coupling an LTI controller with a gradient block.
 
-The untransformed loop is delay-free only because the controller is
-strictly proper. After the loop transformation both blocks carry the
-feedthrough d, so each step contains the algebraic loop
-y2 = grad_shift(u2 + d*y2). Wiring algebra solves it exactly: the inner
-gradient argument v = u2 + d*y2 = r2 + C xi is loop-free, so one gradient
-call gives y2 = grad_shift(v), and u2 = v - d*y2. The transformed loop
+The controller is the fixed-step update (I, alpha*I, I, d*I). The
+untransformed loop, d = 0, is delay-free only because it is strictly
+proper. After the loop transformation both blocks carry the feedthrough
+d, so each step contains the algebraic loop y2 = grad_shift(u2 + d*y2).
+Wiring algebra solves it exactly: the inner gradient argument
+v = u2 + d*y2 = r2 + C xi is loop-free, so one gradient call gives
+y2 = grad_shift(v), and u2 = v - d*y2. The transformed loop
 takes that elimination on every row, for d = alpha/2 in (0, 1/L]; at
 d = 0 the same step is the untransformed loop, u2 = v. With zero
 exogenous inputs and a zero minimizer, as every built-in has, both equal
@@ -30,7 +31,8 @@ uniqueness).
 The transformed loop, its equivalence report and evaluate_delta_bar take
 a point, or an ``(n, dim)`` block of rows with one alpha and d per row;
 every step of a block runs once for all rows, and each row's result is
-bitwise that of its point. A point is the block's one-row case.
+bitwise that of its point. A point is the block's one-row case: its
+``LoopTrace`` holds row 0 of the block's arrays.
 
 Which side of 1/L the feedthrough is on is decided by the verdict's rule,
 ``passivity._feedthrough_class``.
@@ -43,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AlgebraicLoopError,
     ContractionError,
     ConvergenceError,
     DivergenceError,
@@ -53,15 +54,12 @@ from .errors import (
     _finite,
     _positive,
 )
-from .functions import SectorFunction, _row_norms, row_gradient, shifted_gradient
-from .lti import StateSpaceRealization
+from .functions import SectorFunction, _row_norms, row_gradient
 from .passivity import Classification, _close, _feedthrough_class
 from .signals import Signal
 
 __all__ = [
-    "FeedbackLoop",
     "LoopTrace",
-    "run_untransformed",
     "evaluate_delta_bar",
     "delta_bar_operator",
     "run_transformed",
@@ -77,77 +75,20 @@ _ULP_FLOOR = np.array(8.0 * np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
-class FeedbackLoop:
-    """Controller and gradient block with exogenous inputs r1, r2."""
-
-    controller: StateSpaceRealization
-    function: SectorFunction
-    r1: Signal
-    r2: Signal
-    xi0: np.ndarray
-
-    def __post_init__(self):
-        ss = self.controller
-        if not (ss.n_inputs == ss.n_outputs == self.function.dim):
-            raise ShapeError(
-                f"controller is {ss.n_outputs}x{ss.n_inputs} but the function "
-                f"has dimension {self.function.dim}"
-            )
-        if self.r1.horizon != self.r2.horizon:
-            raise ShapeError(
-                f"r1 and r2 horizons differ: {self.r1.horizon} vs {self.r2.horizon}"
-            )
-        if self.r1.dim != self.function.dim or self.r2.dim != self.function.dim:
-            raise ShapeError("exogenous inputs must match the loop dimension")
-        xi = np.array(self.xi0, dtype=float).reshape(-1)
-        if xi.shape != (ss.n_states,):
-            raise ShapeError(f"xi0 has shape {xi.shape}, expected ({ss.n_states},)")
-        xi.setflags(write=False)
-        object.__setattr__(self, "xi0", xi)
-
-
-@dataclass(frozen=True)
 class LoopTrace:
-    """Per-step loop signals; ``states`` includes the final state."""
+    """The loop's signals as read-only arrays, ``(steps, dim)`` for a point
+    and ``(steps, n, dim)`` for a block; ``states`` is one step longer, its
+    last entry the final state."""
 
-    u1: Signal
-    y1: Signal
-    u2: Signal
-    y2: Signal
-    states: Signal
-    steps: int
+    u1: np.ndarray
+    y1: np.ndarray
+    u2: np.ndarray
+    y2: np.ndarray
+    states: np.ndarray
 
-
-def run_untransformed(loop: FeedbackLoop, steps: int) -> LoopTrace:
-    """Execute the strictly proper loop step by step."""
-    ss = loop.controller
-    if not ss.is_strictly_proper:
-        raise AlgebraicLoopError(
-            "controller has nonzero feedthrough, so the loop is delay-free "
-            "in both directions; use run_transformed instead"
-        )
-    _count("steps", steps, 1)
-    if loop.r1.horizon < steps:
-        raise ShapeError(
-            f"exogenous horizon {loop.r1.horizon} is shorter than {steps} steps"
-        )
-    dim = loop.function.dim
-    u1 = np.empty((steps, dim))
-    y1 = np.empty((steps, dim))
-    u2 = np.empty((steps, dim))
-    y2 = np.empty((steps, dim))
-    states = np.empty((steps + 1, ss.n_states))
-    states[0] = loop.xi0
-    for k in range(steps):
-        y1[k] = ss.C @ states[k]
-        u2[k] = loop.r2.samples[k] + y1[k]
-        y2[k] = shifted_gradient(loop.function, u2[k])
-        u1[k] = loop.r1.samples[k] - y2[k]
-        states[k + 1] = ss.A @ states[k] + ss.B @ u1[k]
-    return LoopTrace(
-        u1=Signal(u1), y1=Signal(y1), u2=Signal(u2), y2=Signal(y2),
-        states=Signal(states), steps=steps,
-    )
+    @property
+    def steps(self) -> int:
+        return len(self.u1)
 
 
 def _check_feedthrough(f: SectorFunction, d):
@@ -317,15 +258,15 @@ def run_transformed(
 ):
     """Simulate the loop-transformed interconnection for ``steps`` steps.
 
-    ``x0`` is a point, with scalar ``alpha`` and ``d``, and the result its
-    LoopTrace; or an ``(n, dim)`` block, with ``(n,)`` ``alpha`` and
-    ``d``, and the result one LoopTrace per row, every step run once for
-    all rows. The exogenous inputs r1, r2 of the untransformed loop are
-    shared by the rows; a row sees r2_bar = r2 - d*r1. Each row runs the
-    controller (I, alpha*I, I, d*I) of ``modified_gd_realization`` with
-    d = alpha/2, or with d = 0, which is the untransformed loop of
-    ``gd_realization``. Its state is the shifted iterate, so ``x0`` is
-    converted through the minimizer. Every row takes the algebraic
+    ``x0`` is a point, with scalar ``alpha`` and ``d``, and the result a
+    LoopTrace of ``(steps, dim)`` arrays; or an ``(n, dim)`` block, with
+    ``(n,)`` ``alpha`` and ``d``, and the result one LoopTrace of
+    ``(steps, n, dim)`` arrays, every step run once for all rows. The
+    exogenous inputs r1, r2 of the untransformed loop are shared by the
+    rows; a row sees r2_bar = r2 - d*r1. Each row runs the controller
+    (I, alpha*I, I, d*I) with d = alpha/2, or with d = 0, which is the
+    untransformed, strictly proper loop. Its state is the shifted
+    iterate, so ``x0`` is converted through the minimizer. Every row takes the algebraic
     elimination of the module docstring, one gradient call per step, so
     with zero exogenous inputs and a zero minimizer its trace equals the
     recursion x <- x - alpha*grad f(x) bit for bit. A row past d = 1/L
@@ -374,14 +315,10 @@ def run_transformed(
                 last_iterate=xi[row] + f.minimizer,
             )
     y1 = states[:-1] + d_col * u1
-    traces = [
-        LoopTrace(
-            u1=Signal(u1[:, i]), y1=Signal(y1[:, i]), u2=Signal(u2[:, i]),
-            y2=Signal(y2[:, i]), states=Signal(states[:, i]), steps=steps,
-        )
-        for i in range(n)
-    ]
-    return traces if block else traces[0]
+    signals = (u1, y1, u2, y2, states)
+    for a in signals:
+        a.setflags(write=False)
+    return LoopTrace(*(signals if block else (a[:, 0] for a in signals)))
 
 
 def loop_equivalence_report(
@@ -408,16 +345,14 @@ def loop_equivalence_report(
     alpha, d, x0 = _loop_rows(f, alpha, np.divide(alpha, 2.0), x0, steps)
     n = len(alpha)
     d = np.concatenate([d, np.zeros(n)])
-    traces = run_transformed(
+    trace = run_transformed(
         f, np.concatenate([alpha, alpha]), d, np.concatenate([x0, x0]), steps, r1, r2
     )
-    states, u2, y2 = (
-        np.stack([getattr(t, name).samples for t in traces], axis=1)
-        for name in ("states", "u2", "y2")
-    )
-    y = row_gradient(f)(u2 + d[:, None] * y2 + f.minimizer)
+    y2 = trace.y2
+    y = row_gradient(f)(trace.u2 + d[:, None] * y2 + f.minimizer)
     relation = _row_norms(y - y2) / (_ONE + _row_norms(y2))
     # np.max, unlike max(), keeps a NaN, which fails a check on it.
+    states = trace.states
     devs = np.max(_row_norms(states[:, :n] - states[:, n:]), axis=0)
     residuals = np.max(np.maximum(relation[:, :n], relation[:, n:]), axis=0)
     if block:

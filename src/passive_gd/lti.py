@@ -1,76 +1,28 @@
-"""Discrete-time LTI blocks and positive-real passivity certificates.
+"""Positive-real passivity certificates for the gradient-descent controller.
 
-The two controller realizations used throughout are scalar multiples of
-identity blocks, so the certificate search is restricted to the family
-P = p*I, for which p = 1/alpha is the unique feasible shape.
+The controller of the loop-transformed update is (I, alpha*I, I, d*I), a
+scalar multiple of identity blocks, so the certificate search is
+restricted to the family P = p*I, for which p = 1/alpha is the unique
+feasible shape.
 
 The positive-real test runs on a stack of realizations at once: one
 broadcast block matrix and one ``eigvalsh`` call for the whole stack.
-``positive_real_check`` is its one-matrix case, and
 ``gd_passivity_certificate`` takes a pair of scalars or of ``(n,)``
 arrays, the scalar pair being the one-row case of the arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
 import numpy as np
 
-from .errors import ShapeError, _positive, _positive_entries
-from .signals import Signal
+from .errors import ShapeError, _positive_entries
 
 __all__ = [
-    "StateSpaceRealization",
     "PositiveRealCertificate",
-    "gd_realization",
-    "modified_gd_realization",
-    "simulate",
-    "positive_real_check",
     "gd_passivity_certificate",
 ]
-
-
-@dataclass(frozen=True)
-class StateSpaceRealization:
-    """An (A, B, C, D) quadruple for xi[k+1] = A xi[k] + B u[k], y = C xi + D u."""
-
-    A: np.ndarray = field(repr=False)
-    B: np.ndarray = field(repr=False)
-    C: np.ndarray = field(repr=False)
-    D: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        for name in ("A", "B", "C", "D"):
-            mat = np.atleast_2d(np.array(getattr(self, name), dtype=float))
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
-        n = self.A.shape[0]
-        if self.A.shape != (n, n):
-            raise ShapeError(f"A must be square, got {self.A.shape}")
-        if self.B.shape[0] != n:
-            raise ShapeError(f"B must have {n} rows, got {self.B.shape}")
-        if self.C.shape[1] != n:
-            raise ShapeError(f"C must have {n} columns, got {self.C.shape}")
-        if self.D.shape != (self.C.shape[0], self.B.shape[1]):
-            raise ShapeError(
-                f"D must be {self.C.shape[0]}x{self.B.shape[1]}, got {self.D.shape}"
-            )
-
-    @property
-    def n_states(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.C.shape[0]
-
-    @property
-    def is_strictly_proper(self) -> bool:
-        return bool(np.all(self.D == 0.0))
 
 
 @dataclass(frozen=True)
@@ -80,43 +32,6 @@ class PositiveRealCertificate:
     p_scalar: float
     max_eigenvalue_M: float
     feasible: bool
-
-
-def gd_realization(alpha: float, dim: int = 1) -> StateSpaceRealization:
-    """Strictly proper controller (I, alpha*I, I, 0) of the fixed-step update."""
-    _positive("step size", alpha)
-    eye = np.eye(dim)
-    return StateSpaceRealization(eye, alpha * eye, eye, np.zeros((dim, dim)))
-
-
-def modified_gd_realization(alpha: float, d: float, dim: int = 1) -> StateSpaceRealization:
-    """Loop-transformed controller (I, alpha*I, I, d*I) with feedthrough d > 0."""
-    _positive("step size", alpha)
-    _positive("feedthrough", d)
-    eye = np.eye(dim)
-    return StateSpaceRealization(eye, alpha * eye, eye, d * eye)
-
-
-def simulate(ss: StateSpaceRealization, u: Signal, xi0) -> tuple[Signal, Signal]:
-    """Run the recursion over the input horizon.
-
-    Returns ``(states, y)`` where ``states`` has horizon ``u.horizon + 1``
-    (it includes the final state) and ``y`` has horizon ``u.horizon``.
-    """
-    if u.dim != ss.n_inputs:
-        raise ShapeError(f"input dim {u.dim} does not match B columns {ss.n_inputs}")
-    xi = np.asarray(xi0, dtype=float).reshape(-1)
-    if xi.shape != (ss.n_states,):
-        raise ShapeError(f"xi0 has shape {xi.shape}, expected ({ss.n_states},)")
-    T = u.horizon
-    states = np.empty((T + 1, ss.n_states))
-    outputs = np.empty((T, ss.n_outputs))
-    states[0] = xi
-    for k in range(T):
-        uk = u.samples[k]
-        outputs[k] = ss.C @ states[k] + ss.D @ uk
-        states[k + 1] = ss.A @ states[k] + ss.B @ uk
-    return Signal(states), Signal(outputs)
 
 
 def _t(M: np.ndarray) -> np.ndarray:
@@ -142,7 +57,12 @@ def _block_matrix(A, B, C, D, p: np.ndarray) -> np.ndarray:
 
 def _positive_real(A, B, C, D, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The positive-real test on a stack of realizations: ``(k,)`` arrays of
-    the verdicts and of the largest eigenvalues."""
+    the verdicts and of the largest eigenvalues.
+
+    Each block matrix is symmetrized before the eigenvalue computation and
+    its semidefiniteness threshold is scaled by its largest entry, so exact
+    boundary cases survive rounding.
+    """
     if B.shape[-1] != C.shape[-2]:
         raise ShapeError(
             f"positive-real test needs a square system, got {B.shape[-1]} inputs "
@@ -154,23 +74,6 @@ def _positive_real(A, B, C, D, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     max_eig = np.linalg.eigvalsh(M)[:, -1]
     tol = 1e-10 * (1.0 + np.max(np.abs(M), axis=(-2, -1)))
     return max_eig <= tol, max_eig
-
-
-def positive_real_check(
-    ss: StateSpaceRealization, p_scalar: float
-) -> tuple[bool, float]:
-    """Test whether P = p_scalar*I makes the positive-real block matrix <= 0.
-
-    The matrix is symmetrized before the eigenvalue computation and the
-    semidefiniteness threshold is scaled by its largest entry, so exact
-    boundary cases survive rounding. This is the one-matrix case of the
-    stacked test behind ``gd_passivity_certificate``.
-    """
-    p = np.atleast_1d(p_scalar)
-    if p.shape != (1,):
-        raise ShapeError(f"p_scalar must be a scalar, got shape {np.shape(p_scalar)}")
-    feasible, max_eig = _positive_real(ss.A[None], ss.B[None], ss.C[None], ss.D[None], p)
-    return bool(feasible[0]), float(max_eig[0])
 
 
 def gd_passivity_certificate(

@@ -10,8 +10,7 @@ coordinate oscillates forever.
 Every iteration and every Armijo search runs in one batched engine over
 a block of start points, a flat ``(n,)`` array for one-dimensional
 functions and ``(n, dim)`` otherwise: ``gd_run``/``gsgd_run`` run it on
-one row and record the trace, ``armijo_alpha``/``armijo_s`` run one of
-its searches on one row, and ``bench`` runs it on blocks of samples.
+one row and record the trace, and ``bench`` runs it on blocks of samples.
 
 An Armijo trial gives f and grad f at its trial point, and the accepted
 trial is the next iterate, so the update reuses both. A function with a
@@ -48,8 +47,6 @@ __all__ = [
     "RunTrace",
     "gd_run",
     "gsgd_run",
-    "armijo_alpha",
-    "armijo_s",
     "default_s_cap",
 ]
 
@@ -413,35 +410,6 @@ def _block_runner(f: SectorFunction, schedule, tol, max_iter, paired_tol=None):
     return lambda x0, trace=None: _run_block(
         step, grad, value, x0, tol, paired_tol, max_iter, trace
     )
-
-
-def _one_search(f: SectorFunction, x, schedule) -> float:
-    """The value that the engine's search of ``schedule`` accepts at ``x``."""
-    x = f.check_point(x)
-    grad, value = row_gradient(f), row_value(f)
-    block = x if f.dim == 1 else x[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = grad(block)
-        if _row_dot(g, g)[0] == 0.0:
-            raise InvalidParameterError("line search requires a nonzero gradient")
-        t, *_, failed = _step_rule(f, schedule, grad, value)(block, g, value(block))
-    if failed[0]:
-        raise _search_error(f, schedule, x)
-    return float(t[0])
-
-
-def armijo_alpha(f: SectorFunction, x, params: ArmijoParams) -> float:
-    """Largest trial*shrink^j satisfying the sufficient-decrease condition."""
-    return _one_search(f, x, ArmijoAlpha(params))
-
-
-def armijo_s(f: SectorFunction, x, params: ArmijoParams, cap: float) -> float:
-    """Backtrack scheduling values from the cap under a composite decrease test.
-
-    Accepts s when f(x - s*grad(s*x)) <= f(x) - c*s*<grad(x), grad(s*x)>.
-    The returned value lies in (0, cap].
-    """
-    return _one_search(f, x, ArmijoS(params, cap))
 
 
 def _run_one(f: SectorFunction, x0, schedule, stops: Sequence[StoppingRule]) -> RunTrace:

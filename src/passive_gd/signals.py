@@ -1,20 +1,16 @@
-"""Finite-horizon discrete-time signals and truncated inner products."""
+"""Finite-horizon discrete-time signals, and the column writer behind ``run --trace``."""
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
-from .errors import HorizonError, ShapeError, _count
+from .errors import ShapeError, _count
 
 __all__ = [
     "Signal",
-    "truncate",
-    "inner_product_truncated",
-    "norm_sq_truncated",
     "random_unit_energy",
 ]
 
@@ -50,39 +46,6 @@ class Signal:
     @staticmethod
     def zeros(dim: int, horizon: int) -> "Signal":
         return Signal(np.zeros((horizon, dim)))
-
-
-def truncate(u: Signal, T: int) -> Signal:
-    """Return the first ``T`` samples of ``u`` as a new signal."""
-    if isinstance(T, Real) and T < 0:
-        raise HorizonError(f"truncation horizon must be non-negative, got {T}")
-    _count("truncation horizon", T, 0)
-    if T > u.horizon:
-        raise HorizonError(f"truncation horizon {T} exceeds stored horizon {u.horizon}")
-    return Signal(u.samples[:T])
-
-
-def _check_pair(u: Signal, y: Signal, T: int):
-    if u.dim != y.dim:
-        raise ShapeError(f"signal dimensions differ: {u.dim} vs {y.dim}")
-    if isinstance(T, Real) and T < 1:
-        raise HorizonError(f"inner-product horizon must be positive, got {T}")
-    _count("inner-product horizon", T, 0)
-    if T > u.horizon or T > y.horizon:
-        raise HorizonError(
-            f"horizon {T} exceeds stored horizons ({u.horizon}, {y.horizon})"
-        )
-
-
-def inner_product_truncated(u: Signal, y: Signal, T: int) -> float:
-    """Sum of sample-wise inner products over time steps 0 .. T-1."""
-    _check_pair(u, y, T)
-    return float(np.sum(u.samples[:T] * y.samples[:T]))
-
-
-def norm_sq_truncated(u: Signal, T: int) -> float:
-    """Truncated energy of ``u``, i.e. the inner product of ``u`` with itself."""
-    return inner_product_truncated(u, u, T)
 
 
 def random_unit_energy(dim: int, horizon: int, count: int, seed: int) -> list[Signal]:

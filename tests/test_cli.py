@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import passive_gd
 from passive_gd.cli import main
 from passive_gd.bench import default_config
-from passive_gd.functions import oscillatory
+from passive_gd.functions import builtin_function, oscillatory
 from passive_gd.optim import ArmijoAlpha, ArmijoParams, GradNorm, MaxIter, gd_run
 
 
@@ -71,7 +71,8 @@ def test_run_loop_mode_writes_loop_trace(tmp_path, capsys):
     with open(trace_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["k", "u1", "y1", "u2", "y2", "state"]
-    assert len(rows) == 21
+    # 20 steps and the final state, after the header.
+    assert len(rows) == 22
 
 
 def test_run_loop_mode_two_dimensional_columns(tmp_path):
@@ -89,7 +90,51 @@ def test_run_loop_mode_two_dimensional_columns(tmp_path):
         "u1_0", "u1_1", "y1_0", "y1_1", "u2_0", "u2_1",
         "y2_0", "y2_1", "state_0", "state_1",
     ]
-    assert len(rows) == 6
+    assert len(rows) == 7
+
+
+@pytest.mark.parametrize("function, x0, alpha", [
+    ("oscillatory", [2.0], 0.01),
+    ("diag-quadratic", [1.0, 1.0], 0.015),
+])
+def test_run_loop_mode_trace_holds_the_recursion_and_the_wiring(tmp_path, function, x0, alpha):
+    # Row k holds the iterate x_k of x <- x - alpha*grad f(x) as the state,
+    # y2 = grad f(state), u1 = -y2, u2 = state - d*y2 and y1 = state + d*u1
+    # at d = alpha/2, each as .17g text; the row after the last step holds
+    # the final state alone.
+    steps, d = 12, alpha / 2.0
+    path = tmp_path / "loop.csv"
+    assert main([
+        "run", "--function", function, "--m", "1", "--L", "100",
+        "--x0", ",".join(map(str, x0)), "--alpha", str(alpha), "--mode", "loop",
+        "--steps", str(steps), "--trace", str(path),
+    ]) == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    f = builtin_function(function, 1.0, 100.0)
+    assert len(rows) == steps + 1
+
+    def cells(row, name):
+        return [row[name if f.dim == 1 else f"{name}_{i}"] for i in range(f.dim)]
+
+    def text(values):
+        return [f"{v:.17g}" for v in values]
+
+    x = np.array(x0)
+    for k, row in enumerate(rows):
+        assert row["k"] == str(k)
+        assert cells(row, "state") == text(x)
+        if k == steps:
+            for name in ("u1", "y1", "u2", "y2"):
+                assert cells(row, name) == [""] * f.dim
+            break
+        y2 = f.gradient(x)
+        u1 = -y2
+        assert cells(row, "y2") == text(y2)
+        assert cells(row, "u1") == text(u1)
+        assert cells(row, "u2") == text(x - d * y2)
+        assert cells(row, "y1") == text(x + d * u1)
+        x = x - alpha * y2
 
 
 def test_run_paired_gradient_rule_via_cli(capsys):

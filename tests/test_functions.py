@@ -23,7 +23,6 @@ from passive_gd.functions import (
     oscillatory,
     quadratic,
     sector_membership_scan,
-    shifted_gradient,
 )
 from passive_gd.verify import suite_sector
 
@@ -94,21 +93,6 @@ def test_diag_quadratic_examples():
     assert_allclose(g.gradient(np.array([2.0, 0.0])), [2.0, 0.0])
     with pytest.raises(InvalidParameterError):
         diag_quadratic(2.0, 2.0)
-
-
-def test_shifted_gradient_maps_zero_to_zero():
-    for f in (oscillatory(1.0, 100.0), quadratic(100.0), diag_quadratic(1.0, 100.0)):
-        assert_allclose(shifted_gradient(f, np.zeros(f.dim)), np.zeros(f.dim))
-    assert shifted_gradient(quadratic(100.0), np.array([1.0]))[0] == 100.0
-    assert_allclose(
-        shifted_gradient(diag_quadratic(1.0, 100.0), np.array([1.0, 1.0])),
-        [1.0, 100.0],
-    )
-
-
-def test_shifted_gradient_shape_error():
-    with pytest.raises(ShapeError):
-        shifted_gradient(quadratic(1.0), np.array([1.0, 2.0]))
 
 
 def _residual_at(f, x):

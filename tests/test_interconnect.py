@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,101 +9,79 @@ from scipy.optimize import brentq
 
 import passive_gd.interconnect as interconnect
 from passive_gd.errors import (
-    AlgebraicLoopError,
     ContractionError,
     ConvergenceError,
     DivergenceError,
     InvalidParameterError,
     ShapeError,
 )
-from passive_gd.functions import (
-    SectorFunction,
-    diag_quadratic,
-    oscillatory,
-    quadratic,
-    shifted_gradient,
-)
+from passive_gd.functions import SectorFunction, diag_quadratic, oscillatory, quadratic
 from passive_gd.interconnect import (
-    FeedbackLoop,
+    LoopTrace,
     delta_bar_operator,
     evaluate_delta_bar,
     loop_equivalence_report,
     run_transformed,
-    run_untransformed,
 )
-from passive_gd.lti import gd_realization, modified_gd_realization
 from passive_gd.optim import FixedAlpha, MaxIter, gd_run
 from passive_gd.signals import Signal
 from passive_gd.verify import run_suite
 
 
-def _zero_loop(controller, f, xi0, steps):
-    zeros = Signal.zeros(f.dim, steps)
-    return FeedbackLoop(controller, f, zeros, zeros, xi0)
+def _row(trace, i):
+    """Row ``i`` of a block trace, as the trace of a point."""
+    return LoopTrace(*(getattr(trace, fl.name)[:, i] for fl in dataclasses.fields(trace)))
 
 
 @pytest.mark.parametrize("shape", [(1,), (1, 1)])
 def test_a_loop_copies_the_callers_initial_state(shape):
-    xi0 = np.zeros(shape)
-    loop = _zero_loop(gd_realization(0.1), quadratic(1.0), xi0, 3)
-    xi0[0] = 3.0
-    assert loop.xi0.tolist() == [0.0]
-    assert xi0.flags.writeable
+    # A (1,) start is a point and a (1, 1) start a block of one row; either
+    # way the trace shares no memory with the caller's start, which stays
+    # writable, and its arrays are read-only.
+    x0 = np.ones(shape)
+    alpha = 0.1 if len(shape) == 1 else np.array([0.1])
+    trace = run_transformed(quadratic(1.0), alpha, np.multiply(alpha, 0.5), x0, 3)
+    x0[...] = 3.0
+    assert trace.states[0].reshape(-1).tolist() == [1.0]
+    assert x0.flags.writeable
+    for fl in dataclasses.fields(trace):
+        a = getattr(trace, fl.name)
+        assert not np.shares_memory(a, x0)
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_untransformed_one_step_convergence():
     # alpha = 1/L drives a quadratic to its minimizer in one step.
-    loop = _zero_loop(gd_realization(0.01), quadratic(100.0), np.array([1.0]), 3)
-    trace = run_untransformed(loop, 3)
-    assert_allclose(trace.states.samples[:3], [[1.0], [0.0], [0.0]], atol=1e-15)
+    trace = run_transformed(quadratic(100.0), 0.01, 0.0, np.array([1.0]), 3)
+    assert_allclose(trace.states[:3], [[1.0], [0.0], [0.0]], atol=1e-15)
 
 
 def test_untransformed_zero_equilibrium():
-    loop = _zero_loop(gd_realization(0.02), quadratic(100.0), np.zeros(1), 5)
-    trace = run_untransformed(loop, 5)
-    for sig in (trace.u1, trace.y1, trace.u2, trace.y2):
-        assert_allclose(sig.samples, np.zeros((5, 1)))
-    assert_allclose(trace.states.samples, np.zeros((6, 1)))
+    trace = run_transformed(quadratic(100.0), 0.02, 0.0, np.zeros(1), 5)
+    for a in (trace.u1, trace.y1, trace.u2, trace.y2):
+        assert_allclose(a, np.zeros((5, 1)))
+    assert_allclose(trace.states, np.zeros((6, 1)))
 
 
 def test_untransformed_oscillation_at_double_step():
-    loop = _zero_loop(gd_realization(0.02), quadratic(100.0), np.array([1.0]), 6)
-    trace = run_untransformed(loop, 6)
+    trace = run_transformed(quadratic(100.0), 0.02, 0.0, np.array([1.0]), 6)
     expected = [[(-1.0) ** k] for k in range(7)]
-    assert_allclose(trace.states.samples, expected, atol=1e-14)
-
-
-def test_untransformed_rejects_feedthrough():
-    loop = _zero_loop(
-        modified_gd_realization(0.02, 0.01), quadratic(100.0), np.zeros(1), 3
-    )
-    with pytest.raises(AlgebraicLoopError):
-        run_untransformed(loop, 3)
+    assert_allclose(trace.states, expected, atol=1e-14)
 
 
 def test_untransformed_wiring_identities():
+    # At d = 0 the controller is strictly proper: y1 = xi, u2 = r2 + y1,
+    # u1 = r1 - y2 and y2 = grad f(u2 + x*).
     rng = np.random.default_rng(6)
     f = oscillatory(1.0, 100.0)
-    loop = FeedbackLoop(
-        controller=gd_realization(0.01),
-        function=f,
-        r1=Signal(rng.standard_normal((10, 1))),
-        r2=Signal(rng.standard_normal((10, 1))),
-        xi0=rng.standard_normal(1),
-    )
-    trace = run_untransformed(loop, 10)
-    assert_allclose(
-        trace.u1.samples, loop.r1.samples[:10] - trace.y2.samples, atol=1e-12
-    )
-    assert_allclose(
-        trace.u2.samples, loop.r2.samples[:10] + trace.y1.samples, atol=1e-12
-    )
+    r1, r2 = (Signal(rng.standard_normal((10, 1))) for _ in range(2))
+    trace = run_transformed(f, 0.01, 0.0, rng.standard_normal(1), 10, r1, r2)
+    assert_allclose(trace.u1, r1.samples - trace.y2, atol=1e-12)
+    assert_allclose(trace.u2, r2.samples + trace.y1, atol=1e-12)
+    assert np.array_equal(trace.y1, trace.states[:-1])
     for k in range(10):
-        assert_allclose(
-            trace.y2.samples[k],
-            shifted_gradient(f, trace.u2.samples[k]),
-            atol=1e-12,
-        )
+        assert_allclose(trace.y2[k], f.gradient(trace.u2[k] + f.minimizer), atol=1e-12)
 
 
 def test_delta_bar_zero_fixed_point():
@@ -229,42 +209,44 @@ def test_run_transformed_boundary_trace_regression():
     # alpha = 2/L without a constant Hessian keeps the algebraic elimination
     # every step; the trace was recorded before the solvers were merged.
     trace = run_transformed(oscillatory(1.0, 100.0), 0.02, 0.01, np.array([3.0]), 6)
-    assert trace.states.samples[:, 0].tolist() == [
+    assert trace.states[:, 0].tolist() == [
         3.0, -0.4491264239378059, -0.18855987769902993, -0.03310546687094704,
         -0.0007537593690365302, 6.9751220890807005e-06, -6.97993866956824e-08,
     ]
-    assert trace.y2.samples[:, 0].tolist() == [
+    assert trace.y2[:, 0].tolist() == [
         172.4563211968903, -13.028327311938797, -7.772720541404144,
         -1.6175853750955251, -0.03803672455628054, 0.00035224607378881915,
     ]
-    assert trace.u2.samples[:, 0].tolist() == [
+    assert trace.u2[:, 0].tolist() == [
         1.275436788031097, -0.3188431508184179, -0.11083267228498848,
         -0.016929613119991783, -0.00037339212347372474, 3.452661351192509e-06,
     ]
 
 
 def test_run_transformed_matches_untransformed_for_quadratic():
-    # A d = 0 row is the strictly proper loop of gd_realization, under the
-    # same exogenous inputs, bit for bit; without inputs so is a d = alpha/2
-    # row.
-    f = quadratic(100.0)
+    # A d = 0 row is the strictly proper loop xi <- xi + alpha*(r1 - grad(r2 + xi))
+    # under the same exogenous inputs, bit for bit; without inputs so is a
+    # d = alpha/2 row. Every built-in has a zero minimizer.
     rng = np.random.default_rng(4)
-    x0 = np.array([1.0])
-    r1, r2 = (Signal(rng.standard_normal((20, 1))) for _ in range(2))
-    plain = run_untransformed(FeedbackLoop(gd_realization(0.01), f, r1, r2, x0), 20)
-    untransformed = run_transformed(f, 0.01, 0.0, x0, 20, r1, r2)
-    for name in ("u1", "y1", "u2", "y2", "states"):
-        assert np.array_equal(getattr(untransformed, name).samples,
-                              getattr(plain, name).samples)
-    plain = run_untransformed(_zero_loop(gd_realization(0.01), f, x0, 20), 20)
-    transformed = run_transformed(f, 0.01, 0.005, x0, 20)
-    assert np.array_equal(transformed.states.samples, plain.states.samples)
+    for f in _BUILTINS:
+        x0 = np.linspace(1.0, 2.0, f.dim)
+        r1, r2 = (rng.standard_normal((20, f.dim)) for _ in range(2))
+        zeros = np.zeros((20, f.dim))
+        for d, (e1, e2) in ((0.0, (r1, r2)), (0.005, (zeros, zeros))):
+            trace = run_transformed(f, 0.01, d, x0, 20, Signal(e1), Signal(e2))
+            xi = x0
+            for k in range(20):
+                assert np.array_equal(trace.states[k], xi)
+                y2 = f.gradient(e2[k] + xi)
+                assert np.array_equal(trace.y2[k], y2)
+                xi = xi + 0.01 * (e1[k] - y2)
+            assert np.array_equal(trace.states[20], xi)
 
 
 def test_run_transformed_stationary_at_minimizer():
     f = oscillatory(1.0, 100.0)
     trace = run_transformed(f, 0.01, 0.005, np.zeros(1), 10)
-    assert_allclose(trace.states.samples, np.zeros((11, 1)), atol=1e-14)
+    assert_allclose(trace.states, np.zeros((11, 1)), atol=1e-14)
 
 
 def test_run_transformed_requires_halfstep_feedthrough():
@@ -277,10 +259,8 @@ def test_run_transformed_wiring_identities():
     trace = run_transformed(f, 0.012, 0.006, np.array([3.0]), 30)
     r1 = np.zeros((30, 1))
     r2_bar = np.zeros((30, 1))
-    assert_allclose(trace.u1.samples, r1 - trace.y2.samples, atol=1e-12)
-    assert_allclose(
-        trace.u2.samples, r2_bar + trace.y1.samples, atol=1e-12
-    )
+    assert_allclose(trace.u1, r1 - trace.y2, atol=1e-12)
+    assert_allclose(trace.u2, r2_bar + trace.y1, atol=1e-12)
 
 
 def test_run_transformed_wiring_with_exogenous_inputs():
@@ -291,12 +271,12 @@ def test_run_transformed_wiring_with_exogenous_inputs():
     r2 = Signal(rng.standard_normal((25, 1)))
     trace = run_transformed(f, 2 * d, d, np.array([1.5]), 25, r1=r1, r2=r2)
     r2_bar = r2.samples[:25] - d * r1.samples[:25]
-    assert_allclose(trace.u1.samples, r1.samples[:25] - trace.y2.samples, atol=1e-12)
-    assert_allclose(trace.u2.samples, r2_bar + trace.y1.samples, atol=1e-12)
+    assert_allclose(trace.u1, r1.samples[:25] - trace.y2, atol=1e-12)
+    assert_allclose(trace.u2, r2_bar + trace.y1, atol=1e-12)
     # Controller relations: y1 = xi + d*u1 and xi' = xi + alpha*u1.
-    xi = trace.states.samples
-    assert_allclose(trace.y1.samples, xi[:-1] + d * trace.u1.samples, atol=1e-12)
-    assert_allclose(xi[1:], xi[:-1] + 2 * d * trace.u1.samples, atol=1e-12)
+    xi = trace.states
+    assert_allclose(trace.y1, xi[:-1] + d * trace.u1, atol=1e-12)
+    assert_allclose(xi[1:], xi[:-1] + 2 * d * trace.u1, atol=1e-12)
 
 
 def test_loop_equivalence_examples():
@@ -323,7 +303,7 @@ def test_run_transformed_boundary_nonquadratic_small_amplitude():
     trace = run_transformed(f, 0.02, 0.01, x0, 10)
     x = x0.copy()
     for k in range(11):
-        assert np.array_equal(trace.states.samples[k], x)
+        assert np.array_equal(trace.states[k], x)
         x = x - 0.02 * np.asarray(f.gradient(x))
 
 
@@ -473,7 +453,8 @@ def test_block_rows_equal_one_row_calls_bit_for_bit(f):
     # Verify seed 2's fourth oscillatory draw, whose re-solve of the
     # implicit relation used to miss tolerance, three VSP rows, one of them
     # at d = 0, and an alpha = 2/L (ISP) row, under shared nonzero
-    # exogenous inputs.
+    # exogenous inputs. The block's arrays hold the rows on their second
+    # axis, and row i's arrays are those of its point call.
     rng = np.random.default_rng(17)
     alpha = np.array([0.004382219320598861, *rng.uniform(0.1, 1.9, 3) / f.L, 2.0 / f.L])
     d = alpha / 2.0
@@ -483,12 +464,14 @@ def test_block_rows_equal_one_row_calls_bit_for_bit(f):
     rng = np.random.default_rng(5)
     r1 = Signal(1e-3 * rng.standard_normal((100, f.dim)))
     r2 = Signal(1e-3 * rng.standard_normal((100, f.dim)))
-    traces = run_transformed(f, alpha, d, x0, 100, r1, r2)
-    assert len(traces) == 5
-    for a, v, x, trace in zip(alpha, d, x0, traces):
+    block = run_transformed(f, alpha, d, x0, 100, r1, r2)
+    assert block.steps == 100
+    for fl in dataclasses.fields(block):
+        assert getattr(block, fl.name).shape == (101 if fl.name == "states" else 100, 5, f.dim)
+    for i, (a, v, x) in enumerate(zip(alpha, d, x0)):
         one = run_transformed(f, a, v, x, 100, r1, r2)
-        for name in ("u1", "y1", "u2", "y2", "states"):
-            assert np.array_equal(getattr(trace, name).samples, getattr(one, name).samples)
+        for fl in dataclasses.fields(one):
+            assert np.array_equal(getattr(_row(block, i), fl.name), getattr(one, fl.name))
     devs, residuals = loop_equivalence_report(f, alpha, x0, 100, r1, r2)
     assert devs.shape == residuals.shape == (5,)
     assert list(zip(devs.tolist(), residuals.tolist())) == [
@@ -540,8 +523,8 @@ def _gd_at_boundary(f, x0, steps):
 
 
 def _assert_loop_is_the_recursion(trace, run):
-    assert np.array_equal(trace.states.samples, run.iterates.samples)
-    assert np.array_equal(trace.y2.samples, run.gradients.samples[:-1])
+    assert np.array_equal(trace.states, run.iterates.samples)
+    assert np.array_equal(trace.y2, run.gradients.samples[:-1])
 
 
 _BOUNDARY_FUNCTIONS = st.one_of(
@@ -583,8 +566,9 @@ def test_the_loop_at_two_over_l_is_the_recursion_bit_for_bit(f, exponents, signs
             run_transformed(f, alphas, alphas / 2.0, x0, steps)
         assert any(np.array_equal(err.value.last_iterate, run.last_iterate) for run in diverged)
     else:
-        for trace, run in zip(run_transformed(f, alphas, alphas / 2.0, x0, steps), runs):
-            _assert_loop_is_the_recursion(trace, run)
+        block = run_transformed(f, alphas, alphas / 2.0, x0, steps)
+        for i, run in enumerate(runs):
+            _assert_loop_is_the_recursion(_row(block, i), run)
 
 
 _EQUIVALENCE_FUNCTIONS = st.one_of(

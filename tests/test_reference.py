@@ -295,7 +295,7 @@ def test_loop_steps_are_direct_steps(i, frac, x0):
     f = _BUILTINS[i]
     alpha = frac * 2.0 / f.L
     trace = run_transformed(f, alpha, alpha / 2.0, np.array(x0[: f.dim]), 60)
-    x = trace.states.samples + f.minimizer
+    x = trace.states + f.minimizer
     direct = x[:-1] - alpha * np.array([f.gradient(xk) for xk in x[:-1]])
     defect = np.linalg.norm(x[1:] - direct, axis=1) / (1.0 + np.linalg.norm(x[:-1], axis=1))
     assert np.max(defect) == 0.0

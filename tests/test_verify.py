@@ -8,6 +8,7 @@ import numpy as np
 import passive_gd.interconnect as interconnect
 import passive_gd.verify as verify
 from passive_gd.functions import quadratic
+from passive_gd.interconnect import LoopTrace
 from passive_gd.signals import Signal
 
 
@@ -48,10 +49,10 @@ def test_a_nan_state_makes_the_loop_deviation_nan(monkeypatch):
 
     def nan_in(name):
         def run(*args):
-            first, *rest = real(*args)
-            samples = getattr(first, name).samples.copy()
-            samples[4] = np.nan
-            return [dataclasses.replace(first, **{name: Signal(samples)}), *rest]
+            trace = real(*args)
+            a = getattr(trace, name).copy()
+            a[4, 0] = np.nan
+            return dataclasses.replace(trace, **{name: a})
         return run
 
     f = quadratic(100.0)
@@ -73,8 +74,8 @@ def test_the_residual_check_fails_on_an_output_off_by_one_part_in_1e9(monkeypatc
     real = interconnect.run_transformed
 
     def perturbed(*args):
-        return [dataclasses.replace(t, y2=Signal(t.y2.samples * (1.0 + 1e-9)))
-                for t in real(*args)]
+        trace = real(*args)
+        return dataclasses.replace(trace, y2=trace.y2 * (1.0 + 1e-9))
 
     monkeypatch.setattr(interconnect, "run_transformed", perturbed)
     report = verify.suite_loop(0)
@@ -89,8 +90,10 @@ def test_the_input_check_fails_when_the_loop_drops_the_add_back(monkeypatch):
     real = interconnect.run_transformed
 
     def no_add_back(f, alpha, d, x0, steps, r1, r2):
-        return [real(f, a, v, x, steps, r1, Signal(r2.samples - v * r1.samples))
+        rows = [real(f, a, v, x, steps, r1, Signal(r2.samples - v * r1.samples))
                 for a, v, x in zip(alpha, d, x0)]
+        return LoopTrace(*(np.stack([getattr(t, fl.name) for t in rows], axis=1)
+                           for fl in dataclasses.fields(LoopTrace)))
 
     monkeypatch.setattr(interconnect, "run_transformed", no_add_back)
     report = verify.suite_loop(0)

@@ -24,6 +24,7 @@ from passive_gd.functions import (
     quadratic,
     sector_membership_scan,
 )
+from passive_gd.interconnect import evaluate_delta_bar, run_transformed
 from passive_gd.verify import suite_sector
 
 
@@ -93,6 +94,40 @@ def test_diag_quadratic_examples():
     assert_allclose(g.gradient(np.array([2.0, 0.0])), [2.0, 0.0])
     with pytest.raises(InvalidParameterError):
         diag_quadratic(2.0, 2.0)
+
+
+def _shifted_quadratic(l, x_star):
+    """l*(x - x*)^2/2, a scalar quadratic minimized away from 0."""
+    return SectorFunction(
+        dim=1, m=l, L=l, minimizer=np.array([x_star]),
+        value=lambda x: 0.5 * l * float((x[0] - x_star) ** 2),
+        gradient=lambda x: l * (np.asarray(x, dtype=float) - x_star),
+    )
+
+
+def test_shifted_gradient_maps_zero_to_zero():
+    # The loop's gradient block is the shifted gradient grad f(. + x*): one
+    # untransformed step from x* gives y2 = grad f(0 + x*) = 0.
+    for f in (oscillatory(1.0, 100.0), quadratic(100.0), diag_quadratic(1.0, 100.0),
+              _shifted_quadratic(3.0, 2.0)):
+        trace = run_transformed(f, 0.005, 0.0, f.minimizer, 1)
+        assert_allclose(trace.y2, np.zeros((1, f.dim)))
+        assert_allclose(trace.states[0], np.zeros(f.dim))
+    assert run_transformed(quadratic(100.0), 0.005, 0.0, np.array([1.0]), 1).y2[0, 0] == 100.0
+    assert_allclose(
+        run_transformed(diag_quadratic(1.0, 100.0), 0.005, 0.0, np.ones(2), 1).y2,
+        [[1.0, 100.0]],
+    )
+    # Away from a zero minimizer the shift is what the block evaluates.
+    trace = run_transformed(_shifted_quadratic(3.0, 2.0), 0.005, 0.0, np.array([3.0]), 1)
+    assert trace.states[0, 0] == 1.0 and trace.y2[0, 0] == 3.0
+
+
+def test_shifted_gradient_shape_error():
+    with pytest.raises(ShapeError):
+        run_transformed(quadratic(1.0), 0.5, 0.0, np.array([1.0, 2.0]), 1)
+    with pytest.raises(ShapeError):
+        evaluate_delta_bar(quadratic(1.0), 0.5, np.array([1.0, 2.0]))
 
 
 def _residual_at(f, x):

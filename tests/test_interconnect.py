@@ -254,6 +254,17 @@ def test_run_transformed_requires_halfstep_feedthrough():
         run_transformed(quadratic(100.0), 0.01, 0.004, np.array([1.0]), 5)
 
 
+def test_untransformed_rejects_feedthrough():
+    # A row takes d = 0, the untransformed loop, or the transformation's
+    # d = alpha/2; a block with any other feedthrough is refused whole.
+    f = quadratic(100.0)
+    alpha = np.array([0.02, 0.02, 0.02])
+    run_transformed(f, alpha, np.array([0.0, 0.01, 0.0]), np.ones((3, 1)), 3)
+    for bad in (0.004, 0.02):
+        with pytest.raises(InvalidParameterError, match="d = 0 for the untransformed loop"):
+            run_transformed(f, alpha, np.array([0.0, 0.0, bad]), np.ones((3, 1)), 3)
+
+
 def test_run_transformed_wiring_identities():
     f = oscillatory(1.0, 100.0)
     trace = run_transformed(f, 0.012, 0.006, np.array([3.0]), 30)

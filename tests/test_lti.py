@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 from passive_gd.errors import InvalidParameterError, ShapeError
-from passive_gd.lti import PositiveRealCertificate, _positive_real, gd_passivity_certificate
+from passive_gd.functions import diag_quadratic, quadratic
+from passive_gd.interconnect import run_transformed
+from passive_gd.lti import (
+    PositiveRealCertificate,
+    _block_matrix,
+    _positive_real,
+    gd_passivity_certificate,
+)
+from passive_gd.signals import Signal
 
 
 def _controller(alpha, d, dim=1):
@@ -19,6 +28,76 @@ def _check(A, B, C, D, p):
     """The stacked positive-real test on the one realization in the stacks."""
     feasible, max_eig = _positive_real(A, B, C, D, np.array([p]))
     return bool(feasible[0]), float(max_eig[0])
+
+
+def test_modified_gd_realization():
+    # On the modified controller (I, alpha*I, I, alpha/2*I) the candidate
+    # p = 1/alpha zeroes every block: A'PA - P, A'PB - C' and B'PB - 2d.
+    for alpha in (0.01, 2.0):
+        M = _block_matrix(*_controller(alpha, alpha / 2.0), np.array([1.0 / alpha]))
+        assert_allclose(M, np.zeros((1, 2, 2)), atol=1e-15)
+    M = _block_matrix(*_controller(0.01, 0.003), np.array([100.0]))
+    assert_allclose(M[0], [[0.0, 0.0], [0.0, 0.004]], atol=1e-15)
+    with pytest.raises(InvalidParameterError):
+        gd_passivity_certificate(0.01, 0.0)
+
+
+# The controller's state-space step as the loop runs it: xi' = xi + alpha*u1
+# and y1 = xi + d*u1, with u1 = r1 - y2.
+
+
+def test_simulate_one_step():
+    # y2 = 0.2 * 5 = 1, so u1 = -1 and xi' = 5 - 1.
+    trace = run_transformed(quadratic(0.2), 1.0, 0.0, np.array([5.0]), 1)
+    assert_allclose(trace.u1, [[-1.0]])
+    assert_allclose(trace.states, [[5.0], [4.0]])
+    assert_allclose(trace.y1, [[5.0]])
+
+
+def test_simulate_zero_equilibrium():
+    trace = run_transformed(diag_quadratic(1.0, 2.0), 0.3, 0.15, np.zeros(2), 6)
+    assert_allclose(trace.states, np.zeros((7, 2)))
+    for a in (trace.u1, trace.y1, trace.u2, trace.y2):
+        assert_allclose(a, np.zeros((6, 2)))
+
+
+def test_simulate_feedthrough_at_zero_state():
+    # At xi = 0 with r2 = 0 the gradient block reads 0, so u1 = r1 = 2 and
+    # y1 = d*u1 = 1.
+    trace = run_transformed(quadratic(1.0), 1.0, 0.5, np.zeros(1), 1, r1=Signal([2.0]))
+    assert_allclose(trace.u1, [[2.0]])
+    assert_allclose(trace.y1, [[1.0]])
+
+
+def test_simulate_linearity():
+    # With a quadratic the loop is linear in its start and exogenous inputs.
+    rng = np.random.default_rng(11)
+    f = diag_quadratic(1.0, 2.0)
+    a, b = 1.7, -0.4
+    runs = []
+    for _ in range(2):
+        x0 = rng.standard_normal(2)
+        r1, r2 = (rng.standard_normal((8, 2)) for _ in range(2))
+        runs.append((x0, r1, r2))
+    combined = tuple(a * p + b * q for p, q in zip(*runs))
+    for d in (0.0, 0.025):
+        t1, t2, t3 = (
+            run_transformed(f, 0.05, d, x0, 8, Signal(r1), Signal(r2))
+            for x0, r1, r2 in (*runs, combined)
+        )
+        for name in ("u1", "y1", "u2", "y2", "states"):
+            want = a * getattr(t1, name) + b * getattr(t2, name)
+            assert_allclose(getattr(t3, name), want, atol=1e-12)
+
+
+def test_simulate_dimension_mismatch():
+    f = diag_quadratic(1.0, 2.0)
+    with pytest.raises(ShapeError):
+        run_transformed(f, 0.5, 0.0, np.zeros(2), 3, r1=Signal.zeros(1, 3))
+    with pytest.raises(ShapeError):
+        run_transformed(f, 0.5, 0.0, np.zeros(2), 3, r2=Signal.zeros(1, 3))
+    with pytest.raises(ShapeError):
+        run_transformed(f, 0.5, 0.0, np.zeros(1), 3)
 
 
 def test_strictly_proper_system_never_certifies():

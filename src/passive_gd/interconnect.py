@@ -291,8 +291,6 @@ def run_transformed(
         raise ContractionError(
             f"d*L = {d.max() * f.L} > 1: past d = 1/L the transformed loop is not certified"
         )
-    u1 = np.empty((steps, n, dim))
-    u2 = np.empty((steps, n, dim))
     y2 = np.empty((steps, n, dim))
     states = np.empty((steps + 1, n, dim))
     states[0] = x0 - f.minimizer
@@ -301,19 +299,20 @@ def run_transformed(
     # v = r2_bar + d*r1 + C xi, with r2_bar = r2 - d*r1; at d = 0 it is r2 + C xi.
     v_offset = (r2.samples[:steps, None] - d_col * r1_steps) + d_col * r1_steps
     grad = row_gradient(f)
+    # The time loop carries only the recursion; the other signals are
+    # formed after it over all steps, bitwise their per-step values.
     for k in range(steps):
         xi = states[k]
-        v = v_offset[k] + xi
-        y2[k] = grad(v + f.minimizer)
-        u2[k] = v - d_col * y2[k]
-        u1[k] = r1_steps[k] - y2[k]
-        states[k + 1] = xi + alpha_col * u1[k]
-        if not np.isfinite(states[k + 1]).all():
+        y2[k] = grad((v_offset[k] + xi) + f.minimizer)
+        states[k + 1] = xi + alpha_col * (r1_steps[k] - y2[k])
+        if np.count_nonzero(np.isfinite(states[k + 1])) < xi.size:
             row = np.flatnonzero(~np.isfinite(states[k + 1]).all(axis=1))[0]
             raise DivergenceError(
                 f"loop state became non-finite at step {k + 1}",
                 last_iterate=xi[row] + f.minimizer,
             )
+    u1 = r1_steps - y2
+    u2 = (v_offset + states[:-1]) - d_col * y2
     y1 = states[:-1] + d_col * u1
     signals = (u1, y1, u2, y2, states)
     for a in signals:

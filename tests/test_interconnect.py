@@ -15,7 +15,13 @@ from passive_gd.errors import (
     InvalidParameterError,
     ShapeError,
 )
-from passive_gd.functions import SectorFunction, diag_quadratic, oscillatory, quadratic
+from passive_gd.functions import (
+    SectorFunction,
+    diag_quadratic,
+    oscillatory,
+    quadratic,
+    row_gradient,
+)
 from passive_gd.interconnect import (
     LoopTrace,
     delta_bar_operator,
@@ -510,6 +516,67 @@ def test_a_non_finite_loop_state_raises_divergence_without_warnings():
     with np.errstate(all="raise"), pytest.raises(DivergenceError, match="at step 1") as err:
         run_transformed(f, np.full(2, 0.019), np.full(2, 0.0095), x0, 30)
     assert np.array_equal(err.value.last_iterate, x0[1])
+
+
+def _per_step_loop(f, alpha, d, x0, steps, r1, r2):
+    """The block loop with every signal written inside its time loop."""
+    n, dim = x0.shape
+    u1, u2, y2 = (np.empty((steps, n, dim)) for _ in range(3))
+    states = np.empty((steps + 1, n, dim))
+    states[0] = x0 - f.minimizer
+    d_col, alpha_col = d[:, None], alpha[:, None]
+    r1_steps = r1[:steps, None]
+    v_offset = (r2[:steps, None] - d_col * r1_steps) + d_col * r1_steps
+    grad = row_gradient(f)
+    for k in range(steps):
+        xi = states[k]
+        v = v_offset[k] + xi
+        y2[k] = grad(v + f.minimizer)
+        u2[k] = v - d_col * y2[k]
+        u1[k] = r1_steps[k] - y2[k]
+        states[k + 1] = xi + alpha_col * u1[k]
+    return LoopTrace(u1, states[:-1] + d_col * u1, u2, y2, states)
+
+
+def _quadratic_at_two():
+    """3*(x - 2)^2/2 in the sector [1, 3], minimized away from 0."""
+    def gradient(x):
+        return 3.0 * (np.asarray(x, dtype=float) - 2.0)
+
+    return SectorFunction(dim=1, m=1.0, L=3.0, minimizer=np.array([2.0]),
+                          value=lambda x: 1.5 * float((x[0] - 2.0) ** 2),
+                          gradient=gradient, elementwise_gradient=gradient, name="shifted")
+
+
+@pytest.mark.parametrize("f", [*_BUILTINS, _quadratic_at_two()], ids=lambda f: f.name)
+def test_the_loop_signals_are_the_per_step_ones_bit_for_bit(f):
+    # The time loop carries only y2 and the state; u1, y1 and u2 are formed
+    # after it over all steps. Rows at d = alpha/2 and at d = 0, one of
+    # them at 2/L, under seeded exogenous inputs.
+    rng = np.random.default_rng(29)
+    alpha = np.array([0.3, 1.1, 2.0, 1.7, 0.8]) / f.L
+    d = alpha / 2.0
+    d[[1, 3]] = 0.0
+    x0 = rng.uniform(-50.0, 50.0, (5, f.dim))
+    r1, r2 = (rng.standard_normal((60, f.dim)) for _ in range(2))
+    trace = run_transformed(f, alpha, d, x0, 60, Signal(r1), Signal(r2))
+    reference = _per_step_loop(f, alpha, d, x0, 60, r1, r2)
+    for fl in dataclasses.fields(LoopTrace):
+        assert np.array_equal(getattr(trace, fl.name), getattr(reference, fl.name)), fl.name
+
+
+def test_a_row_that_overflows_after_step_1_raises_divergence_at_its_step():
+    # The second row, an untransformed one at a step far past 2/L, grows
+    # 10^4-fold per step and overflows at step 2; the error carries its
+    # state after step 1, and numpy does not warn on the way.
+    f = diag_quadratic(1.0, 100.0)
+    alpha, d = np.array([0.019, 100.01]), np.array([0.0095, 0.0])
+    x0 = np.array([[1.0, -1.0], [1.0, 1e303]])
+    with np.errstate(all="raise"), pytest.raises(DivergenceError, match="at step 2$") as err:
+        run_transformed(f, alpha, d, x0, 30)
+    after_one = run_transformed(f, alpha[1], 0.0, x0[1], 1).states[1]
+    assert np.isfinite(after_one).all()
+    assert np.array_equal(err.value.last_iterate, after_one)
 
 
 def test_an_overflowing_boundary_start_raises_divergence_without_a_solve(monkeypatch):

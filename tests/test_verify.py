@@ -1,4 +1,6 @@
-"""A NaN anywhere in a verify fold fails its check instead of being skipped."""
+"""A NaN anywhere in a verify fold fails its check instead of being skipped,
+each suite's checks fail on their negative control, and the counterexample
+suite's trajectory is one uninterrupted run."""
 
 import dataclasses
 import math
@@ -7,8 +9,9 @@ import numpy as np
 
 import passive_gd.interconnect as interconnect
 import passive_gd.verify as verify
-from passive_gd.functions import quadratic
+from passive_gd.functions import diag_quadratic, quadratic
 from passive_gd.interconnect import LoopTrace
+from passive_gd.optim import FixedAlpha, MaxIter, PairedGrad, gd_run
 from passive_gd.signals import Signal
 
 
@@ -132,3 +135,66 @@ def test_a_nan_margin_fails_the_passivity_check(monkeypatch):
     monkeypatch.setattr(verify, "delta_bar_operator", nan_operator)
     report = verify.suite_passivity(0)
     assert _failed_labels(report) == ["transformed nonlinearity margin (d=0.005)"]
+
+
+_TRAJECTORY_LABELS = [
+    "oscillating coordinate drift max| |x2|-1 |",
+    "smallest gradient norm along run",
+    "||x - D grad - x*|| at k=2000",
+    "first k with combined signal <= 1e-6",
+    "combined signal energy error",
+]
+
+
+def _trajectory_values(iterates, gradients):
+    """The counterexample suite's five trajectory checks, as it computes them."""
+    dev = np.linalg.norm(iterates - 0.01 * gradients, axis=1)
+    return [
+        float(np.max(np.abs(np.abs(iterates[:, 1]) - 1.0))),
+        float(np.min(np.linalg.norm(gradients, axis=1))),
+        float(dev[-1]),
+        float(np.argmax(dev <= 1e-6)),
+        abs(float(np.sum(dev * dev)) - 24.75),
+    ]
+
+
+def test_the_counterexample_trajectory_is_one_uninterrupted_run():
+    # The paired run stops at k = 605 and its continuation runs to
+    # k = 2000; joined, they are the uninterrupted run bit for bit.
+    f = diag_quadratic(1.0, 100.0)
+    full = gd_run(f, [1.0, 1.0], FixedAlpha(0.02), [MaxIter(2000)])
+    paired, iterates, gradients = verify._counterexample_run(f, np.array([1.0, 1.0]))
+    assert paired.iterations == 605
+    assert iterates.shape == gradients.shape == (2001, 2)
+    assert np.array_equal(iterates, full.iterates.samples)
+    assert np.array_equal(gradients, full.gradients.samples)
+    checks = verify.suite_counterexample(0).checks
+    assert [(c.label, c.value) for c in checks] == [
+        *zip(_TRAJECTORY_LABELS, _trajectory_values(full.iterates.samples,
+                                                    full.gradients.samples)),
+        ("paired-gradient rule fired", 1.0),
+        ("paired-gradient trigger iteration", 605.0),
+    ]
+    assert all(c.passed for c in checks)
+
+
+def test_the_paired_check_fails_when_the_rule_never_fires(monkeypatch):
+    # Negative control: at a paired tolerance that never fires, the paired
+    # run reaches the cap, so it is the whole trajectory and is not
+    # continued. Only the rule's own check fails.
+    unpatched = {c.label: c.value for c in verify.suite_counterexample(0).checks}
+    runs = []
+
+    def recording(*args):
+        runs.append(gd_run(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(verify, "PairedGrad", lambda tol: PairedGrad(1e-300))
+    monkeypatch.setattr(verify, "gd_run", recording)
+    report = verify.suite_counterexample(0)
+    assert [r.iterations for r in runs] == [2000]
+    assert _failed_labels(report) == ["paired-gradient rule fired"]
+    values = {c.label: c.value for c in report.checks}
+    assert [values[label] for label in _TRAJECTORY_LABELS] == [
+        unpatched[label] for label in _TRAJECTORY_LABELS]
+    assert values["paired-gradient trigger iteration"] == 2000.0

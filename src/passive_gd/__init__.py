@@ -13,7 +13,6 @@ from .errors import (
     ConvergenceError,
     DegenerateSectorError,
     DivergenceError,
-    HorizonError,
     InvalidParameterError,
     LineSearchError,
     PassiveGdError,

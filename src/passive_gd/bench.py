@@ -31,7 +31,7 @@ import numpy as np
 from .errors import InvalidParameterError, _count, _interval, _positive
 from .functions import _BLOCK_ROWS, SectorFunction, builtin_function
 from .optim import ArmijoAlpha, ArmijoParams, ArmijoS, FixedAlpha, FixedS
-from .optim import _CAP, _block_runner, _check_schedule
+from .optim import _CAP, DEFAULT_MAX_ITER, _block_runner, _check_schedule
 
 __all__ = [
     "MethodSpec",
@@ -64,7 +64,7 @@ class MonteCarloSpec:
     seed: int
     tol: float
     methods: tuple[MethodSpec, ...]
-    max_iter: int = 10**6
+    max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
         _count("n_samples", self.n_samples, 1)
@@ -200,7 +200,7 @@ def default_config(m: float = 1.0, L: float = 100.0) -> dict:
         "x0_high": 1e5,
         "seed": 0,
         "tol": 1e-12,
-        "max_iter": 10**6,
+        "max_iter": DEFAULT_MAX_ITER,
         "methods": [
             {"label": "alpha=2/(m+L)", "kind": "gd",
              "schedule": {"type": "fixed-alpha", "alpha": 2.0 / (m + L)}},
@@ -300,6 +300,6 @@ def spec_from_config(doc: dict) -> tuple[SectorFunction, MonteCarloSpec]:
         seed=_field(doc, "seed", "config", int),
         tol=_field(doc, "tol", "config", float),
         methods=methods,
-        max_iter=_field(doc, "max_iter", "config", int, 10**6),
+        max_iter=_field(doc, "max_iter", "config", int, DEFAULT_MAX_ITER),
     )
     return f, spec

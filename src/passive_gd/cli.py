@@ -23,6 +23,7 @@ from .errors import InvalidParameterError, PassiveGdError, _count
 from .functions import BUILTIN_NAMES, builtin_function
 from .interconnect import run_transformed
 from .optim import (
+    DEFAULT_MAX_ITER,
     ArmijoAlpha,
     ArmijoParams,
     ArmijoS,
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--tol", type=float, default=1e-12)
     p_run.add_argument("--paired-tol", type=float,
                        help="enable the paired-gradient rule with this tolerance")
-    p_run.add_argument("--max-iter", type=int, default=10**6)
+    p_run.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p_run.add_argument("--mode", choices=("iterate", "loop"), default="iterate")
     p_run.add_argument("--steps", type=int, default=100,
                        help="loop-mode horizon")
@@ -200,12 +201,12 @@ def _cmd_run(args) -> int:
             raise InvalidParameterError("gsgd needs --s or --armijo")
         trace = gsgd_run(f, x0, schedule, stops)
     if args.trace:
-        columns = {**_columns("x", trace.iterates.samples),
-                   **_columns("g", trace.gradients.samples), "step": trace.step_history}
-        _write_columns(args.trace, columns, trace.iterates.horizon)
-    final = trace.iterates.samples[-1]
+        columns = {**_columns("x", trace.iterates),
+                   **_columns("g", trace.gradients), "step": trace.step_history}
+        _write_columns(args.trace, columns, len(trace.iterates))
+    final = trace.iterates[-1]
     # hypot does not square its arguments, so a finite gradient has a finite norm.
-    grad_norm = math.hypot(*trace.gradients.samples[-1])
+    grad_norm = math.hypot(*trace.gradients[-1])
     doc = {
         "mode": "iterate",
         "iterations": trace.iterations,

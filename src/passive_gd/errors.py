@@ -12,10 +12,6 @@ class ShapeError(PassiveGdError):
     """Dimension mismatch between signals, matrices, or vectors."""
 
 
-class HorizonError(PassiveGdError):
-    """An inner-product horizon is below one sample."""
-
-
 class InvalidParameterError(PassiveGdError):
     """A numeric parameter violates its documented precondition."""
 

@@ -1,9 +1,9 @@
 """Objective functions with sector-bounded gradients.
 
-Each built-in carries its sector bounds ``(m, L)`` and minimizer, an
-analytic gradient, and (for the quadratic family) a constant Hessian.
-Each is written once, as block callables that evaluate a whole block of
-points in one vectorized pass; its point oracles are their one-row case.
+Each built-in carries its sector bounds ``(m, L)``, its minimizer and an
+analytic gradient. Each is written once, as block callables that
+evaluate a whole block of points in one vectorized pass; its point
+oracles are their one-row case.
 ``oscillatory``, whose value and gradient share sin x, also has a fused
 value-and-gradient oracle that computes both from the same expressions
 and evaluates sin x once.
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _STATIONARITY_TOL = 1e-12
+_REL_STEP = 1e-6  # central_difference_gradient's h = _REL_STEP * (1 + |x_i|)
 # Rows per block of a large pass, which keeps its working set small. On
 # bench's default config at one thread (a 2-core x86_64 host), 8192 rows
 # took 6% more CPU time, and 32768 and 65536 rows 1-2% more.
@@ -59,8 +60,6 @@ class SectorFunction:
         Maps a shape ``(dim,)`` vector to a float.
     gradient : callable
         Maps a shape ``(dim,)`` vector to a shape ``(dim,)`` vector.
-    hessian : np.ndarray, optional
-        Constant Hessian, present only for the quadratic family.
     elementwise_value, elementwise_gradient : callable, optional
         Block callables, for any ``dim``: they map a flat ``(n,)`` block
         when ``dim == 1`` and an ``(n, dim)`` block otherwise to ``(n,)``
@@ -80,7 +79,6 @@ class SectorFunction:
     minimizer: np.ndarray = field(repr=False)
     value: Callable[[np.ndarray], float] = field(repr=False)
     gradient: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    hessian: Optional[np.ndarray] = field(default=None, repr=False)
     elementwise_value: Optional[Callable] = field(default=None, repr=False)
     elementwise_gradient: Optional[Callable] = field(default=None, repr=False)
     name: str = ""
@@ -111,8 +109,7 @@ class SectorFunction:
         return x
 
 
-def _from_blocks(dim, m, L, value, gradient, hessian=None, *, name,
-                 value_and_gradient=None):
+def _from_blocks(dim, m, L, value, gradient, *, name, value_and_gradient=None):
     """A built-in ``SectorFunction``, minimized at 0, from its block callables.
 
     ``value`` and ``gradient`` are the ``elementwise_*`` fields and accept
@@ -124,7 +121,7 @@ def _from_blocks(dim, m, L, value, gradient, hessian=None, *, name,
     f = SectorFunction(
         dim=dim, m=m, L=L, minimizer=np.zeros(dim),
         value=(lambda x: float(value(x)[0])) if dim == 1 else (lambda x: float(value(x))),
-        gradient=gradient, hessian=hessian, elementwise_value=value,
+        gradient=gradient, elementwise_value=value,
         elementwise_gradient=gradient, name=name,
     )
     object.__setattr__(f, "_value_and_gradient", value_and_gradient)
@@ -176,7 +173,7 @@ def quadratic(l: float) -> SectorFunction:
     _positive("curvature", l)
     diag, half = np.array([l]), np.array([0.5 * l])
     return _from_blocks(1, l, l, lambda x: half * x * x, lambda x: diag * x,
-                        np.diag(diag), name="quadratic")
+                        name="quadratic")
 
 
 def diag_quadratic(m: float, l: float) -> SectorFunction:
@@ -191,7 +188,7 @@ def diag_quadratic(m: float, l: float) -> SectorFunction:
         )
     diag = np.array([m, l])
     return _from_blocks(2, m, l, lambda x: 0.5 * np.vecdot(diag * x, x),
-                        lambda x: diag * x, np.diag(diag), name="diag-quadratic")
+                        lambda x: diag * x, name="diag-quadratic")
 
 
 BUILTIN_NAMES = ("oscillatory", "quadratic", "diag-quadratic")
@@ -326,8 +323,8 @@ def sector_membership_scan(
     return float(worst), point
 
 
-def central_difference_gradient(f: SectorFunction, x, rel_step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient with per-coordinate step h = rel_step*(1+|x_i|).
+def central_difference_gradient(f: SectorFunction, x) -> np.ndarray:
+    """Central finite-difference gradient with per-coordinate step h = 1e-6*(1+|x_i|).
 
     ``x`` is a point, giving a ``(dim,)`` gradient, or an ``(n, dim)``
     block of points, giving an ``(n, dim)`` block; a point is the block's
@@ -337,13 +334,13 @@ def central_difference_gradient(f: SectorFunction, x, rel_step: float = 1e-6) ->
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
-        return central_difference_gradient(f, f.check_point(x)[None], rel_step)[0]
+        return central_difference_gradient(f, f.check_point(x)[None])[0]
     if x.shape[1] != f.dim:
         raise ShapeError(f"block has shape {x.shape}, expected (n, {f.dim})")
     value = row_value(f)
     g = np.empty_like(x)
     for i in range(f.dim):
-        h = rel_step * (1.0 + np.abs(x[:, i]))
+        h = _REL_STEP * (1.0 + np.abs(x[:, i]))
         xp = x.copy()
         xm = x.copy()
         xp[:, i] += h

@@ -28,11 +28,13 @@ the minimizer does not cap the second derivative, so at large amplitude
 the oscillatory built-in may lose contraction (and the relation its
 uniqueness).
 
-The transformed loop, its equivalence report and evaluate_delta_bar take
-a point, or an ``(n, dim)`` block of rows with one alpha and d per row;
-every step of a block runs once for all rows, and each row's result is
-bitwise that of its point. A point is the block's one-row case: its
-``LoopTrace`` holds row 0 of the block's arrays.
+The transformed loop and its equivalence report take a point, or an
+``(n, dim)`` block of rows with one alpha and d per row; every step of a
+block runs once for all rows, and each row's result is bitwise that of
+its point. A point is the block's one-row case: its ``LoopTrace`` holds
+row 0 of the block's arrays. Their exogenous inputs are ``(horizon,
+dim)`` arrays shared by every row. ``evaluate_delta_bar`` takes one d for
+a point or for every row of a block.
 
 Which side of 1/L the feedthrough is on is decided by the verdict's rule,
 ``passivity._feedthrough_class``.
@@ -66,12 +68,13 @@ __all__ = [
     "loop_equivalence_report",
 ]
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 1000
 # Loop constants are 0-d arrays: numpy converts a Python float operand on
 # every call, which on a one-row block costs as much as the arithmetic.
 _ONE = np.array(1.0)
 _ULP_FLOOR = np.array(8.0 * np.finfo(float).eps)
+# The fixed-point solve's stopping tolerance and iteration budget.
+_TOL = np.array(1e-12)
+_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -91,18 +94,14 @@ class LoopTrace:
         return len(self.u1)
 
 
-def _check_feedthrough(f: SectorFunction, d):
-    """Refuse a feedthrough, or a row of them, unless it is VSP.
-
-    The class only moves from VSP to ISP to NONE as d grows, so the
-    largest of positive feedthroughs decides for them all.
-    """
-    lo, hi = np.min(d), np.max(d)
-    _positive("feedthrough", lo)
-    _positive("feedthrough", hi)
-    if _feedthrough_class(f.L, hi) is not Classification.VSP:
+def _check_feedthrough(f: SectorFunction, d) -> None:
+    """Refuse a feedthrough unless it is one VSP value."""
+    if np.ndim(d):
+        raise ShapeError(f"the feedthrough d must be a scalar, got shape {np.shape(d)}")
+    _positive("feedthrough", d)
+    if _feedthrough_class(f.L, d) is not Classification.VSP:
         raise ContractionError(
-            f"d*L = {hi * f.L} is not below 1 (boundary tolerance 1e-12): "
+            f"d*L = {d * f.L} is not below 1 (boundary tolerance 1e-12): "
             "the standalone fixed point is not contractive"
         )
 
@@ -116,26 +115,14 @@ def _check_block(f: SectorFunction, x, n: int) -> np.ndarray:
     return x
 
 
-def _solve_fixed_point(
-    f: SectorFunction,
-    d,
-    u: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> np.ndarray:
+def _solve_fixed_point(f: SectorFunction, d: float, u: np.ndarray) -> np.ndarray:
     """Solve y = grad_shift(u + d*y) for every row of the ``(n, dim)`` block ``u``.
 
-    ``d`` is one feedthrough per row, ``(n,)``. Each row starts at
-    grad_shift(u), stops on its own once its update is within ``tol`` and
-    leaves the active set; the others keep iterating. Rows still active
-    after ``max_iter`` iterations raise ConvergenceError.
+    Each row starts at grad_shift(u), stops on its own once its update is
+    within ``_TOL`` and leaves the active set; the others keep iterating.
+    Rows still active after ``_MAX_ITER`` iterations raise ConvergenceError.
     """
     grad = row_gradient(f)
-    tol = np.array(float(tol))  # 0-d, as _ONE above
-    # A feedthrough shared by every row stays 0-d, as delta_bar_operator's
-    # does: a column of it would be multiplied and compacted at every step.
-    d = np.asarray(d, dtype=float)
-    d = d[0] if (d == d[0]).all() else d[:, None]
     # The shift to the minimizer is hoisted out of the loop; for the zero
     # minimizer of every built-in, (u + x*) + d*y is bitwise (u + d*y) + x*.
     z = u + f.minimizer
@@ -145,12 +132,12 @@ def _solve_fixed_point(
     # iterations where some, but not all, rows finish; a block whose rows
     # all finish together is returned as it stands.
     out, rows = None, np.arange(n)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         y_next = grad(z + d * y)
         # The tolerance is floored at a few ulps of the iterate magnitude;
         # below that, rounding noise keeps the differences from shrinking.
         floor = _ULP_FLOOR * (_ONE + _row_norms(y_next))
-        done = _row_norms(y_next - y) <= np.maximum(tol, floor)
+        done = _row_norms(y_next - y) <= np.maximum(_TOL, floor)
         n_done = np.count_nonzero(done)
         if n_done == len(y_next):
             if out is None:
@@ -163,57 +150,46 @@ def _solve_fixed_point(
             out[rows[done]] = y_next[done]
             keep = ~done
             rows, z, y_next = rows[keep], z[keep], y_next[keep]
-            if d.ndim:
-                d = d[keep]
         y = y_next
     raise ConvergenceError(
-        f"fixed point did not reach tol={tol} within {max_iter} iterations "
+        f"fixed point did not reach tol={_TOL} within {_MAX_ITER} iterations "
         f"for {len(y)} of {n} points"
     )
 
 
-def evaluate_delta_bar(
-    f: SectorFunction,
-    d,
-    u,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
+def evaluate_delta_bar(f: SectorFunction, d: float, u) -> np.ndarray:
     """Solve y = grad_shift(u + d*y) by fixed-point iteration.
 
-    ``u`` is a point with a scalar ``d``, or an ``(n, dim)`` block with
-    one feedthrough per row, ``(n,)``, whose rows iterate together and
-    each stop on their own. The iteration starts at grad_shift(u) and
-    stops once an update is within ``tol``. Requires a VSP feedthrough,
-    d < 1/L. That bounds the slope of the gradient only along chords
-    through the minimizer, not f'', so the iteration is guaranteed to
-    contract only for the quadratic family (factor d*L); elsewhere it may
-    raise ConvergenceError.
+    ``u`` is a point, or an ``(n, dim)`` block whose rows iterate together
+    and each stop on their own; the one feedthrough ``d`` serves them all.
+    The iteration starts at grad_shift(u) and stops once an update is
+    within 1e-12 (floored at a few ulps of the iterate), within 1000
+    iterations. Requires a VSP feedthrough, d < 1/L. That bounds the slope
+    of the gradient only along chords through the minimizer, not f'', so
+    the iteration is guaranteed to contract only for the quadratic family
+    (factor d*L); elsewhere it may raise ConvergenceError.
     """
-    if np.ndim(d):
-        u = _check_block(f, u, len(d))
-    else:
-        u = f.check_point(u)[None]
+    block = np.ndim(u) == 2
+    u = _check_block(f, u, len(u)) if block else f.check_point(u)[None]
     _check_feedthrough(f, d)
-    y = _solve_fixed_point(f, np.atleast_1d(d), u, tol, max_iter)
-    return y if np.ndim(d) else y[0]
+    y = _solve_fixed_point(f, d, u)
+    return y if block else y[0]
 
 
 def delta_bar_operator(f: SectorFunction, d: float):
     """Signal-to-signal form of the transformed nonlinearity (memoryless).
 
-    All time steps of a signal are solved together, as one block call of
-    ``evaluate_delta_bar``, to ``DEFAULT_TOL`` within ``DEFAULT_MAX_ITER``
-    iterations.
+    ``d`` is checked once, here. All time steps of a signal are solved
+    together, as one block call of ``evaluate_delta_bar``.
     """
+    _check_feedthrough(f, d)
 
     def apply(u: Signal) -> Signal:
         if u.dim != f.dim:
             raise ShapeError(f"signal dim {u.dim} does not match function dim {f.dim}")
-        _check_feedthrough(f, d)
         if not u.horizon:
             return u
-        return Signal(evaluate_delta_bar(f, np.full(u.horizon, d), u.samples))
+        return Signal(evaluate_delta_bar(f, d, u.samples))
 
     return apply
 
@@ -244,6 +220,19 @@ def _loop_rows(f: SectorFunction, alpha, d, x0, steps: int):
     return alpha.astype(float), d.astype(float), x0
 
 
+def _exogenous(r, steps: int, dim: int) -> np.ndarray:
+    """The first ``steps`` samples of an exogenous input; None is zero."""
+    if r is None:
+        return np.zeros((steps, dim))
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 2 or r.shape[0] < steps or r.shape[1] != dim:
+        raise ShapeError(
+            f"exogenous input has shape {r.shape}, expected (horizon, {dim}) "
+            f"with horizon >= {steps} steps"
+        )
+    return r[:steps]
+
+
 # Overflow is left to the finiteness test on each new state, so numpy
 # does not warn.
 @np.errstate(over="ignore", invalid="ignore")
@@ -253,8 +242,8 @@ def run_transformed(
     d,
     x0,
     steps: int,
-    r1: Signal | None = None,
-    r2: Signal | None = None,
+    r1=None,
+    r2=None,
 ):
     """Simulate the loop-transformed interconnection for ``steps`` steps.
 
@@ -262,29 +251,23 @@ def run_transformed(
     LoopTrace of ``(steps, dim)`` arrays; or an ``(n, dim)`` block, with
     ``(n,)`` ``alpha`` and ``d``, and the result one LoopTrace of
     ``(steps, n, dim)`` arrays, every step run once for all rows. The
-    exogenous inputs r1, r2 of the untransformed loop are shared by the
-    rows; a row sees r2_bar = r2 - d*r1. Each row runs the controller
-    (I, alpha*I, I, d*I) with d = alpha/2, or with d = 0, which is the
-    untransformed, strictly proper loop. Its state is the shifted
-    iterate, so ``x0`` is converted through the minimizer. Every row takes the algebraic
-    elimination of the module docstring, one gradient call per step, so
-    with zero exogenous inputs and a zero minimizer its trace equals the
-    recursion x <- x - alpha*grad f(x) bit for bit. A row past d = 1/L
-    refuses the call. A state that turns non-finite raises
+    exogenous inputs r1, r2 of the untransformed loop are array-likes of
+    shape ``(horizon, dim)`` with ``horizon >= steps``, zero when omitted,
+    and shared by the rows; a row sees r2_bar = r2 - d*r1. Each row runs
+    the controller (I, alpha*I, I, d*I) with d = alpha/2, or with d = 0,
+    which is the untransformed, strictly proper loop. Its state is the
+    shifted iterate, so ``x0`` is converted through the minimizer. Every
+    row takes the algebraic elimination of the module docstring, one
+    gradient call per step, so with zero exogenous inputs and a zero
+    minimizer its trace equals the recursion x <- x - alpha*grad f(x) bit
+    for bit. A row past d = 1/L refuses the call. A state that turns non-finite raises
     DivergenceError, which carries the last finite iterate of the first
     such row.
     """
     block = np.ndim(alpha) == 1
     alpha, d, x0 = _loop_rows(f, alpha, d, x0, steps)
     n, dim = x0.shape
-    if r1 is None:
-        r1 = Signal.zeros(dim, steps)
-    if r2 is None:
-        r2 = Signal.zeros(dim, steps)
-    if r1.horizon < steps or r2.horizon < steps:
-        raise ShapeError("exogenous horizons are shorter than the requested steps")
-    if r1.dim != dim or r2.dim != dim:
-        raise ShapeError("exogenous inputs must match the function dimension")
+    r1, r2 = _exogenous(r1, steps, dim), _exogenous(r2, steps, dim)
 
     # As in _check_feedthrough, the largest d decides whether any row is past 1/L.
     if _feedthrough_class(f.L, d.max()) is Classification.NONE:
@@ -295,9 +278,9 @@ def run_transformed(
     states = np.empty((steps + 1, n, dim))
     states[0] = x0 - f.minimizer
     d_col, alpha_col = d[:, None], alpha[:, None]
-    r1_steps = r1.samples[:steps, None]
+    r1_steps = r1[:, None]
     # v = r2_bar + d*r1 + C xi, with r2_bar = r2 - d*r1; at d = 0 it is r2 + C xi.
-    v_offset = (r2.samples[:steps, None] - d_col * r1_steps) + d_col * r1_steps
+    v_offset = (r2[:, None] - d_col * r1_steps) + d_col * r1_steps
     grad = row_gradient(f)
     # The time loop carries only the recursion; the other signals are
     # formed after it over all steps, bitwise their per-step values.
@@ -325,16 +308,17 @@ def loop_equivalence_report(
     alpha,
     x0,
     steps: int,
-    r1: Signal | None = None,
-    r2: Signal | None = None,
+    r1=None,
+    r2=None,
 ):
     """The loop transformation's claim, checked on a point or a block of starts.
 
     Every row runs at d = alpha/2 and, as the untransformed loop, at d = 0,
     all in one block call of ``run_transformed`` under the shared
-    exogenous inputs r1, r2 (zero by default). Returns ``(deviation,
-    residual)``: the worst distance max_k ||xi_transformed[k] -
-    xi_untransformed[k]|| between the two states, and the worst per-step
+    exogenous ``(horizon, dim)`` inputs r1, r2 (zero by default). Returns
+    ``(deviation, residual)``: the worst distance
+    max_k ||xi_transformed[k] - xi_untransformed[k]|| between the two
+    states, and the worst per-step
     implicit-relation residual ||grad_shift(u2 + d*y2) - y2|| / (1 +
     ||y2||), evaluated after the run in one gradient call over all steps
     and rows. Each is a float for a point ``x0`` with scalar ``alpha``,

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import DivergenceError, InvalidParameterError, LineSearchError
 from .errors import _count, _finite, _positive
 from .functions import SectorFunction, _row_dot, row_gradient, row_value
-from .signals import Signal
 
 __all__ = [
     "ArmijoParams",
@@ -169,13 +168,19 @@ class Termination(enum.Enum):
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Iterate and gradient history of one optimizer run."""
+    """Iterate and gradient history of one optimizer run.
 
-    iterates: Signal
-    gradients: Signal
+    ``iterates`` and ``gradients`` are read-only ``(iterations + 1, dim)``
+    arrays, row k the value after k updates; ``step_history`` is the
+    read-only ``(iterations,)`` array of the step size or scheduling value
+    that each update took.
+    """
+
+    iterates: np.ndarray
+    gradients: np.ndarray
     iterations: int
     termination: Termination
-    step_history: tuple[float, ...]
+    step_history: np.ndarray
 
 
 def default_s_cap(f: SectorFunction) -> float:
@@ -430,13 +435,12 @@ def _run_one(f: SectorFunction, x0, schedule, stops: Sequence[StoppingRule]) -> 
         )
     if reason == _FAILED:
         raise _search_error(f, schedule, iterates[-1].reshape(-1))
-    return RunTrace(
-        iterates=Signal(np.concatenate(iterates)),
-        gradients=Signal(np.concatenate(gradients)),
-        iterations=len(steps),
-        termination=list(Termination)[reason],
-        step_history=tuple(np.reshape(steps, -1).tolist()),
-    )
+    # New arrays, so the caller's x0 is neither aliased nor made read-only.
+    iterates, gradients = (np.concatenate(a).reshape(-1, f.dim) for a in (iterates, gradients))
+    steps = np.reshape(steps, -1)
+    for a in (iterates, gradients, steps):
+        a.setflags(write=False)
+    return RunTrace(iterates, gradients, len(steps), list(Termination)[reason], steps)
 
 
 def gd_run(

@@ -10,8 +10,9 @@ that d is on, decided only by ``_feedthrough_class``, gives the verdict.
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,7 +20,6 @@ import numpy as np
 from .errors import (
     ContractionError,
     DegenerateSectorError,
-    HorizonError,
     InvalidParameterError,
     ShapeError,
     _count,
@@ -82,6 +82,11 @@ def _close(a: float, b: float, rel: float = _REL_TOL) -> bool:
     return abs(a - b) <= rel * max(abs(a), abs(b))
 
 
+def _normal(v: float) -> bool:
+    """Whether ``v`` is a finite double at or above the least normal one."""
+    return sys.float_info.min <= v < math.inf
+
+
 def _feedthrough_class(l: float, d: float) -> Classification:
     """ISP at d = 1/L (relative tolerance 1e-12), VSP below it, NONE above it."""
     if _close(d, 1.0 / l):
@@ -92,9 +97,13 @@ def _feedthrough_class(l: float, d: float) -> Classification:
 def nabla_indices(m: float, l: float) -> PassivityIndices:
     """Indices of the shifted gradient: VSP with beta = 0."""
     _sector(m, l)
+    # mL/(m+L) keeps its bits wherever m*L is a normal double. Where the
+    # product overflows or loses bits, m/(1 + m/L) has neither problem;
+    # m + L can overflow only where m*L does.
+    p = m * l
     return PassivityIndices(
         beta=0.0,
-        delta=m * l / (m + l),
+        delta=p / (m + l) if _normal(p) else m / (1.0 + m / l),
         epsilon=1.0 / (m + l),
         classification=Classification.VSP,
     )
@@ -120,8 +129,13 @@ def transformed_indices(m: float, l: float, d: float) -> PassivityIndices:
             raise DegenerateSectorError(
                 f"d = 1/L = {d} with m == L leaves no ISP margin"
             )
+        # As in nabla_indices: m*(L/(L - m)) where m*L is not a normal double.
+        p = m * l
         return PassivityIndices(
-            beta=0.0, delta=m * l / (l - m), epsilon=0.0, classification=classification
+            beta=0.0,
+            delta=p / (l - m) if _normal(p) else m * (l / (l - m)),
+            epsilon=0.0,
+            classification=classification,
         )
     base = nabla_indices(m, l)
     delta, epsilon = base.delta, base.epsilon
@@ -187,8 +201,6 @@ def empirical_passivity_margin(
     """
     if not inputs:
         raise InvalidParameterError("need at least one input signal")
-    if isinstance(T, Real) and T < 1:
-        raise HorizonError(f"inner-product horizon must be positive, got {T}")
     _count("horizon T", T, 1)
     dim = inputs[0].dim
     for u in inputs:

@@ -43,10 +43,6 @@ class Signal:
     def dim(self) -> int:
         return self.samples.shape[1]
 
-    @staticmethod
-    def zeros(dim: int, horizon: int) -> "Signal":
-        return Signal(np.zeros((horizon, dim)))
-
 
 def random_unit_energy(dim: int, horizon: int, count: int, seed: int) -> list[Signal]:
     """Seeded Gaussian signals, each scaled to unit truncated energy.

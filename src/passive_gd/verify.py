@@ -169,7 +169,7 @@ def suite_loop(seed: int) -> SuiteReport:
         for i in range(8):
             alpha[i] = float(rng.uniform(0.05, 0.95)) * 2.0 / f.L
             x0[i] = rng.uniform(-50.0, 50.0, f.dim)
-        r1, r2 = (Signal(inputs.standard_normal((100, f.dim))) for _ in range(2))
+        r1, r2 = (inputs.standard_normal((100, f.dim)) for _ in range(2))
         devs, residuals = loop_equivalence_report(f, alpha, x0, 100, r1, r2)
         # np.max, unlike max(), keeps a NaN, which fails the check. The
         # states' threshold leaves room for the direct map's gain, which
@@ -190,12 +190,12 @@ def _counterexample_run(f: SectorFunction, x0):
     paired = gd_run(
         f, x0, FixedAlpha(0.02), [GradNorm(1e-12), PairedGrad(1e-10), MaxIter(2000)]
     )
-    iterates, gradients = paired.iterates.samples, paired.gradients.samples
+    iterates, gradients = paired.iterates, paired.gradients
     if paired.iterations < 2000:
         rest = gd_run(f, iterates[-1], FixedAlpha(0.02),
                       [MaxIter(2000 - paired.iterations)])
-        iterates = np.concatenate([iterates, rest.iterates.samples[1:]])
-        gradients = np.concatenate([gradients, rest.gradients.samples[1:]])
+        iterates = np.concatenate([iterates, rest.iterates[1:]])
+        gradients = np.concatenate([gradients, rest.gradients[1:]])
     return paired, iterates, gradients
 
 

@@ -46,7 +46,7 @@ from passive_gd.passivity import (
     nabla_indices,
     transformed_indices,
 )
-from passive_gd.signals import Signal, random_unit_energy
+from passive_gd.signals import random_unit_energy
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -152,7 +152,7 @@ def test_criterion_05_loop_equivalence():
         f = builtins[i % 3]
         alpha = float(rng.uniform(0.05, 0.95)) * 2.0 / f.L
         x0 = rng.uniform(-100.0, 100.0, f.dim)
-        r1, r2 = (Signal(rng.standard_normal((100, f.dim))) for _ in range(2))
+        r1, r2 = (rng.standard_normal((100, f.dim)) for _ in range(2))
         dev, residual = loop_equivalence_report(f, alpha, x0, 100, r1, r2)
         devs.append(dev / (1.0 + float(np.linalg.norm(x0))))
         residuals.append(residual)
@@ -191,9 +191,9 @@ def _counterexample_traces():
 
 def test_criterion_07_counterexample_oscillation_and_stopping():
     f, full, paired = _counterexample_traces()
-    x2 = full.iterates.samples[:201, 1]
+    x2 = full.iterates[:201, 1]
     ok = bool(np.max(np.abs(np.abs(x2) - 1.0)) <= 1e-12)
-    grad_norms = np.linalg.norm(full.gradients.samples, axis=1)
+    grad_norms = np.linalg.norm(full.gradients, axis=1)
     ok &= bool(np.min(grad_norms) >= 1e-12)
     ok &= paired.termination is Termination.PAIRED_GRAD_MET
     ok &= paired.iterations <= 2000
@@ -214,14 +214,14 @@ def test_criterion_07_counterexample_oscillation_and_stopping():
 )
 def test_criterion_07_combined_signal_bound_at_k200():
     f, full, _ = _counterexample_traces()
-    combined = full.iterates.samples - 0.01 * full.gradients.samples
+    combined = full.iterates - 0.01 * full.gradients
     dev = np.linalg.norm(combined[200] - f.minimizer)
     _report("7 combined signal at k=200", dev <= 1e-6, f"deviation {dev:.3e}")
 
 
 def test_criterion_07_combined_signal_converges():
     f, full, _ = _counterexample_traces()
-    combined = full.iterates.samples - 0.01 * full.gradients.samples
+    combined = full.iterates - 0.01 * full.gradients
     dev = np.linalg.norm(combined - f.minimizer, axis=1)
     first = int(np.argmax(dev <= 1e-6))
     ok = dev[-1] <= 1e-6 and bool(np.any(dev <= 1e-6))
@@ -284,8 +284,8 @@ def test_criterion_09_gain_scheduling_equivalence():
         x0 = rng.uniform(-100.0, 100.0, f.dim)
         gs = gsgd_run(f, x0, FixedS(s), [MaxIter(100)])
         gd = gd_run(f, s * x0, FixedAlpha(s * s), [MaxIter(100)])
-        dev = float(np.max(np.abs(s * gs.iterates.samples - gd.iterates.samples)))
-        scale = 1.0 + float(np.max(np.abs(gd.iterates.samples)))
+        dev = float(np.max(np.abs(s * gs.iterates - gd.iterates)))
+        scale = 1.0 + float(np.max(np.abs(gd.iterates)))
         worst = max(worst, dev / scale)
     _report(
         "9 gain-scheduling equivalence", worst <= 1e-9, f"worst deviation {worst:.2e}"

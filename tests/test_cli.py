@@ -43,6 +43,34 @@ def test_certify_json_contents(capsys):
     assert doc["epsilon_bar"] == pytest.approx(0.004975)
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("m, L, alpha, code, verdict, delta", [
+    # m*L overflows, and with it mL/(m+L); d = 5e-162 < 1/L = 1e-160.
+    ("1e160", "1e160", "1e-161", 0, "strong", 5e159),
+    ("1e200", "1e300", "1e-301", 0, "strong", 1e200),
+    # m + L overflows as well; d is far past 1/L.
+    ("1e308", "1e308", "1e-300", 2, "none", 5e307),
+    # m*L underflows to zero.
+    ("1e-300", "1e-300", "1", 0, "strong", 5e-301),
+])
+def test_certify_at_extreme_sector_bounds(capsys, m, L, alpha, code, verdict, delta):
+    # The indices stay finite and nonzero, so the verdict follows d against
+    # 1/L and --json prints no NaN or Infinity.
+    argv = ["certify", "--m", m, "--L", L, "--alpha", alpha]
+    assert main(argv) == code
+    assert f"verdict: {verdict.upper()}" in capsys.readouterr().out
+    assert main(argv + ["--json"]) == code
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["verdict"] == verdict
+    assert doc["delta"] == delta
+
+
 def test_run_gd_writes_trace(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     code = main([
@@ -189,8 +217,8 @@ def test_run_gd_armijo_json_matches_the_library(capsys):
         "mode": "iterate",
         "iterations": trace.iterations,
         "termination": trace.termination.value,
-        "final_x": trace.iterates.samples[-1].tolist(),
-        "final_grad_norm": math.hypot(*trace.gradients.samples[-1]),
+        "final_x": trace.iterates[-1].tolist(),
+        "final_grad_norm": math.hypot(*trace.gradients[-1]),
     }
 
 

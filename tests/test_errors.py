@@ -125,7 +125,7 @@ SITES = [
     ("evaluate_delta_bar.d", "feedthrough", lambda v: evaluate_delta_bar(F, v, [1.0]),
      POSITIVE),
     ("delta_bar_operator.d", "feedthrough",
-     lambda v: delta_bar_operator(F, v)(Signal.zeros(1, 3)), POSITIVE),
+     lambda v: delta_bar_operator(F, v), POSITIVE),
     ("run_transformed.alpha", "step size",
      lambda v: run_transformed(F, v, 0.05, [1.0], 3), POSITIVE),
     # d = 0 is the untransformed loop, so only a negative or non-finite d is refused.

@@ -81,10 +81,10 @@ def test_untransformed_wiring_identities():
     # u1 = r1 - y2 and y2 = grad f(u2 + x*).
     rng = np.random.default_rng(6)
     f = oscillatory(1.0, 100.0)
-    r1, r2 = (Signal(rng.standard_normal((10, 1))) for _ in range(2))
+    r1, r2 = (rng.standard_normal((10, 1)) for _ in range(2))
     trace = run_transformed(f, 0.01, 0.0, rng.standard_normal(1), 10, r1, r2)
-    assert_allclose(trace.u1, r1.samples - trace.y2, atol=1e-12)
-    assert_allclose(trace.u2, r2.samples + trace.y1, atol=1e-12)
+    assert_allclose(trace.u1, r1 - trace.y2, atol=1e-12)
+    assert_allclose(trace.u2, r2 + trace.y1, atol=1e-12)
     assert np.array_equal(trace.y1, trace.states[:-1])
     for k in range(10):
         assert_allclose(trace.y2[k], f.gradient(trace.u2[k] + f.minimizer), atol=1e-12)
@@ -106,7 +106,7 @@ def test_delta_bar_against_bisection_oracle():
     f = oscillatory(1.0, 100.0)
     d = 0.005
     for u in (0.3, -0.7, 1.2):
-        y = evaluate_delta_bar(f, d, np.array([u]), tol=1e-13)
+        y = evaluate_delta_bar(f, d, np.array([u]))
         root = brentq(
             lambda t: t - f.gradient(np.array([u + d * t]))[0],
             -1000.0,
@@ -123,13 +123,17 @@ def test_delta_bar_contraction_violation():
         evaluate_delta_bar(quadratic(100.0), 0.01, np.array([1.0]))
     with pytest.raises(ContractionError):
         evaluate_delta_bar(quadratic(100.0), 0.02, np.array([1.0]))
-    # A block is refused when any one row is, whatever its place.
+    # A block takes one feedthrough for all its rows, refused as a point's is.
     for bad in (0.01, 0.02):
         with pytest.raises(ContractionError):
-            evaluate_delta_bar(quadratic(100.0), np.array([0.002, bad, 0.004]), np.ones((3, 1)))
-    for bad in (np.nan, -0.001, np.inf):
+            evaluate_delta_bar(quadratic(100.0), bad, np.ones((3, 1)))
+    for bad in (np.nan, -0.001, 0.0, np.inf):
         with pytest.raises(InvalidParameterError, match="feedthrough"):
-            evaluate_delta_bar(quadratic(100.0), np.array([0.002, 0.004, bad]), np.ones((3, 1)))
+            evaluate_delta_bar(quadratic(100.0), bad, np.ones((3, 1)))
+    # One feedthrough per row is not taken.
+    for d in (np.array([0.002, 0.004, 0.003]), np.array([0.002])):
+        with pytest.raises(ShapeError, match="must be a scalar"):
+            evaluate_delta_bar(quadratic(100.0), d, np.ones((len(d), 1)))
 
 
 def test_delta_bar_iteration_count_bound():
@@ -145,9 +149,9 @@ def test_delta_bar_iteration_count_bound():
         value=base.value, gradient=counting_gradient,
     )
     d = 0.01  # d*L = 0.5
-    tol = 1e-12
+    tol = 1e-12  # the solver's stopping tolerance
     calls["n"] = 0
-    y = evaluate_delta_bar(f, d, np.array([2.0]), tol=tol)
+    y = evaluate_delta_bar(f, d, np.array([2.0]))
     iterations = calls["n"] - 1  # first call produces the starting point
     y0 = abs(50.0 * 2.0)
     bound = int(np.ceil(np.log(tol / y0) / np.log(d * 50.0))) + 1
@@ -161,6 +165,18 @@ def test_delta_bar_operator_applies_per_sample():
     u = Signal(np.array([[1.0], [2.0], [-0.5]]))
     y = op(u)
     assert_allclose(y.samples, 200.0 * u.samples, rtol=1e-10)
+
+
+@pytest.mark.parametrize("d, error", [(np.nan, InvalidParameterError),
+                                      (0.0, InvalidParameterError),
+                                      (0.01, ContractionError),
+                                      (np.array([0.005, 0.005]), ShapeError)])
+def test_delta_bar_operator_refuses_its_feedthrough_when_built(d, error):
+    # The feedthrough is checked once, when the operator is made, not when
+    # it is first applied: NaN, zero, the ISP boundary d = 1/L and a row of
+    # feedthroughs are all refused before any signal exists.
+    with pytest.raises(error):
+        delta_bar_operator(quadratic(100.0), d)
 
 
 _DELTA_BAR_FUNCTIONS = {"oscillatory": oscillatory(1.0, 100.0), "quadratic": quadratic(100.0)}
@@ -199,15 +215,13 @@ def test_delta_bar_operator_empty_signal():
 
 def test_a_block_solve_with_a_nan_row_raises():
     # A NaN row never converges, so the block solve raises and counts it;
-    # without it, each row is solved at its own feedthrough exactly as its
-    # one-row solve.
+    # without it, each row is solved exactly as its one-row solve.
     f = oscillatory(1.0, 100.0)
-    d = np.array([0.005, 0.005, 0.004])
     with pytest.raises(ConvergenceError, match="for 1 of 3 points"):
-        evaluate_delta_bar(f, d, np.array([[0.1], [np.nan], [-0.2]]))
+        evaluate_delta_bar(f, 0.005, np.array([[0.1], [np.nan], [-0.2]]))
     assert np.array_equal(
-        evaluate_delta_bar(f, d[[0, 2]], np.array([[0.1], [-0.2]])),
-        [evaluate_delta_bar(f, 0.005, [0.1]), evaluate_delta_bar(f, 0.004, [-0.2])],
+        evaluate_delta_bar(f, 0.005, np.array([[0.1], [-0.2]])),
+        [evaluate_delta_bar(f, 0.005, [0.1]), evaluate_delta_bar(f, 0.005, [-0.2])],
     )
 
 
@@ -239,7 +253,7 @@ def test_run_transformed_matches_untransformed_for_quadratic():
         r1, r2 = (rng.standard_normal((20, f.dim)) for _ in range(2))
         zeros = np.zeros((20, f.dim))
         for d, (e1, e2) in ((0.0, (r1, r2)), (0.005, (zeros, zeros))):
-            trace = run_transformed(f, 0.01, d, x0, 20, Signal(e1), Signal(e2))
+            trace = run_transformed(f, 0.01, d, x0, 20, e1, e2)
             xi = x0
             for k in range(20):
                 assert np.array_equal(trace.states[k], xi)
@@ -284,11 +298,11 @@ def test_run_transformed_wiring_with_exogenous_inputs():
     rng = np.random.default_rng(33)
     f = oscillatory(1.0, 100.0)
     d = 0.004
-    r1 = Signal(rng.standard_normal((25, 1)))
-    r2 = Signal(rng.standard_normal((25, 1)))
+    r1 = rng.standard_normal((25, 1))
+    r2 = rng.standard_normal((25, 1))
     trace = run_transformed(f, 2 * d, d, np.array([1.5]), 25, r1=r1, r2=r2)
-    r2_bar = r2.samples[:25] - d * r1.samples[:25]
-    assert_allclose(trace.u1, r1.samples[:25] - trace.y2, atol=1e-12)
+    r2_bar = r2 - d * r1
+    assert_allclose(trace.u1, r1 - trace.y2, atol=1e-12)
     assert_allclose(trace.u2, r2_bar + trace.y1, atol=1e-12)
     # Controller relations: y1 = xi + d*u1 and xi' = xi + alpha*u1.
     xi = trace.states
@@ -333,7 +347,7 @@ def test_loop_equivalence_large_amplitude():
     for _ in range(5):
         alpha = float(rng.uniform(0.05, 0.95)) * 2.0 / f.L
         x0 = rng.uniform(-5e4, 5e4, 1)
-        r1, r2 = (Signal(rng.standard_normal((100, 1))) for _ in range(2))
+        r1, r2 = (rng.standard_normal((100, 1)) for _ in range(2))
         dev, residual = loop_equivalence_report(f, alpha, x0, 100, r1, r2)
         assert dev <= 1e-12 * (1.0 + np.linalg.norm(x0))
         assert residual <= 1e-14 * (1.0 + np.linalg.norm(x0))
@@ -345,7 +359,7 @@ def test_transformation_invariance_random_configs():
         for _ in range(5):
             alpha = float(rng.uniform(0.05, 0.95)) * 2.0 / f.L
             x0 = rng.uniform(-50.0, 50.0, f.dim)
-            r1, r2 = (Signal(rng.standard_normal((100, f.dim))) for _ in range(2))
+            r1, r2 = (rng.standard_normal((100, f.dim)) for _ in range(2))
             dev, residual = loop_equivalence_report(f, alpha, x0, 100, r1, r2)
             assert dev <= 1e-12 * (1.0 + np.linalg.norm(x0))
             assert residual <= 1e-12
@@ -354,9 +368,28 @@ def test_transformation_invariance_random_configs():
 def test_loop_horizon_validation():
     f = quadratic(100.0)
     with pytest.raises(ShapeError):
-        run_transformed(
-            f, 0.01, 0.005, np.array([1.0]), 10, r1=Signal.zeros(1, 5)
-        )
+        run_transformed(f, 0.01, 0.005, np.array([1.0]), 10, r1=np.zeros((5, 1)))
+
+
+@pytest.mark.parametrize("f", [quadratic(100.0), diag_quadratic(1.0, 100.0)],
+                         ids=lambda f: f.name)
+@pytest.mark.parametrize("shape", ["flat", "wrong dim", "short", "3-D"])
+def test_exogenous_inputs_of_any_other_shape_are_refused(f, shape):
+    # An exogenous input is a (horizon, dim) array with horizon >= steps;
+    # a flat array, one of another width, one shorter than the run and a
+    # 3-D one are refused by the loop and by its equivalence report, for
+    # r1 and r2 alike. A longer horizon is cut to the run.
+    bad = {"flat": np.zeros(10), "wrong dim": np.zeros((10, f.dim + 1)),
+           "short": np.zeros((9, f.dim)), "3-D": np.zeros((10, 1, f.dim))}[shape]
+    x0 = np.ones(f.dim)
+    for r in ({"r1": bad}, {"r2": bad}):
+        with pytest.raises(ShapeError, match="exogenous input has shape"):
+            run_transformed(f, 0.01, 0.005, x0, 10, **r)
+        with pytest.raises(ShapeError, match="exogenous input has shape"):
+            loop_equivalence_report(f, 0.01, x0, 10, **r)
+    long = run_transformed(f, 0.01, 0.005, x0, 10, np.ones((12, f.dim)), np.ones((12, f.dim)))
+    cut = run_transformed(f, 0.01, 0.005, x0, 10, np.ones((10, f.dim)), np.ones((10, f.dim)))
+    assert np.array_equal(long.states, cut.states)
 
 
 def test_block_shape_validation():
@@ -366,7 +399,7 @@ def test_block_shape_validation():
         (lambda: run_transformed(f, alpha, alpha[:1] / 2.0, np.ones((2, 1)), 3), "differ in shape"),
         (lambda: run_transformed(f, alpha, alpha / 2.0, np.ones((3, 1)), 3), "expected \\(2, 1\\)"),
         (lambda: loop_equivalence_report(f, alpha, np.ones(2), 3), "expected \\(2, 1\\)"),
-        (lambda: evaluate_delta_bar(f, alpha / 2.0, np.ones((2, 2))), "expected \\(2, 1\\)"),
+        (lambda: evaluate_delta_bar(f, 0.005, np.ones((2, 2))), "expected \\(2, 1\\)"),
         (lambda: run_transformed(f, np.array([]), np.array([]), np.ones((0, 1)), 3),
          "at least one row"),
     ]
@@ -453,13 +486,13 @@ def test_the_report_reaches_the_loop_through_its_module_attribute(monkeypatch):
     monkeypatch.setattr(interconnect, "run_transformed", recording)
     f = diag_quadratic(1.0, 100.0)
     alpha, x0 = np.array([0.01, 0.015]), np.array([[1.0, -2.0], [3.0, 4.0]])
-    r1, r2 = Signal(np.ones((10, 2))), Signal(np.full((10, 2), -0.5))
+    r1, r2 = np.ones((10, 2)), np.full((10, 2), -0.5)
     loop_equivalence_report(f, alpha, x0, 10, r1, r2)
     ((a, d, x, steps, r1_seen, r2_seen),) = calls
     assert a.tolist() == [0.01, 0.015, 0.01, 0.015]
     assert d.tolist() == [0.005, 0.0075, 0.0, 0.0]
     assert x.tolist() == [[1.0, -2.0], [3.0, 4.0], [1.0, -2.0], [3.0, 4.0]]
-    assert (steps, r1_seen, r2_seen) == (10, r1, r2)
+    assert steps == 10 and r1_seen is r1 and r2_seen is r2
 
 
 _BUILTINS = [oscillatory(1.0, 100.0), quadratic(100.0), diag_quadratic(1.0, 100.0)]
@@ -479,8 +512,8 @@ def test_block_rows_equal_one_row_calls_bit_for_bit(f):
     x0 = np.vstack([np.full(f.dim, -44.48533726669318),
                     rng.uniform(-50.0, 50.0, (3, f.dim)), np.full(f.dim, 3.0)])
     rng = np.random.default_rng(5)
-    r1 = Signal(1e-3 * rng.standard_normal((100, f.dim)))
-    r2 = Signal(1e-3 * rng.standard_normal((100, f.dim)))
+    r1 = 1e-3 * rng.standard_normal((100, f.dim))
+    r2 = 1e-3 * rng.standard_normal((100, f.dim))
     block = run_transformed(f, alpha, d, x0, 100, r1, r2)
     assert block.steps == 100
     for fl in dataclasses.fields(block):
@@ -559,7 +592,7 @@ def test_the_loop_signals_are_the_per_step_ones_bit_for_bit(f):
     d[[1, 3]] = 0.0
     x0 = rng.uniform(-50.0, 50.0, (5, f.dim))
     r1, r2 = (rng.standard_normal((60, f.dim)) for _ in range(2))
-    trace = run_transformed(f, alpha, d, x0, 60, Signal(r1), Signal(r2))
+    trace = run_transformed(f, alpha, d, x0, 60, r1, r2)
     reference = _per_step_loop(f, alpha, d, x0, 60, r1, r2)
     for fl in dataclasses.fields(LoopTrace):
         assert np.array_equal(getattr(trace, fl.name), getattr(reference, fl.name)), fl.name
@@ -601,8 +634,8 @@ def _gd_at_boundary(f, x0, steps):
 
 
 def _assert_loop_is_the_recursion(trace, run):
-    assert np.array_equal(trace.states, run.iterates.samples)
-    assert np.array_equal(trace.y2, run.gradients.samples[:-1])
+    assert np.array_equal(trace.states, run.iterates)
+    assert np.array_equal(trace.y2, run.gradients[:-1])
 
 
 _BOUNDARY_FUNCTIONS = st.one_of(
@@ -682,10 +715,10 @@ def test_the_transformed_loop_is_the_untransformed_one_to_rounding(f, frac, x0, 
     # rounding past any fixed multiple of it.
     alpha = frac * 2.0 / f.L
     rng = np.random.default_rng(seed)
-    r1, r2 = (Signal(rng.standard_normal((steps, f.dim))) for _ in range(2))
+    r1, r2 = (rng.standard_normal((steps, f.dim)) for _ in range(2))
     x0 = np.array(x0[: f.dim])
     dev, residual = loop_equivalence_report(f, alpha, x0, steps, r1, r2)
     with np.errstate(divide="ignore"):
         assert residual <= np.divide(1e-12, 1.0 - alpha / 2.0 * f.L)
-    if f.hessian is not None:
+    if f.name in ("quadratic", "diag-quadratic"):
         assert dev <= 1e-12 * (1.0 + np.linalg.norm(x0))

@@ -15,7 +15,6 @@ from passive_gd.lti import (
     _positive_real,
     gd_passivity_certificate,
 )
-from passive_gd.signals import Signal
 
 
 def _controller(alpha, d, dim=1):
@@ -64,7 +63,7 @@ def test_simulate_zero_equilibrium():
 def test_simulate_feedthrough_at_zero_state():
     # At xi = 0 with r2 = 0 the gradient block reads 0, so u1 = r1 = 2 and
     # y1 = d*u1 = 1.
-    trace = run_transformed(quadratic(1.0), 1.0, 0.5, np.zeros(1), 1, r1=Signal([2.0]))
+    trace = run_transformed(quadratic(1.0), 1.0, 0.5, np.zeros(1), 1, r1=[[2.0]])
     assert_allclose(trace.u1, [[2.0]])
     assert_allclose(trace.y1, [[1.0]])
 
@@ -82,7 +81,7 @@ def test_simulate_linearity():
     combined = tuple(a * p + b * q for p, q in zip(*runs))
     for d in (0.0, 0.025):
         t1, t2, t3 = (
-            run_transformed(f, 0.05, d, x0, 8, Signal(r1), Signal(r2))
+            run_transformed(f, 0.05, d, x0, 8, r1, r2)
             for x0, r1, r2 in (*runs, combined)
         )
         for name in ("u1", "y1", "u2", "y2", "states"):
@@ -93,9 +92,9 @@ def test_simulate_linearity():
 def test_simulate_dimension_mismatch():
     f = diag_quadratic(1.0, 2.0)
     with pytest.raises(ShapeError):
-        run_transformed(f, 0.5, 0.0, np.zeros(2), 3, r1=Signal.zeros(1, 3))
+        run_transformed(f, 0.5, 0.0, np.zeros(2), 3, r1=np.zeros((3, 1)))
     with pytest.raises(ShapeError):
-        run_transformed(f, 0.5, 0.0, np.zeros(2), 3, r2=Signal.zeros(1, 3))
+        run_transformed(f, 0.5, 0.0, np.zeros(2), 3, r2=np.zeros((3, 1)))
     with pytest.raises(ShapeError):
         run_transformed(f, 0.5, 0.0, np.zeros(1), 3)
 

@@ -39,7 +39,7 @@ def test_gd_one_step_at_inverse_curvature():
     )
     assert trace.iterations == 1
     assert trace.termination is Termination.GRAD_NORM_MET
-    assert_allclose(trace.iterates.samples, [[1.0], [0.0]])
+    assert_allclose(trace.iterates, [[1.0], [0.0]])
 
 
 def test_gd_oscillates_at_double_step():
@@ -51,7 +51,31 @@ def test_gd_oscillates_at_double_step():
     )
     assert trace.termination is Termination.MAX_ITER_HIT
     assert trace.iterations == 10
-    assert_allclose(np.abs(trace.iterates.samples[:, 0]), np.ones(11))
+    assert_allclose(np.abs(trace.iterates[:, 0]), np.ones(11))
+
+
+@pytest.mark.parametrize("f, x0, schedule", [
+    (quadratic(100.0), [1.0], FixedAlpha(0.005)),
+    (diag_quadratic(1.0, 100.0), [1.0, -2.0], FixedAlpha(0.01)),
+    (oscillatory(1.0, 100.0), [5.0], ArmijoAlpha()),
+    (diag_quadratic(1.0, 100.0), [1.0, -2.0], ArmijoS()),
+])
+def test_a_run_trace_is_read_only_arrays_and_leaves_the_start_writable(f, x0, schedule):
+    # iterates and gradients are (iterations + 1, dim) arrays and
+    # step_history an (iterations,) array, none writable; the caller's
+    # start shares no memory with them, stays writable and is not changed.
+    x0 = np.array(x0)
+    run = gd_run if isinstance(schedule, (FixedAlpha, ArmijoAlpha)) else gsgd_run
+    trace = run(f, x0, schedule, [MaxIter(4)])
+    assert trace.iterates.shape == trace.gradients.shape == (5, f.dim)
+    assert trace.step_history.shape == (4,)
+    for a in (trace.iterates, trace.gradients, trace.step_history):
+        assert not np.shares_memory(a, x0)
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert np.array_equal(trace.iterates[0], x0)
+    x0[0] = 7.0
+    assert x0.flags.writeable and trace.iterates[0, 0] != 7.0
 
 
 def test_gd_starts_converged():
@@ -65,8 +89,8 @@ def test_gd_starts_converged():
 def test_gd_recursion_identity():
     f = oscillatory(1.0, 100.0)
     trace = gd_run(f, np.array([4.0]), FixedAlpha(0.015), [MaxIter(60)])
-    x = trace.iterates.samples
-    g = trace.gradients.samples
+    x = trace.iterates
+    g = trace.gradients
     for k, step in enumerate(trace.step_history):
         residual = x[k + 1] - x[k] + step * g[k]
         assert np.linalg.norm(residual) <= 1e-12 * (1.0 + np.linalg.norm(x[k]))
@@ -75,10 +99,10 @@ def test_gd_recursion_identity():
 def test_gd_trace_gradients_match_function():
     f = oscillatory(1.0, 100.0)
     trace = gd_run(f, np.array([2.0]), FixedAlpha(0.01), [GradNorm(1e-12)])
-    for k in range(trace.iterates.horizon):
+    for k in range(len(trace.iterates)):
         assert_allclose(
-            trace.gradients.samples[k],
-            f.gradient(trace.iterates.samples[k]),
+            trace.gradients[k],
+            f.gradient(trace.iterates[k]),
             rtol=0,
             atol=0,
         )
@@ -106,7 +130,7 @@ def test_gsgd_one_step_scaled():
         quadratic(100.0), np.array([1.0]), FixedS(0.1), [GradNorm(1e-12)]
     )
     assert trace.iterations == 1
-    assert_allclose(trace.iterates.samples[-1], [0.0])
+    assert_allclose(trace.iterates[-1], [0.0])
 
 
 def test_gsgd_negative_s_allowed():
@@ -129,15 +153,15 @@ def test_gsgd_change_of_variables_matches_gd():
             x0 = rng.uniform(-100.0, 100.0, f.dim)
             gs = gsgd_run(f, x0, FixedS(s), [MaxIter(100)])
             gd = gd_run(f, s * x0, FixedAlpha(s * s), [MaxIter(100)])
-            scaled = s * gs.iterates.samples
-            dev = np.max(np.abs(scaled - gd.iterates.samples))
-            assert dev <= 1e-9 * (1.0 + np.max(np.abs(gd.iterates.samples)))
+            scaled = s * gs.iterates
+            dev = np.max(np.abs(scaled - gd.iterates))
+            assert dev <= 1e-9 * (1.0 + np.max(np.abs(gd.iterates)))
 
 
 def test_gsgd_recursion_identity():
     f = oscillatory(1.0, 100.0)
     trace = gsgd_run(f, np.array([3.0]), FixedS(0.12), [MaxIter(40)])
-    x = trace.iterates.samples
+    x = trace.iterates
     for k, s in enumerate(trace.step_history):
         expected = x[k] - s * np.asarray(f.gradient(s * x[k]))
         assert np.linalg.norm(x[k + 1] - expected) <= 1e-12 * (
@@ -164,7 +188,7 @@ def test_counterexample_combined_signal_energy():
     # machine precision.
     f = diag_quadratic(1.0, 100.0)
     trace = gd_run(f, np.array([1.0, 1.0]), FixedAlpha(0.02), [MaxIter(2000)])
-    combined = trace.iterates.samples - 0.01 * trace.gradients.samples
+    combined = trace.iterates - 0.01 * trace.gradients
     energy = float(np.sum(combined * combined))
     assert energy == pytest.approx(0.99**2 / (1.0 - 0.98**2), rel=1e-12)
     assert energy == pytest.approx(24.75, rel=1e-10)
@@ -300,15 +324,15 @@ def test_counterexample_run_closed_form():
         [GradNorm(1e-12), PairedGrad(1e-10), MaxIter(5000)],
     )
     assert trace.termination is Termination.PAIRED_GRAD_MET
-    x = trace.iterates.samples
+    x = trace.iterates
     k = np.arange(x.shape[0])
     assert_allclose(x[:, 0], 0.98**k, rtol=1e-10)
     assert_allclose(x[:, 1], (-1.0) ** k, rtol=0, atol=1e-12)
     # Trigger index: (1.98 * 0.98^(k-1))^2 < 1e-10 first holds at k = 605.
     assert trace.iterations == 605
     # Sum of consecutive gradients only retains the contracting coordinate.
-    g_now = trace.gradients.samples[-1]
-    g_prev = trace.gradients.samples[-2]
+    g_now = trace.gradients[-1]
+    g_prev = trace.gradients[-2]
     assert abs((g_now + g_prev)[1]) == 0.0
 
 
@@ -329,9 +353,9 @@ def test_armijo_run_without_grad_rule_survives_exact_convergence():
         f, np.array([1.0]), ArmijoAlpha(ArmijoParams(trial=0.01)), [MaxIter(5)]
     )
     assert trace.iterations == 5
-    assert_allclose(trace.iterates.samples[1:], np.zeros((5, 1)))
+    assert_allclose(trace.iterates[1:], np.zeros((5, 1)))
     gs = gsgd_run(f, np.array([1.0]), ArmijoS(ArmijoParams(trial=0.1)), [MaxIter(4)])
-    assert_allclose(gs.iterates.samples[1:], np.zeros((4, 1)))
+    assert_allclose(gs.iterates[1:], np.zeros((4, 1)))
 
 
 def test_max_iter_default_applied():

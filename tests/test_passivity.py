@@ -1,12 +1,15 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passive_gd.errors import (
     ContractionError,
     DegenerateSectorError,
-    HorizonError,
     InvalidParameterError,
     ShapeError,
 )
@@ -39,6 +42,58 @@ def test_nabla_indices_values():
         nabla_indices(-1.0, 2.0)
     with pytest.raises(InvalidParameterError):
         nabla_indices(3.0, 2.0)
+
+
+_NORMAL = (Fraction(sys.float_info.min), Fraction(sys.float_info.max))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    exponents=st.lists(st.floats(-300.0, 300.0), min_size=2, max_size=2),
+    gap=st.one_of(st.none(), st.integers(1, 52)),
+)
+def test_indices_are_their_exact_values_at_any_sector_scale(exponents, gap):
+    # delta = mL/(m+L), epsilon = 1/(m+L) and the ISP delta_bar = mL/(L-m)
+    # at d = 1/L against exact rational values, over log-uniform
+    # 1e-300 <= m <= L <= 1e300, where m*L overflows or underflows on much
+    # of the range; ``gap`` puts m within 2**-gap of L, where L - m cancels.
+    # Each must be within 1e-15 relative wherever the exact value is a
+    # normal double.
+    m, l = sorted(10.0 ** np.array(exponents))
+    if gap is not None:
+        m = l * (1.0 - 2.0**-gap)
+    m, l = float(m), float(l)
+    M, L = Fraction(m), Fraction(l)
+    base = nabla_indices(m, l)
+    pairs = [(base.delta, M * L / (M + L)), (base.epsilon, 1 / (M + L))]
+    if m < l:
+        isp = transformed_indices(m, l, 1.0 / l)
+        assert isp.classification is Classification.ISP
+        pairs.append((isp.delta, M * L / (L - M)))
+    for got, exact in pairs:
+        if _NORMAL[0] <= exact <= _NORMAL[1]:
+            assert abs(Fraction(got) - exact) <= Fraction(1, 10**15) * exact, (m, l)
+
+
+@pytest.mark.parametrize("m, l, alpha, verdict", [
+    # m*L overflows: d = 5e-162 < 1/L = 1e-160, so the step is certified.
+    (1e160, 1e160, 1e-161, Verdict.STRONG),
+    (1e200, 1e300, 1e-301, Verdict.STRONG),
+    # m + L overflows as well; d is far past 1/L.
+    (1e308, 1e308, 1e-300, Verdict.NONE),
+    # m*L underflows to zero.
+    (1e-300, 1e-300, 1.0, Verdict.STRONG),
+])
+def test_certify_at_extreme_sector_bounds_gives_finite_indices(m, l, alpha, verdict):
+    result = certify_step_size(m, l, alpha)
+    assert result.verdict is verdict
+    base = nabla_indices(m, l)
+    assert 0.0 < base.delta < math.inf
+    exact = Fraction(m) * Fraction(l) / (Fraction(m) + Fraction(l))
+    assert base.delta == pytest.approx(float(exact), rel=1e-15)
+    if result.transformed_indices is not None:
+        assert math.isfinite(result.transformed_indices.delta)
+        assert math.isfinite(result.transformed_indices.epsilon)
 
 
 def test_transformed_indices_vsp_case():
@@ -151,8 +206,9 @@ def test_margin_requires_inputs():
 
 @pytest.mark.parametrize("T", [0, -1, 0.5, -math.inf])
 def test_margin_refuses_a_horizon_below_one(T):
+    # A horizon below one sample is refused as any other bad count is.
     idx = PassivityIndices(0.0, 0.5, 0.5, Classification.VSP)
-    with pytest.raises(HorizonError, match="horizon must be positive"):
+    with pytest.raises(InvalidParameterError, match="horizon T must be"):
         empirical_passivity_margin(lambda u: u, idx, [Signal(np.ones((3, 1)))], T)
 
 

@@ -176,8 +176,8 @@ def test_scheduled_run_is_a_rescaled_fixed_step_run(i, frac, sign, x0):
     x0 = np.array(x0[: f.dim])
     gs = gsgd_run(f, x0, FixedS(s), [MaxIter(100)])
     gd = gd_run(f, s * x0, FixedAlpha(s * s), [MaxIter(100)])
-    scale = 1.0 + float(np.max(np.abs(gd.iterates.samples)))
-    assert_allclose(s * gs.iterates.samples, gd.iterates.samples, rtol=0, atol=1e-9 * scale)
+    scale = 1.0 + float(np.max(np.abs(gd.iterates)))
+    assert_allclose(s * gs.iterates, gd.iterates, rtol=0, atol=1e-9 * scale)
 
 
 def test_single_run_oracle_points():

@@ -26,7 +26,7 @@ def test_a_nan_loop_deviation_fails_the_loop_check(monkeypatch):
     calls = []
 
     def one_nan(f, alpha, x0, steps, r1, r2):
-        calls.append((f.name, alpha.shape, x0.shape, steps, r1.samples.shape, r2.samples.shape))
+        calls.append((f.name, alpha.shape, x0.shape, steps, r1.shape, r2.shape))
         devs, residuals = np.zeros(len(alpha)), np.zeros(len(alpha))
         if f.name == "oscillatory":
             devs[2] = math.nan
@@ -93,7 +93,7 @@ def test_the_input_check_fails_when_the_loop_drops_the_add_back(monkeypatch):
     real = interconnect.run_transformed
 
     def no_add_back(f, alpha, d, x0, steps, r1, r2):
-        rows = [real(f, a, v, x, steps, r1, Signal(r2.samples - v * r1.samples))
+        rows = [real(f, a, v, x, steps, r1, r2 - v * r1)
                 for a, v, x in zip(alpha, d, x0)]
         return LoopTrace(*(np.stack([getattr(t, fl.name) for t in rows], axis=1)
                            for fl in dataclasses.fields(LoopTrace)))
@@ -166,12 +166,12 @@ def test_the_counterexample_trajectory_is_one_uninterrupted_run():
     paired, iterates, gradients = verify._counterexample_run(f, np.array([1.0, 1.0]))
     assert paired.iterations == 605
     assert iterates.shape == gradients.shape == (2001, 2)
-    assert np.array_equal(iterates, full.iterates.samples)
-    assert np.array_equal(gradients, full.gradients.samples)
+    assert np.array_equal(iterates, full.iterates)
+    assert np.array_equal(gradients, full.gradients)
     checks = verify.suite_counterexample(0).checks
     assert [(c.label, c.value) for c in checks] == [
-        *zip(_TRAJECTORY_LABELS, _trajectory_values(full.iterates.samples,
-                                                    full.gradients.samples)),
+        *zip(_TRAJECTORY_LABELS, _trajectory_values(full.iterates,
+                                                    full.gradients)),
         ("paired-gradient rule fired", 1.0),
         ("paired-gradient trigger iteration", 605.0),
     ]

@@ -66,11 +66,17 @@ def _count(name, v, minimum):
 
 
 def _sector(m, L):
-    """Refuse sector bounds unless 0 < m <= L < inf."""
+    """Refuse sector bounds unless 0 < m <= L < inf and 1/L is finite.
+
+    An L below 1/DBL_MAX (about 5.6e-309) is subnormal, and its reciprocal,
+    against which the feedthrough is classified, overflows.
+    """
     if not 0.0 < m <= L < math.inf:
         raise InvalidParameterError(
             f"sector bounds must satisfy 0 < m <= L, got m={m}, L={L}"
         )
+    if math.isinf(1.0 / float(L)):
+        raise InvalidParameterError(f"sector bound L must have a finite reciprocal, got L={L}")
 
 
 def _interval(lo, hi, what):

@@ -141,15 +141,20 @@ def oscillatory(m: float, L: float) -> SectorFunction:
             f"oscillatory requires 0 < m < L, got m={m}, L={L}"
         )
 
+    # 0-d coefficients multiply a small block faster than floats, to the
+    # same bits: numpy converts a Python float operand on every call.
+    quarter, ratio, two, mid, half_width = (
+        np.array(c, dtype=float)
+        for c in ((L - m) / 4.0, (L + m) / (L - m), 2.0, 0.5 * (L + m), 0.5 * (L - m))
+    )
+
     # Both formulas take sin x as an operand; the fused oracle evaluates
     # it once and passes it to each.
     def value_at(x, sin_x):
-        return (L - m) / 4.0 * (
-            (L + m) / (L - m) * x * x + 2.0 * sin_x - 2.0 * x * np.cos(x)
-        )
+        return quarter * (ratio * x * x + two * sin_x - two * x * np.cos(x))
 
     def gradient_at(x, sin_x):
-        return 0.5 * (L + m) * x + 0.5 * (L - m) * x * sin_x
+        return mid * x + half_width * x * sin_x
 
     def value(x):
         x = np.asarray(x, dtype=float)

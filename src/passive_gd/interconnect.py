@@ -115,6 +115,28 @@ def _check_block(f: SectorFunction, x, n: int) -> np.ndarray:
     return x
 
 
+def _finite_row_norms(a: np.ndarray) -> np.ndarray:
+    """Per-row Euclidean norms of an ``(n, dim)`` block, finite on every finite row.
+
+    A width-1 row's norm is its absolute value, which is ``_row_norms``'s
+    sqrt(a*a) wherever a*a is a normal double. A wider row whose square
+    overflows is rescaled by its largest entry; every other row keeps
+    ``_row_norms``'s bits, and a row with an infinite entry an infinite norm.
+    """
+    if a.shape[1] == 1:
+        return np.abs(a[:, 0])
+    with np.errstate(over="ignore"):
+        norms = _row_norms(a)
+    big = np.isinf(norms)
+    if big.any():
+        rows = a[big]
+        scale = np.abs(rows).max(axis=1, keepdims=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rescaled = scale[:, 0] * _row_norms(rows / scale)
+        norms[big] = np.where(np.isnan(rescaled), np.inf, rescaled)
+    return norms
+
+
 def _solve_fixed_point(f: SectorFunction, d: float, u: np.ndarray) -> np.ndarray:
     """Solve y = grad_shift(u + d*y) for every row of the ``(n, dim)`` block ``u``.
 
@@ -136,8 +158,10 @@ def _solve_fixed_point(f: SectorFunction, d: float, u: np.ndarray) -> np.ndarray
         y_next = grad(z + d * y)
         # The tolerance is floored at a few ulps of the iterate magnitude;
         # below that, rounding noise keeps the differences from shrinking.
-        floor = _ULP_FLOOR * (_ONE + _row_norms(y_next))
-        done = _row_norms(y_next - y) <= np.maximum(_TOL, floor)
+        # Past |y| = 1.3e154 the squares overflow; finite norms keep the
+        # floor finite there, so rows do not stop after one update.
+        floor = _ULP_FLOOR * (_ONE + _finite_row_norms(y_next))
+        done = _finite_row_norms(y_next - y) <= np.maximum(_TOL, floor)
         n_done = np.count_nonzero(done)
         if n_done == len(y_next):
             if out is None:

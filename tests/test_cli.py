@@ -506,6 +506,12 @@ def test_run_with_a_nan_tolerance_prints_one_error_line(capsys, flag):
     (["run", "--function", "quadratic", "--m", "nan", "--L", "100", "--x0", "1",
       "--alpha", "0.01"],
      "sector bounds must satisfy 0 < m <= L, got m=nan, L=100.0"),
+    # 1/L overflows; against it every feedthrough read ISP, so --L 2e-310
+    # gave WEAK with an infinite epsilon and --L 1e-310 gave NONE.
+    (["certify", "--m", "1e-310", "--L", "1e-310", "--alpha", "1", "--json"],
+     "sector bound L must have a finite reciprocal, got L=1e-310"),
+    (["certify", "--m", "1e-310", "--L", "2e-310", "--alpha", "1", "--json"],
+     "sector bound L must have a finite reciprocal, got L=2e-310"),
 ])
 def test_non_finite_parameters_print_one_error_line(capsys, argv, message):
     assert main(argv) == 1

@@ -6,6 +6,7 @@ the bad values it must refuse with InvalidParameterError.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -54,6 +55,10 @@ COUNT = POSITIVE + (1.5, True)
 NON_FINITE = (NAN, INF, -INF)
 # A horizon that is not a number is not compared with its minimum.
 NOT_A_NUMBER = ("2", None)
+# 1/DBL_MAX rounds to the last of these, whose reciprocal still overflows;
+# the next double up is the least L with a finite one.
+_LEAST_REFUSED_L = 1.0 / sys.float_info.max
+RECIPROCAL_OVERFLOWS = (5e-324, 1e-310, _LEAST_REFUSED_L)
 
 F = quadratic(1.0)
 
@@ -106,6 +111,9 @@ SITES = [
     # functions
     ("SectorFunction.m", "m=", lambda v: _sector_function(m=v), POSITIVE),
     ("SectorFunction.L", "L=", lambda v: _sector_function(L=v), POSITIVE),
+    # Against 1/L = inf every feedthrough would read ISP.
+    ("SectorFunction.L", "L must have a finite reciprocal, got L=",
+     lambda v: _sector_function(m=v, L=v), RECIPROCAL_OVERFLOWS),
     ("quadratic.l", "curvature", quadratic, POSITIVE),
     ("builtin_function.quadratic.m", "m=", lambda v: builtin_function("quadratic", v, 100.0),
      POSITIVE),
@@ -165,10 +173,14 @@ SITES = [
      POSITIVE),
     ("transformed_indices.L", "L=", lambda v: transformed_indices(1.0, v, 0.005),
      POSITIVE),
+    ("transformed_indices.L", "L must have a finite reciprocal, got L=",
+     lambda v: transformed_indices(v, v, 0.5), RECIPROCAL_OVERFLOWS),
     ("transformed_indices.d", "feedthrough",
      lambda v: transformed_indices(1.0, 100.0, v), POSITIVE),
     ("certify_step_size.m", "m=", lambda v: certify_step_size(v, 100.0, 0.01), POSITIVE),
     ("certify_step_size.L", "L=", lambda v: certify_step_size(0.5, v, 0.01), POSITIVE),
+    ("certify_step_size.L", "L must have a finite reciprocal, got L=",
+     lambda v: certify_step_size(v, v, 1.0), RECIPROCAL_OVERFLOWS),
     ("certify_step_size.alpha", "step size",
      lambda v: certify_step_size(1.0, 100.0, v), POSITIVE),
     ("empirical_passivity_margin.T", "horizon T", _margin,
@@ -211,3 +223,22 @@ def test_a_negative_scheduling_value_and_a_finite_start_point_are_valid():
     assert gsgd_run(F, [1.0], FixedS(-0.1), [MaxIter(5)]).iterations >= 1
     assert run_transformed(F, 0.1, 0.05, [-0.0], 3).steps == 3
     assert run_transformed(F, 0.1, 0.0, [1.0], 3).steps == 3
+
+
+_SECTOR_SITES = [
+    pytest.param(lambda m, l: _sector_function(m=m, L=l), id="SectorFunction"),
+    pytest.param(lambda m, l: certify_step_size(m, l, 1.0), id="certify_step_size"),
+    pytest.param(lambda m, l: transformed_indices(m, l, 0.5), id="transformed_indices"),
+]
+
+
+@pytest.mark.parametrize("call", _SECTOR_SITES)
+def test_the_sector_rule_keeps_its_message_at_a_subnormal_l(call):
+    # Bounds that break 0 < m <= L get that rule's message whatever L is,
+    # and the least L with a finite reciprocal is valid.
+    for m in (0.0, 2e-310):
+        with pytest.raises(InvalidParameterError) as info:
+            call(m, 1e-310)
+        assert str(info.value) == f"sector bounds must satisfy 0 < m <= L, got m={m}, L=1e-310"
+    least = math.nextafter(_LEAST_REFUSED_L, math.inf)
+    call(least / 2.0, least)

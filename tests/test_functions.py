@@ -395,6 +395,37 @@ def test_fused_oracle_equals_the_block_callables(values):
     assert diag_quadratic(1.0, 100.0)._value_and_gradient is None
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(bounds=st.lists(st.floats(1e-300, 1e300), min_size=2, max_size=2, unique=True),
+       values=st.lists(_EDGE_VALUES, min_size=1, max_size=16))
+def test_oscillatory_oracles_are_the_docstring_formulas(bounds, values):
+    # The block, point and fused oracles take their coefficients as 0-d
+    # arrays; each returns the bits of the docstring's formula written
+    # with Python-float coefficients, in the same operand order, NaN
+    # payloads and signed zeros included.
+    m, L = sorted(bounds)
+    f = oscillatory(m, L)
+
+    def value(x):
+        return (L - m) / 4.0 * (
+            (L + m) / (L - m) * x * x + 2.0 * np.sin(x) - 2.0 * x * np.cos(x)
+        )
+
+    def gradient(x):
+        return 0.5 * (L + m) * x + 0.5 * (L - m) * x * np.sin(x)
+
+    xs = np.array(values)
+    with np.errstate(all="ignore"):
+        fused = f._value_and_gradient(xs)
+        assert f.elementwise_value(xs).tobytes() == fused[0].tobytes() == value(xs).tobytes()
+        assert (f.elementwise_gradient(xs).tobytes() == fused[1].tobytes()
+                == gradient(xs).tobytes())
+        for x in xs:
+            point = np.array([x])
+            assert np.float64(f.value(point)).tobytes() == value(point).tobytes()
+            assert f.gradient(point).tobytes() == gradient(point).tobytes()
+
+
 _WIDTH_ONE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-160, 1e-160, 1.0,
                     -2.5, 1e200, -1e200, 1.7e308, np.inf, -np.inf, np.nan]
 

@@ -17,6 +17,7 @@ from passive_gd.errors import (
 )
 from passive_gd.functions import (
     SectorFunction,
+    _row_norms,
     diag_quadratic,
     oscillatory,
     quadratic,
@@ -100,6 +101,41 @@ def test_delta_bar_linear_closed_form():
     # y = 100(u + 0.005 y) has solution y = 200 u.
     y = evaluate_delta_bar(quadratic(100.0), 0.005, np.array([1.0]))
     assert y[0] == pytest.approx(200.0, rel=1e-11)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("u", [1e153, 1e200, 1e300])
+def test_delta_bar_at_amplitudes_whose_squares_overflow(u):
+    # Past |y| = 1.3e154 the iterates' squares overflow. The stopping test
+    # still compares finite norms, so every row iterates to the fixed point
+    # y = l*u/(1 - d*l) rather than stopping after its first update, with
+    # no warning; a small row solved in the same block keeps its bits.
+    d = 0.004
+    y = evaluate_delta_bar(quadratic(100.0), d, np.array([[u], [1.0]]))
+    assert y[0, 0] == pytest.approx(100.0 * u / (1.0 - d * 100.0), rel=1e-12)
+    assert y[1, 0] == evaluate_delta_bar(quadratic(100.0), d, np.array([1.0]))[0]
+    x = np.array([u, -u])
+    curvature = np.array([1.0, 100.0])
+    assert_allclose(evaluate_delta_bar(diag_quadratic(1.0, 100.0), d, x),
+                    curvature * x / (1.0 - d * curvature), rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_stopping_norms_are_finite_on_finite_rows():
+    # A width-1 row's norm is its absolute value: _row_norms' value wherever
+    # the square is a normal double, and finite past that. Of wider rows,
+    # only those whose squares overflow are rescaled: the others keep
+    # _row_norms' bits, and a row with an infinite entry keeps an infinite
+    # norm, NaN a NaN one.
+    flat = np.array([[1e150], [-3.0], [-0.0], [-np.inf], [np.nan]])
+    assert np.array_equal(interconnect._finite_row_norms(flat), _row_norms(flat), equal_nan=True)
+    assert interconnect._finite_row_norms(np.array([[-1e300]]))[0] == 1e300
+    wide = np.array([[1e200, -1e200], [3.0, 4.0], [np.inf, 1.0], [np.nan, 1e200],
+                     [1e308, 1e308], [0.1, 0.2]])
+    norms = interconnect._finite_row_norms(wide)
+    assert_allclose(norms[[0, 4]], [np.sqrt(2.0) * 1e200, np.sqrt(2.0) * 1e308], rtol=1e-15)
+    assert norms[1] == 5.0 and norms[2] == np.inf and np.isnan(norms[3])
+    assert norms[5] == np.linalg.norm(wide[5])
 
 
 def test_delta_bar_against_bisection_oracle():

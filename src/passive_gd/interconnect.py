@@ -42,6 +42,7 @@ Which side of 1/L the feedthrough is on is decided by the verdict's rule,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,12 +138,16 @@ def _finite_row_norms(a: np.ndarray) -> np.ndarray:
     return norms
 
 
+# Overflow is left to the finiteness test on each iterate's floor, so
+# numpy does not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_fixed_point(f: SectorFunction, d: float, u: np.ndarray) -> np.ndarray:
     """Solve y = grad_shift(u + d*y) for every row of the ``(n, dim)`` block ``u``.
 
     Each row starts at grad_shift(u), stops on its own once its update is
     within ``_TOL`` and leaves the active set; the others keep iterating.
-    Rows still active after ``_MAX_ITER`` iterations raise ConvergenceError.
+    An iterate that is not finite raises ConvergenceError at once, as do
+    rows still active after ``_MAX_ITER`` iterations.
     """
     grad = row_gradient(f)
     # The shift to the minimizer is hoisted out of the loop; for the zero
@@ -161,6 +166,14 @@ def _solve_fixed_point(f: SectorFunction, d: float, u: np.ndarray) -> np.ndarray
         # Past |y| = 1.3e154 the squares overflow; finite norms keep the
         # floor finite there, so rows do not stop after one update.
         floor = _ULP_FLOOR * (_ONE + _finite_row_norms(y_next))
+        # The floor is finite exactly where the iterate's norm is, so one
+        # reduction finds a row that overflowed or went NaN, which cannot
+        # converge, or whose norm is past the double range.
+        if not floor.max() < math.inf:
+            raise ConvergenceError(
+                "fixed point iterate is not finite or its norm overflows for "
+                f"{np.count_nonzero(~np.isfinite(floor))} of {n} points"
+            )
         done = _finite_row_norms(y_next - y) <= np.maximum(_TOL, floor)
         n_done = np.count_nonzero(done)
         if n_done == len(y_next):

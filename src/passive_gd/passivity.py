@@ -44,7 +44,6 @@ _REL_TOL = 1e-12
 
 
 class Classification(enum.Enum):
-    PASSIVE = "passive"
     ISP = "isp"
     VSP = "vsp"
     NONE = "none"
@@ -61,9 +60,8 @@ _VERDICT_OF_CLASS = {Classification.VSP: Verdict.STRONG, Classification.ISP: Ver
 
 @dataclass(frozen=True)
 class PassivityIndices:
-    """Bias beta <= 0 plus input/output indices (delta, epsilon)."""
+    """Input and output indices (delta, epsilon) and the class they give."""
 
-    beta: float
     delta: float
     epsilon: float
     classification: Classification
@@ -95,14 +93,13 @@ def _feedthrough_class(l: float, d: float) -> Classification:
 
 
 def nabla_indices(m: float, l: float) -> PassivityIndices:
-    """Indices of the shifted gradient: VSP with beta = 0."""
+    """Indices of the shifted gradient, which is VSP."""
     _sector(m, l)
     # mL/(m+L) keeps its bits wherever m*L is a normal double. Where the
     # product overflows or loses bits, m/(1 + m/L) has neither problem;
     # m + L can overflow only where m*L does.
     p = m * l
     return PassivityIndices(
-        beta=0.0,
         delta=p / (m + l) if _normal(p) else m / (1.0 + m / l),
         epsilon=1.0 / (m + l),
         classification=Classification.VSP,
@@ -132,7 +129,6 @@ def transformed_indices(m: float, l: float, d: float) -> PassivityIndices:
         # As in nabla_indices: m*(L/(L - m)) where m*L is not a normal double.
         p = m * l
         return PassivityIndices(
-            beta=0.0,
             delta=p / (l - m) if _normal(p) else m * (l / (l - m)),
             epsilon=0.0,
             classification=classification,
@@ -147,7 +143,6 @@ def transformed_indices(m: float, l: float, d: float) -> PassivityIndices:
     delta_bar = delta / contraction
     epsilon_bar = (epsilon - d + delta * d * d) / contraction
     return PassivityIndices(
-        beta=0.0,
         delta=delta_bar,
         epsilon=epsilon_bar,
         classification=classification,
@@ -189,7 +184,7 @@ def empirical_passivity_margin(
 ) -> float:
     """Worst slack of the passivity inequality over the given inputs.
 
-    margin = min_u [ <u, op(u)>_T - beta - delta*||u||^2_2T
+    margin = min_u [ <u, op(u)>_T - delta*||u||^2_2T
                      - epsilon*||op(u)||^2_2T ]
 
     ``op`` must be memoryless: sample k of its output depends on sample k
@@ -220,7 +215,6 @@ def empirical_passivity_margin(
     u, y_u = stacked.reshape(n, -1), y.samples.reshape(n, -1)
     margins = (
         np.sum(u * y_u, axis=1)
-        - indices.beta
         - indices.delta * np.sum(u * u, axis=1)
         - indices.epsilon * np.sum(y_u * y_u, axis=1)
     )

@@ -133,7 +133,7 @@ def suite_passivity(seed: int) -> SuiteReport:
         "transformed nonlinearity margin (d=0.005)", margin_bar, -1e-9 * (1 + L)
     )
 
-    ident = PassivityIndices(0.0, 0.5, 0.5, Classification.VSP)
+    ident = PassivityIndices(0.5, 0.5, Classification.VSP)
     margin_id = empirical_passivity_margin(lambda u: u, ident, inputs, 50)
     report.add_max("identity operator margin (exact zero)", abs(margin_id), 1e-12)
     margin_neg = empirical_passivity_margin(

@@ -173,7 +173,6 @@ def _nan_outside(f, radius):
     )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failed_line_search_is_flagged_not_raised():
     # Samples outside the radius fail every backtrack; they are flagged at
     # the cap while the other samples converge, in the vectorized engine
@@ -192,7 +191,6 @@ def test_failed_line_search_is_flagged_not_raised():
         assert stat.count_histogram[spec.max_iter] == bad
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_start_points_are_flagged():
     # x0 in +-1e160 overflows f; the Armijo methods flag those samples.
     f = oscillatory(1.0, 100.0)
@@ -327,7 +325,6 @@ def test_armijo_oracle_points_per_sample(seed):
         assert points["grad"] == grads, method.label
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_objective_fails_the_search_at_once():
     # f(x0) overflows to inf for x0 in +-1e160: the Armijo methods flag
     # such a sample after one evaluation of f instead of creeping on

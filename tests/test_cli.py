@@ -22,12 +22,12 @@ from passive_gd.optim import ArmijoAlpha, ArmijoParams, GradNorm, MaxIter, gd_ru
 
 
 def test_certify_exit_codes(capsys):
-    assert main(["certify", "--m", "1", "--L", "100", "--alpha", "0.01"]) == 0
-    assert "STRONG" in capsys.readouterr().out
-    assert main(["certify", "--m", "1", "--L", "100", "--alpha", "0.02"]) == 0
-    assert "WEAK" in capsys.readouterr().out
-    assert main(["certify", "--m", "1", "--L", "100", "--alpha", "0.05"]) == 2
-    assert "NONE" in capsys.readouterr().out
+    # 0.0201 is just past 2/L = 0.02, where the verdict drops to NONE.
+    for alpha, code, verdict in [("0.01", 0, "STRONG"), ("0.02", 0, "WEAK"),
+                                 ("0.0201", 2, "NONE"), ("0.05", 2, "NONE")]:
+        assert main(["certify", "--m", "1", "--L", "100", "--alpha", alpha]) == code
+        out, err = capsys.readouterr()
+        assert f"verdict: {verdict}" in out.splitlines() and err == ""
     assert main(["certify", "--m", "1", "--L", "100", "--alpha", "-1"]) == 1
     assert "error" in capsys.readouterr().err
 
@@ -64,10 +64,12 @@ def test_certify_at_extreme_sector_bounds(capsys, m, L, alpha, code, verdict, de
     # 1/L and --json prints no NaN or Infinity.
     argv = ["certify", "--m", m, "--L", L, "--alpha", alpha]
     assert main(argv) == code
-    assert f"verdict: {verdict.upper()}" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert f"verdict: {verdict.upper()}" in out and err == ""
     assert main(argv + ["--json"]) == code
-    doc = _strict_json(capsys.readouterr().out)
-    assert doc["verdict"] == verdict
+    out, err = capsys.readouterr()
+    doc = _strict_json(out)
+    assert doc["verdict"] == verdict and err == ""
     assert doc["delta"] == delta
 
 
@@ -129,21 +131,28 @@ def test_run_loop_mode_trace_holds_the_recursion_and_the_wiring(tmp_path, functi
     # Row k holds the iterate x_k of x <- x - alpha*grad f(x) as the state,
     # y2 = grad f(state), u1 = -y2, u2 = state - d*y2 and y1 = state + d*u1
     # at d = alpha/2, each as .17g text; the row after the last step holds
-    # the final state alone.
-    steps, d = 12, alpha / 2.0
-    path = tmp_path / "loop.csv"
-    assert main([
-        "run", "--function", function, "--m", "1", "--L", "100",
-        "--x0", ",".join(map(str, x0)), "--alpha", str(alpha), "--mode", "loop",
-        "--steps", str(steps), "--trace", str(path),
-    ]) == 0
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    # the final state alone. So the loop trace reads as the iterate trace of
+    # the same recursion, run by gd for as many steps.
+    steps, d = 50, alpha / 2.0
+    common = ["run", "--function", function, "--m", "1", "--L", "100",
+              "--x0", ",".join(map(str, x0)), "--alpha", str(alpha)]
+    path, iterate_path = tmp_path / "loop.csv", tmp_path / "iterates.csv"
+    assert main(common + ["--mode", "loop", "--steps", str(steps), "--trace", str(path)]) == 0
+    assert main(common + ["--method", "gd", "--max-iter", str(steps), "--tol", "1e-300",
+                          "--trace", str(iterate_path)]) == 0
+    rows, iterates = ([*csv.DictReader(p.read_text().splitlines())] for p in (path, iterate_path))
     f = builtin_function(function, 1.0, 100.0)
-    assert len(rows) == steps + 1
+    assert len(rows) == len(iterates) == steps + 1
 
     def cells(row, name):
         return [row[name if f.dim == 1 else f"{name}_{i}"] for i in range(f.dim)]
+
+    def iterate_cells(row, name):
+        return [row[f"{name}_{i}"] for i in range(f.dim)]
+
+    assert [cells(r, "state") for r in rows] == [iterate_cells(r, "x") for r in iterates]
+    assert ([cells(r, "y2") for r in rows[:steps]]
+            == [iterate_cells(r, "g") for r in iterates[:steps]])
 
     def text(values):
         return [f"{v:.17g}" for v in values]
@@ -163,6 +172,30 @@ def test_run_loop_mode_trace_holds_the_recursion_and_the_wiring(tmp_path, functi
         assert cells(row, "u2") == text(x - d * y2)
         assert cells(row, "y1") == text(x + d * u1)
         x = x - alpha * y2
+
+
+_OSCILLATORY = ["run", "--function", "oscillatory", "--m", "1", "--L", "100"]
+
+
+@pytest.mark.parametrize("argv", [
+    _OSCILLATORY + ["--x0", "5", "--method", "gd", "--alpha", "0.0198", "--trace", "TRACE"],
+    _OSCILLATORY + ["--x0", "5", "--method", "gsgd", "--armijo"],
+    _OSCILLATORY + ["--x0", "2", "--alpha", "0.01", "--mode", "loop", "--steps", "50",
+                    "--trace", "TRACE"],
+    _OSCILLATORY + ["--x0", "98", "--alpha", "0.02", "--mode", "loop", "--steps", "30"],
+    ["run", "--method", "gd", "--armijo", "--m", "1", "--L", "100", "--x0", "5"],
+    ["run", "--m", "1", "--L", "100", "--x0", "5", "--alpha", "7", "--max-iter", "100",
+     "--json"],
+])
+def test_readme_runs_exit_zero_with_nothing_on_stderr(tmp_path, capsys, argv):
+    # RuntimeWarnings are errors in this suite, so a stray numpy warning
+    # fails the run as it would show on stderr from the command line.
+    argv = [str(tmp_path / "trace.csv") if a == "TRACE" else a for a in argv]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if "--json" in argv:
+        _strict_json(out)
 
 
 def test_run_paired_gradient_rule_via_cli(capsys):
@@ -225,8 +258,8 @@ def test_run_gd_armijo_json_matches_the_library(capsys):
 def test_certify_text_at_a_degenerate_boundary(capsys):
     # m == L at alpha = 2/L: the transformed indices are undefined.
     assert main(["certify", "--m", "5", "--L", "5", "--alpha", "0.4"]) == 2
-    out = capsys.readouterr().out
-    assert "verdict: NONE" in out
+    out, err = capsys.readouterr()
+    assert "verdict: NONE" in out and err == ""
     assert "transformed indices: undefined at this feedthrough" in out
 
 
@@ -350,11 +383,10 @@ def test_bench_rejects_a_thread_count_below_one(tmp_path, capsys, threads):
     out = tmp_path / "out"
     assert main(["bench", "--config", str(cfg), "--out-dir", str(out),
                  "--threads", threads]) == 1
-    _assert_one_error_line(capsys, f"threads must be >= 1, got {threads}")
+    assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n"
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_armijo_from_overflowing_start(capsys):
     code = main([
         "run", "--function", "oscillatory", "--m", "1", "--L", "100",
@@ -455,7 +487,7 @@ def test_run_with_a_non_numeric_start_point_prints_one_error_line(x0):
 
 def test_verify_rejects_a_negative_seed(capsys):
     assert main(["verify", "--seed", "-1"]) == 1
-    _assert_one_error_line(capsys, "seed must be >= 0, got -1")
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
 def test_bench_rejects_a_negative_seed(tmp_path, capsys):
@@ -480,7 +512,7 @@ def test_bench_config_with_a_non_numeric_seed(tmp_path, capsys, value, shown):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
     assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
-    _assert_one_error_line(capsys, f"config.seed must be a number, got {shown}")
+    assert capsys.readouterr().err == f"error: config.seed must be a number, got {shown}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -488,7 +520,7 @@ def test_bench_config_with_a_non_numeric_seed(tmp_path, capsys, value, shown):
 def test_run_with_a_nan_tolerance_prints_one_error_line(capsys, flag):
     assert main(["run", "--L", "100", "--x0", "1", "--alpha", "0.01", flag, "nan",
                  "--max-iter", "1000", "--json"]) == 1
-    _assert_one_error_line(capsys, "tolerance must be positive, got nan")
+    assert capsys.readouterr().err == "error: tolerance must be positive, got nan\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -512,11 +544,12 @@ def test_run_with_a_nan_tolerance_prints_one_error_line(capsys, flag):
      "sector bound L must have a finite reciprocal, got L=1e-310"),
     (["certify", "--m", "1e-310", "--L", "2e-310", "--alpha", "1", "--json"],
      "sector bound L must have a finite reciprocal, got L=2e-310"),
+    (["certify", "--m", "1e-310", "--L", "1e-310", "--alpha", "1"],
+     "sector bound L must have a finite reciprocal, got L=1e-310"),
 ])
 def test_non_finite_parameters_print_one_error_line(capsys, argv, message):
     assert main(argv) == 1
-    _assert_one_error_line(capsys, message)
-    assert capsys.readouterr().out == ""
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_bench_config_with_a_nan_step_size(tmp_path, capsys):
@@ -525,7 +558,7 @@ def test_bench_config_with_a_nan_step_size(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
     assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
-    _assert_one_error_line(capsys, "alpha must be positive, got nan")
+    assert capsys.readouterr().err == "error: alpha must be positive, got nan\n"
     assert not (tmp_path / "out").exists()
 
 

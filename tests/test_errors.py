@@ -73,7 +73,7 @@ def _sector_function(m=0.5, L=1.0):
 
 
 def _margin(T):
-    ident = PassivityIndices(0.0, 0.5, 0.5, Classification.VSP)
+    ident = PassivityIndices(0.5, 0.5, Classification.VSP)
     empirical_passivity_margin(lambda u: u, ident, [Signal(np.ones((3, 1)))], T)
 
 

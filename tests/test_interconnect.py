@@ -195,6 +195,32 @@ def test_delta_bar_iteration_count_bound():
     assert y[0] == pytest.approx(200.0, rel=1e-11)
 
 
+@pytest.mark.parametrize("f, d, u", [
+    (quadratic(100.0), 0.005, [1e307]),
+    (oscillatory(1.0, 100.0), 0.005, [1e307]),
+    # Both entries of this fixed point, (1.3013e308, 1.3333e308), are
+    # finite, but its norm is not, so no stopping test can be made.
+    (diag_quadratic(1.0, 100.0), 0.001, [1.3e308, 1.2e306]),
+])
+def test_a_non_finite_iterate_ends_the_solve_at_once(f, d, u):
+    # At u = 1e307 and d = 0.005, quadratic(100)'s fixed point 200*u is past
+    # the double range, and oscillatory's first update overflows too. The
+    # solve stops at the first iterate that is not finite, rather than after
+    # its 1000-iteration budget or at an unconverged update, and numpy does
+    # not warn.
+    calls, gradient = [], f.elementwise_gradient
+
+    def counting_gradient(x):
+        calls.append(len(x))
+        return gradient(x)
+
+    counted = dataclasses.replace(f, elementwise_gradient=counting_gradient)
+    with pytest.raises(ConvergenceError, match="iterate is not finite .* for 1 of 2 points"):
+        evaluate_delta_bar(counted, d, np.array([u, np.ones(f.dim)]))
+    # One call gives the starting point and one the first update.
+    assert calls == [2, 2]
+
+
 def test_delta_bar_operator_applies_per_sample():
     f = quadratic(100.0)
     op = delta_bar_operator(f, 0.005)

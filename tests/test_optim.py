@@ -236,7 +236,6 @@ def test_armijo_s_backtracks_once_on_stiff_quadratic():
     assert 0.0 < s <= cap
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_armijo_searches_fail_where_the_objective_overflows():
     # f(1e160) overflows to inf; without the check the test inf <= inf
     # passes after enough backtracks and the search returns s ~ 2e-15.

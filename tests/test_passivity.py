@@ -32,7 +32,6 @@ def test_nabla_indices_values():
     idx = nabla_indices(1.0, 100.0)
     assert idx.delta == pytest.approx(100.0 / 101.0, rel=1e-15)
     assert idx.epsilon == pytest.approx(1.0 / 101.0, rel=1e-15)
-    assert idx.beta == 0.0
     assert idx.classification is Classification.VSP
     sym = nabla_indices(1.0, 1.0)
     assert sym.delta == 0.5 and sym.epsilon == 0.5
@@ -171,14 +170,14 @@ def test_certify_cross_validates_certificate():
 
 
 def test_margin_identity_operator_is_zero():
-    idx = PassivityIndices(0.0, 0.5, 0.5, Classification.VSP)
+    idx = PassivityIndices(0.5, 0.5, Classification.VSP)
     inputs = random_unit_energy(1, 20, 10, seed=3)
     margin = empirical_passivity_margin(lambda u: u, idx, inputs, 20)
     assert margin == pytest.approx(0.0, abs=1e-12)
 
 
 def test_margin_negation_operator_is_negative():
-    idx = PassivityIndices(0.0, 0.5, 0.5, Classification.VSP)
+    idx = PassivityIndices(0.5, 0.5, Classification.VSP)
     inputs = random_unit_energy(1, 20, 10, seed=4)
     margin = empirical_passivity_margin(
         lambda u: Signal(-u.samples), idx, inputs, 20
@@ -199,7 +198,7 @@ def test_margin_of_shifted_gradient():
 
 
 def test_margin_requires_inputs():
-    idx = PassivityIndices(0.0, 0.0, 0.0, Classification.PASSIVE)
+    idx = PassivityIndices(0.5, 0.5, Classification.VSP)
     with pytest.raises(InvalidParameterError):
         empirical_passivity_margin(lambda u: u, idx, [], 5)
 
@@ -207,7 +206,7 @@ def test_margin_requires_inputs():
 @pytest.mark.parametrize("T", [0, -1, 0.5, -math.inf])
 def test_margin_refuses_a_horizon_below_one(T):
     # A horizon below one sample is refused as any other bad count is.
-    idx = PassivityIndices(0.0, 0.5, 0.5, Classification.VSP)
+    idx = PassivityIndices(0.5, 0.5, Classification.VSP)
     with pytest.raises(InvalidParameterError, match="horizon T must be"):
         empirical_passivity_margin(lambda u: u, idx, [Signal(np.ones((3, 1)))], T)
 
@@ -219,7 +218,6 @@ def _per_input_minimum(op, idx, inputs, T):
         u, y = u.samples[:T], op(u).samples[:T]
         margins.append(
             float(np.sum(u * y))
-            - idx.beta
             - idx.delta * float(np.sum(u * u))
             - idx.epsilon * float(np.sum(y * y))
         )
@@ -246,7 +244,7 @@ def test_margin_calls_the_operator_once_on_the_stacked_inputs():
         calls.append(u.horizon)
         return Signal(2.0 * u.samples)
 
-    idx = PassivityIndices(0.0, 0.5, 0.5, Classification.VSP)
+    idx = PassivityIndices(0.5, 0.5, Classification.VSP)
     inputs = random_unit_energy(2, 30, 7, seed=7)
     margin = empirical_passivity_margin(op, idx, inputs, 20)
     assert calls == [7 * 20]
@@ -263,7 +261,7 @@ def test_margin_calls_the_operator_once_on_the_stacked_inputs():
      "sample count"),
 ])
 def test_margin_refuses_mismatched_shapes(op, inputs, match):
-    idx = PassivityIndices(0.0, 0.5, 0.5, Classification.VSP)
+    idx = PassivityIndices(0.5, 0.5, Classification.VSP)
     with pytest.raises(ShapeError, match=match):
         empirical_passivity_margin(op, idx, inputs, 5)
 
@@ -274,6 +272,6 @@ def test_a_nan_margin_is_the_worst_margin():
         y[25] = np.nan  # the sixth of the ten inputs, which are 5 samples each
         return Signal(y)
 
-    idx = PassivityIndices(0.0, 0.5, 0.5, Classification.VSP)
+    idx = PassivityIndices(0.5, 0.5, Classification.VSP)
     inputs = random_unit_energy(1, 5, 10, seed=8)
     assert np.isnan(empirical_passivity_margin(op, idx, inputs, 5))

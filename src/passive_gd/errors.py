@@ -65,18 +65,21 @@ def _count(name, v, minimum):
         raise InvalidParameterError(f"{name} must be >= {minimum}, got {v}")
 
 
-def _sector(m, L):
-    """Refuse sector bounds unless 0 < m <= L < inf and 1/L is finite.
+def _finite_reciprocal(what, name, v):
+    """Refuse a positive ``v`` below 1/DBL_MAX (about 5.6e-309): it is
+    subnormal, and its reciprocal overflows."""
+    if math.isinf(1.0 / float(v)):
+        raise InvalidParameterError(f"{what} must have a finite reciprocal, got {name}={v}")
 
-    An L below 1/DBL_MAX (about 5.6e-309) is subnormal, and its reciprocal,
-    against which the feedthrough is classified, overflows.
-    """
+
+def _sector(m, L):
+    """Refuse sector bounds unless 0 < m <= L < inf and 1/L is finite, since
+    the feedthrough is classified against 1/L."""
     if not 0.0 < m <= L < math.inf:
         raise InvalidParameterError(
             f"sector bounds must satisfy 0 < m <= L, got m={m}, L={L}"
         )
-    if math.isinf(1.0 / float(L)):
-        raise InvalidParameterError(f"sector bound L must have a finite reciprocal, got L={L}")
+    _finite_reciprocal("sector bound L", "L", L)
 
 
 def _interval(lo, hi, what):

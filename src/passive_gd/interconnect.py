@@ -116,77 +116,49 @@ def _check_block(f: SectorFunction, x, n: int) -> np.ndarray:
     return x
 
 
-def _finite_row_norms(a: np.ndarray) -> np.ndarray:
-    """Per-row Euclidean norms of an ``(n, dim)`` block, finite on every finite row.
-
-    A width-1 row's norm is its absolute value, which is ``_row_norms``'s
-    sqrt(a*a) wherever a*a is a normal double. A wider row whose square
-    overflows is rescaled by its largest entry; every other row keeps
-    ``_row_norms``'s bits, and a row with an infinite entry an infinite norm.
-    """
-    if a.shape[1] == 1:
-        return np.abs(a[:, 0])
-    with np.errstate(over="ignore"):
-        norms = _row_norms(a)
-    big = np.isinf(norms)
-    if big.any():
-        rows = a[big]
-        scale = np.abs(rows).max(axis=1, keepdims=True)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rescaled = scale[:, 0] * _row_norms(rows / scale)
-        norms[big] = np.where(np.isnan(rescaled), np.inf, rescaled)
-    return norms
-
-
 # Overflow is left to the finiteness test on each iterate's floor, so
 # numpy does not warn.
 @np.errstate(over="ignore", invalid="ignore")
 def _solve_fixed_point(f: SectorFunction, d: float, u: np.ndarray) -> np.ndarray:
     """Solve y = grad_shift(u + d*y) for every row of the ``(n, dim)`` block ``u``.
 
-    Each row starts at grad_shift(u), stops on its own once its update is
-    within ``_TOL`` and leaves the active set; the others keep iterating.
-    An iterate that is not finite raises ConvergenceError at once, as do
-    rows still active after ``_MAX_ITER`` iterations.
+    Each row starts at grad_shift(u), stops on its own once its update's
+    largest entry is within ``_TOL`` and leaves the active set; the others
+    keep iterating. An iterate that is not finite raises ConvergenceError at
+    once, as do rows still active after ``_MAX_ITER`` iterations.
     """
     grad = row_gradient(f)
+    # Each row is measured by its largest absolute entry, finite on every
+    # finite row; a width-1 row's is its absolute value, with no reduction.
+    largest = ((lambda a: np.abs(a[:, 0])) if f.dim == 1
+               else (lambda a: np.abs(a).max(axis=1)))
     # The shift to the minimizer is hoisted out of the loop; for the zero
     # minimizer of every built-in, (u + x*) + d*y is bitwise (u + d*y) + x*.
     z = u + f.minimizer
     y = grad(z)
     n = len(u)
-    # Finished rows are copied out and the active block compacted only on
-    # iterations where some, but not all, rows finish; a block whose rows
-    # all finish together is returned as it stands.
-    out, rows = None, np.arange(n)
+    out, rows = np.empty_like(y), np.arange(n)
     for _ in range(_MAX_ITER):
         y_next = grad(z + d * y)
         # The tolerance is floored at a few ulps of the iterate magnitude;
         # below that, rounding noise keeps the differences from shrinking.
-        # Past |y| = 1.3e154 the squares overflow; finite norms keep the
-        # floor finite there, so rows do not stop after one update.
-        floor = _ULP_FLOOR * (_ONE + _finite_row_norms(y_next))
-        # The floor is finite exactly where the iterate's norm is, so one
-        # reduction finds a row that overflowed or went NaN, which cannot
-        # converge, or whose norm is past the double range.
+        floor = _ULP_FLOOR * (_ONE + largest(y_next))
+        # The floor is finite exactly where the iterate is, so one reduction
+        # finds a row that overflowed or went NaN, which cannot converge.
         if not floor.max() < math.inf:
             raise ConvergenceError(
-                "fixed point iterate is not finite or its norm overflows for "
+                "fixed point iterate is not finite for "
                 f"{np.count_nonzero(~np.isfinite(floor))} of {n} points"
             )
-        done = _finite_row_norms(y_next - y) <= np.maximum(_TOL, floor)
-        n_done = np.count_nonzero(done)
-        if n_done == len(y_next):
-            if out is None:
-                return y_next
-            out[rows] = y_next
-            return out
-        if n_done:
-            if out is None:
-                out = np.empty_like(y_next)
+        done = largest(y_next - y) <= np.maximum(_TOL, floor)
+        # Finished rows are copied out and the active block compacted only
+        # on iterations where some finish.
+        if np.count_nonzero(done):
             out[rows[done]] = y_next[done]
             keep = ~done
             rows, z, y_next = rows[keep], z[keep], y_next[keep]
+            if not rows.size:
+                return out
         y = y_next
     raise ConvergenceError(
         f"fixed point did not reach tol={_TOL} within {_MAX_ITER} iterations "
@@ -199,12 +171,13 @@ def evaluate_delta_bar(f: SectorFunction, d: float, u) -> np.ndarray:
 
     ``u`` is a point, or an ``(n, dim)`` block whose rows iterate together
     and each stop on their own; the one feedthrough ``d`` serves them all.
-    The iteration starts at grad_shift(u) and stops once an update is
-    within 1e-12 (floored at a few ulps of the iterate), within 1000
-    iterations. Requires a VSP feedthrough, d < 1/L. That bounds the slope
-    of the gradient only along chords through the minimizer, not f'', so
-    the iteration is guaranteed to contract only for the quadratic family
-    (factor d*L); elsewhere it may raise ConvergenceError.
+    The iteration starts at grad_shift(u) and stops once the update's
+    largest entry is within 1e-12, floored at 8 ulps of the iterate's
+    largest entry, within 1000 iterations. Requires a VSP feedthrough,
+    d < 1/L. That bounds the slope of the gradient only along chords
+    through the minimizer, not f'', so the iteration is guaranteed to
+    contract only for the quadratic family (factor d*L); elsewhere it may
+    raise ConvergenceError.
     """
     block = np.ndim(u) == 2
     u = _check_block(f, u, len(u)) if block else f.check_point(u)[None]

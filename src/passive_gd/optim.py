@@ -194,10 +194,25 @@ _MET, _PAIRED, _CAP, _NONFINITE, _FAILED = range(5)
 
 
 def _normalize_stops(stops: Sequence[StoppingRule]):
-    """The first rule of each kind; the cap defaults to DEFAULT_MAX_ITER."""
-    first = [next((r for r in stops if isinstance(r, kind)), None)
-             for kind in (GradNorm, PairedGrad, MaxIter)]
-    return first[0], first[1], first[2] or MaxIter(DEFAULT_MAX_ITER)
+    """The rule of each kind, or None; the cap defaults to DEFAULT_MAX_ITER.
+
+    Refuses a bare rule, an entry that is not a rule and a second rule of
+    one kind, so that no rule is silently dropped.
+    """
+    rules = dict.fromkeys((GradNorm, PairedGrad, MaxIter))
+    if type(stops) in rules:
+        raise InvalidParameterError(f"stops must be a sequence of rules, got {stops!r}")
+    for rule in stops:
+        kind = type(rule)
+        if kind not in rules:
+            raise InvalidParameterError(
+                f"a stop must be a GradNorm, PairedGrad or MaxIter rule, got {rule!r}"
+            )
+        if rules[kind] is not None:
+            raise InvalidParameterError(f"stops hold a second {kind.__name__} rule: {rule!r}")
+        rules[kind] = rule
+    grad_rule, paired_rule, max_rule = rules.values()
+    return grad_rule, paired_rule, max_rule or MaxIter(DEFAULT_MAX_ITER)
 
 
 def _first_trial(f: SectorFunction, schedule) -> float:

@@ -23,6 +23,7 @@ from .errors import (
     InvalidParameterError,
     ShapeError,
     _count,
+    _finite_reciprocal,
     _positive,
     _sector,
 )
@@ -158,6 +159,8 @@ def certify_step_size(m: float, l: float, alpha: float) -> StepSizeVerdict:
     """
     _sector(m, l)
     _positive("step size", alpha)
+    # The certificate's storage is p = 1/alpha.
+    _finite_reciprocal("step size", "alpha", alpha)
     d = alpha / 2.0
     try:
         indices = transformed_indices(m, l, d)

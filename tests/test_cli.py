@@ -546,6 +546,12 @@ def test_run_with_a_nan_tolerance_prints_one_error_line(capsys, flag):
      "sector bound L must have a finite reciprocal, got L=2e-310"),
     (["certify", "--m", "1e-310", "--L", "1e-310", "--alpha", "1"],
      "sector bound L must have a finite reciprocal, got L=1e-310"),
+    # A subnormal step's reciprocal overflows too; these named p_scalar and
+    # the feedthrough, neither of them a flag.
+    (["certify", "--m", "1", "--L", "100", "--alpha", "1e-320"],
+     "step size must have a finite reciprocal, got alpha=1e-320"),
+    (["certify", "--m", "1", "--L", "100", "--alpha", "5e-324"],
+     "step size must have a finite reciprocal, got alpha=5e-324"),
 ])
 def test_non_finite_parameters_print_one_error_line(capsys, argv, message):
     assert main(argv) == 1

@@ -183,6 +183,9 @@ SITES = [
      lambda v: certify_step_size(v, v, 1.0), RECIPROCAL_OVERFLOWS),
     ("certify_step_size.alpha", "step size",
      lambda v: certify_step_size(1.0, 100.0, v), POSITIVE),
+    # The certificate's storage 1/alpha would overflow, and alpha/2 of 5e-324 is 0.
+    ("certify_step_size.alpha", "step size must have a finite reciprocal, got alpha=",
+     lambda v: certify_step_size(1.0, 100.0, v), RECIPROCAL_OVERFLOWS),
     ("empirical_passivity_margin.T", "horizon T", _margin,
      (NAN, INF, 1.5, True) + NOT_A_NUMBER),
     # signals

@@ -17,7 +17,6 @@ from passive_gd.errors import (
 )
 from passive_gd.functions import (
     SectorFunction,
-    _row_norms,
     diag_quadratic,
     oscillatory,
     quadratic,
@@ -107,9 +106,10 @@ def test_delta_bar_linear_closed_form():
 @pytest.mark.parametrize("u", [1e153, 1e200, 1e300])
 def test_delta_bar_at_amplitudes_whose_squares_overflow(u):
     # Past |y| = 1.3e154 the iterates' squares overflow. The stopping test
-    # still compares finite norms, so every row iterates to the fixed point
-    # y = l*u/(1 - d*l) rather than stopping after its first update, with
-    # no warning; a small row solved in the same block keeps its bits.
+    # compares largest entries, finite there, so every row iterates to the
+    # fixed point y = l*u/(1 - d*l) rather than stopping after its first
+    # update, with no warning; a small row solved in the same block keeps
+    # its bits.
     d = 0.004
     y = evaluate_delta_bar(quadratic(100.0), d, np.array([[u], [1.0]]))
     assert y[0, 0] == pytest.approx(100.0 * u / (1.0 - d * 100.0), rel=1e-12)
@@ -118,24 +118,6 @@ def test_delta_bar_at_amplitudes_whose_squares_overflow(u):
     curvature = np.array([1.0, 100.0])
     assert_allclose(evaluate_delta_bar(diag_quadratic(1.0, 100.0), d, x),
                     curvature * x / (1.0 - d * curvature), rtol=1e-12)
-
-
-@pytest.mark.filterwarnings("error")
-def test_the_stopping_norms_are_finite_on_finite_rows():
-    # A width-1 row's norm is its absolute value: _row_norms' value wherever
-    # the square is a normal double, and finite past that. Of wider rows,
-    # only those whose squares overflow are rescaled: the others keep
-    # _row_norms' bits, and a row with an infinite entry keeps an infinite
-    # norm, NaN a NaN one.
-    flat = np.array([[1e150], [-3.0], [-0.0], [-np.inf], [np.nan]])
-    assert np.array_equal(interconnect._finite_row_norms(flat), _row_norms(flat), equal_nan=True)
-    assert interconnect._finite_row_norms(np.array([[-1e300]]))[0] == 1e300
-    wide = np.array([[1e200, -1e200], [3.0, 4.0], [np.inf, 1.0], [np.nan, 1e200],
-                     [1e308, 1e308], [0.1, 0.2]])
-    norms = interconnect._finite_row_norms(wide)
-    assert_allclose(norms[[0, 4]], [np.sqrt(2.0) * 1e200, np.sqrt(2.0) * 1e308], rtol=1e-15)
-    assert norms[1] == 5.0 and norms[2] == np.inf and np.isnan(norms[3])
-    assert norms[5] == np.linalg.norm(wide[5])
 
 
 def test_delta_bar_against_bisection_oracle():
@@ -198,16 +180,13 @@ def test_delta_bar_iteration_count_bound():
 @pytest.mark.parametrize("f, d, u", [
     (quadratic(100.0), 0.005, [1e307]),
     (oscillatory(1.0, 100.0), 0.005, [1e307]),
-    # Both entries of this fixed point, (1.3013e308, 1.3333e308), are
-    # finite, but its norm is not, so no stopping test can be made.
-    (diag_quadratic(1.0, 100.0), 0.001, [1.3e308, 1.2e306]),
 ])
 def test_a_non_finite_iterate_ends_the_solve_at_once(f, d, u):
     # At u = 1e307 and d = 0.005, quadratic(100)'s fixed point 200*u is past
-    # the double range, and oscillatory's first update overflows too. The
-    # solve stops at the first iterate that is not finite, rather than after
-    # its 1000-iteration budget or at an unconverged update, and numpy does
-    # not warn.
+    # the double range, so its row is infinite, and oscillatory's row goes
+    # NaN. The solve stops at the first iterate that is not finite, rather
+    # than after its 1000-iteration budget or at an unconverged update, and
+    # numpy does not warn.
     calls, gradient = [], f.elementwise_gradient
 
     def counting_gradient(x):
@@ -215,10 +194,23 @@ def test_a_non_finite_iterate_ends_the_solve_at_once(f, d, u):
         return gradient(x)
 
     counted = dataclasses.replace(f, elementwise_gradient=counting_gradient)
-    with pytest.raises(ConvergenceError, match="iterate is not finite .* for 1 of 2 points"):
+    with pytest.raises(ConvergenceError, match="iterate is not finite for 1 of 2 points"):
         evaluate_delta_bar(counted, d, np.array([u, np.ones(f.dim)]))
     # One call gives the starting point and one the first update.
     assert calls == [2, 2]
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_fixed_point_with_finite_entries_is_found_at_any_amplitude():
+    # Both entries of this fixed point are finite though its Euclidean norm
+    # is not; the stopping test measures each row by its largest entry, so
+    # the solve reaches it, and a small row solved in the same block keeps
+    # its bits.
+    f, d, curvature = diag_quadratic(1.0, 100.0), 0.001, np.array([1.0, 100.0])
+    u = np.array([[1.3e308, 1.2e306], [1.0, 1.0]])
+    y = evaluate_delta_bar(f, d, u)
+    assert_allclose(y[0], curvature * u[0] / (1.0 - d * curvature), rtol=1e-12)
+    assert np.array_equal(y[1], evaluate_delta_bar(f, d, u[1]))
 
 
 def test_delta_bar_operator_applies_per_sample():

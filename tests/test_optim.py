@@ -307,6 +307,31 @@ def test_paired_gradient_rule_is_strict():
         assert trace.iterations == iterations
 
 
+_NOT_A_RULE = "a stop must be a GradNorm, PairedGrad or MaxIter rule, got "
+
+
+@pytest.mark.parametrize("stops, message", [
+    # A tolerance not wrapped in its rule was dropped, so the run hit the cap.
+    ([1e-12, MaxIter(50)], f"{_NOT_A_RULE}1e-12"),
+    ([GradNorm(1e-12), None], f"{_NOT_A_RULE}None"),
+    # Only the first rule of a kind was kept.
+    ([GradNorm(1e-12), MaxIter(50), MaxIter(3)],
+     "stops hold a second MaxIter rule: MaxIter(cap=3)"),
+    ([GradNorm(1e-12), GradNorm(1e-6)],
+     "stops hold a second GradNorm rule: GradNorm(tol=1e-06)"),
+    ([PairedGrad(1e-9), MaxIter(50), PairedGrad(1e-6)],
+     "stops hold a second PairedGrad rule: PairedGrad(tol=1e-06)"),
+    (GradNorm(1e-12), "stops must be a sequence of rules, got GradNorm(tol=1e-12)"),
+    (MaxIter(50), "stops must be a sequence of rules, got MaxIter(cap=50)"),
+])
+@pytest.mark.parametrize("run, schedule", [(gd_run, FixedAlpha(0.005)),
+                                           (gsgd_run, FixedS(0.1))])
+def test_a_stop_that_would_be_ignored_is_refused(stops, message, run, schedule):
+    with pytest.raises(InvalidParameterError) as info:
+        run(quadratic(100.0), [1.0], schedule, stops)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("rule", [GradNorm, PairedGrad])
 def test_stopping_tolerances_must_be_positive(rule):
     for tol in (0.0, -1.0, float("nan")):

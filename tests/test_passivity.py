@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from passive_gd.errors import (
@@ -48,20 +48,22 @@ _NORMAL = (Fraction(sys.float_info.min), Fraction(sys.float_info.max))
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(
-    exponents=st.lists(st.floats(-300.0, 300.0), min_size=2, max_size=2),
+    exponents=st.lists(st.floats(-308.25, 308.25), min_size=2, max_size=2),
     gap=st.one_of(st.none(), st.integers(1, 52)),
 )
 def test_indices_are_their_exact_values_at_any_sector_scale(exponents, gap):
     # delta = mL/(m+L), epsilon = 1/(m+L) and the ISP delta_bar = mL/(L-m)
     # at d = 1/L against exact rational values, over log-uniform
-    # 1e-300 <= m <= L <= 1e300, where m*L overflows or underflows on much
-    # of the range; ``gap`` puts m within 2**-gap of L, where L - m cancels.
-    # Each must be within 1e-15 relative wherever the exact value is a
-    # normal double.
+    # 10**-308.25 <= m <= L <= 10**308.25, the valid sector range, where m
+    # may be subnormal and m*L overflows or underflows on much of it;
+    # ``gap`` puts m within 2**-gap of L, where L - m cancels. Each must be
+    # within 1e-15 relative wherever the exact value is a normal double.
     m, l = sorted(10.0 ** np.array(exponents))
     if gap is not None:
         m = l * (1.0 - 2.0**-gap)
     m, l = float(m), float(l)
+    # An L below 1/DBL_MAX has no finite reciprocal and is refused.
+    assume(1.0 / l < math.inf)
     M, L = Fraction(m), Fraction(l)
     base = nabla_indices(m, l)
     pairs = [(base.delta, M * L / (M + L)), (base.epsilon, 1 / (M + L))]

@@ -192,8 +192,17 @@ def diag_quadratic(m: float, l: float) -> SectorFunction:
             f"diag_quadratic requires 0 < m < l, got m={m}, l={l}"
         )
     diag = np.array([m, l])
-    return _from_blocks(2, m, l, lambda x: 0.5 * np.vecdot(diag * x, x),
-                        lambda x: diag * x, name="diag-quadratic")
+    # A one-row block is multiplied by a coefficient row of its own shape,
+    # to the same products: numpy's broadcasting setup for operands of two
+    # shapes costs more than the product of one row. A point has length 2,
+    # so it keeps ``diag``.
+    row = diag[None]
+
+    def scaled(x):
+        return (row if len(x) == 1 else diag) * x
+
+    return _from_blocks(2, m, l, lambda x: 0.5 * np.vecdot(scaled(x), x),
+                        scaled, name="diag-quadratic")
 
 
 BUILTIN_NAMES = ("oscillatory", "quadratic", "diag-quadratic")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, _positive_entries
+from .errors import ShapeError, _finite_reciprocal, _positive_entries
 
 __all__ = [
     "PositiveRealCertificate",
@@ -98,9 +98,13 @@ def gd_passivity_certificate(
     alpha, d = alpha.reshape(-1), d.reshape(-1)
     _positive_entries("step size", alpha)
     _positive_entries("feedthrough", d)
-    # A subnormal alpha overflows p to inf, which the p_scalar check refuses.
+    # A subnormal alpha overflows p to inf; the first such step is refused
+    # by name, before the storage is checked.
     with np.errstate(over="ignore"):
         p = 1.0 / alpha
+    over = np.isinf(p)
+    if np.count_nonzero(over):
+        _finite_reciprocal("step size", "alpha", alpha[over.argmax()])
     # The realization (I, alpha*I, I, d*I) at dim 1, for every pair.
     ones = np.ones((len(alpha), 1, 1))
     B, D = (v.reshape(-1, 1, 1) * ones for v in (alpha, d))

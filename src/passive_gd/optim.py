@@ -380,9 +380,15 @@ def _run_block(step, grad, value, x0, tol, paired_tol, max_iter, trace=None):
     A one-row block pays mostly numpy's per-call cost: masks are read with
     ``np.count_nonzero``, finiteness counts finite entries (a sum of finite
     entries may overflow), and ``GradNorm`` compares <g, g> with ``_sqrt_bound(tol)``.
+    With both rules on a block of rows, one stacked test takes them: g and
+    g + g_prev share one ``(2, n, dim)`` array, whose row dots are compared
+    with the ``(2, 1)`` column of both thresholds and counted in one call.
     """
     gate = None if tol is None else np.array(tol if x0.ndim == 1 else _sqrt_bound(tol))
     paired_tol = None if paired_tol is None else np.array(paired_tol)
+    gates = None
+    if x0.ndim == 2 and gate is not None and paired_tol is not None:
+        gates = np.array([[gate], [paired_tol]])
     counts = np.full(len(x0), max_iter, dtype=np.int64)
     reasons = np.full(len(x0), _MET, dtype=np.int8)
     idx = np.arange(len(x0))
@@ -391,12 +397,20 @@ def _run_block(step, grad, value, x0, tol, paired_tol, max_iter, trace=None):
         if trace is not None:
             trace.append((x, g, None))
         while True:
-            done = met = None if gate is None else (
-                np.abs(g) if g.ndim == 1 else _row_dot(g, g)) < gate
-            if paired_tol is not None and g_prev is not None:
-                gsum = g + g_prev
-                paired = _row_dot(gsum, gsum) < paired_tol
-                done = paired if met is None else met | paired
+            if gates is not None and g_prev is not None:
+                pair = np.array((g, g + g_prev))
+                hits = _row_dot(pair, pair) < gates
+                done = met = None
+                if np.count_nonzero(hits):
+                    met, paired = hits
+                    done = met | paired
+            else:
+                done = met = None if gate is None else (
+                    np.abs(g) if g.ndim == 1 else _row_dot(g, g)) < gate
+                if paired_tol is not None and g_prev is not None:
+                    gsum = g + g_prev
+                    paired = _row_dot(gsum, gsum) < paired_tol
+                    done = paired if met is None else met | paired
             if done is not None and np.count_nonzero(done):
                 counts[idx[done]] = k + 1
                 if paired_tol is not None:

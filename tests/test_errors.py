@@ -155,9 +155,11 @@ SITES = [
     ("loop_equivalence_report.x0", "x0",
      lambda v: loop_equivalence_report(F, 0.1, [v], 3), NON_FINITE),
     # lti
-    # A subnormal step size overflows the storage p = 1/alpha to inf.
-    ("gd_passivity_certificate.p_scalar", "p_scalar",
-     lambda v: gd_passivity_certificate(v, 0.05), (5e-324,)),
+    # A subnormal step size would overflow the storage p = 1/alpha to inf.
+    ("gd_passivity_certificate.alpha", "step size must have a finite reciprocal, got alpha=",
+     lambda v: gd_passivity_certificate(v, 0.05), RECIPROCAL_OVERFLOWS),
+    ("gd_passivity_certificate.alpha[1]", "step size must have a finite reciprocal, got alpha=",
+     lambda v: _certificates(alpha=v), RECIPROCAL_OVERFLOWS),
     ("gd_passivity_certificate.alpha", "step size",
      lambda v: gd_passivity_certificate(v, 0.05), POSITIVE),
     ("gd_passivity_certificate.d", "feedthrough",

@@ -396,6 +396,29 @@ def test_fused_oracle_equals_the_block_callables(values):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
+@given(values=st.lists(_EDGE_VALUES, min_size=2, max_size=16))
+def test_one_row_blocks_keep_the_oracle_bits(values):
+    # A one-row block, (1, dim) or a flat one-element block at dim 1, gives
+    # the bits of the point oracle and of its row in the full block, from
+    # signed zeros and subnormals to infinities and NaN. diag-quadratic
+    # multiplies a one-row block by a coefficient row of its own shape.
+    for f in (oscillatory(1.0, 100.0), quadratic(100.0), diag_quadratic(1.0, 100.0)):
+        n = len(values) // f.dim
+        xs = np.array(values[: n * f.dim])
+        xs = xs if f.dim == 1 else xs.reshape(n, f.dim)
+        with np.errstate(all="ignore"):
+            vals, grads = f.elementwise_value(xs), f.elementwise_gradient(xs)
+            for i in range(n):
+                one = xs[i:i + 1]
+                v, g = f.elementwise_value(one), f.elementwise_gradient(one)
+                assert v.shape == (1,) and g.shape == one.shape, f.name
+                point = one.reshape(-1)
+                assert (v.tobytes() == vals[i:i + 1].tobytes()
+                        == np.float64(f.value(point)).tobytes()), f.name
+                assert g.tobytes() == grads[i:i + 1].tobytes() == f.gradient(point).tobytes(), f.name
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
 @given(bounds=st.lists(st.floats(1e-300, 1e300), min_size=2, max_size=2, unique=True),
        values=st.lists(_EDGE_VALUES, min_size=1, max_size=16))
 def test_oscillatory_oracles_are_the_docstring_formulas(bounds, values):

@@ -24,6 +24,11 @@ from passive_gd.functions import diag_quadratic, oscillatory, quadratic
 from passive_gd.interconnect import evaluate_delta_bar, run_transformed
 from passive_gd.lti import gd_passivity_certificate
 from passive_gd.optim import (
+    _CAP,
+    _FAILED,
+    _MET,
+    _NONFINITE,
+    _PAIRED,
     MAX_BACKTRACKS,
     ArmijoAlpha,
     ArmijoParams,
@@ -32,7 +37,9 @@ from passive_gd.optim import (
     FixedS,
     GradNorm,
     MaxIter,
+    PairedGrad,
     Termination,
+    _block_runner,
     default_s_cap,
     gd_run,
     gsgd_run,
@@ -48,15 +55,21 @@ from test_bench import _counting
 _FUNCTIONS = {"oscillatory": oscillatory(1.0, 100.0), "quadratic": quadratic(100.0)}
 
 
-def _reference(f, x, schedule, tol, max_iter):
+def _reference(f, x, schedule, tol, max_iter, paired_tol=None):
     """``(updates, reason)`` of one run from the scalar ``x``; the reason is
-    "met", "cap", "nonfinite" or "failed"."""
+    "met", "paired", "cap", "nonfinite" or "failed". The paired rule, on
+    when ``paired_tol`` is given, tests the sum of consecutive gradients
+    after the grad-norm test."""
     grad = lambda z: float(f.gradient(np.array([z]))[0])  # noqa: E731
     value = lambda z: float(f.value(np.array([z])))  # noqa: E731
-    g = grad(x)
+    g, g_prev = grad(x), None
     for k in range(max_iter + 1):
         if abs(g) < tol:
             return k, "met"
+        if paired_tol is not None and g_prev is not None:
+            gsum = g + g_prev
+            if gsum * gsum < paired_tol:
+                return k, "paired"
         if k == max_iter:
             return k, "cap"
         if isinstance(schedule, FixedAlpha):
@@ -88,7 +101,7 @@ def _reference(f, x, schedule, tol, max_iter):
             x = x - t * d
         if not math.isfinite(x):
             return k + 1, "nonfinite"
-        g = grad(x)
+        g_prev, g = g, grad(x)
 
 
 _schedules = st.one_of(
@@ -155,6 +168,93 @@ def test_engine_counts_equal_the_reference(name, schedule, seed, scale):
         assert trace.iterations == k
         expected = Termination.GRAD_NORM_MET if reason == "met" else Termination.MAX_ITER_HIT
         assert trace.termination is expected
+
+
+_CODES = {"met": _MET, "paired": _PAIRED, "cap": _CAP, "nonfinite": _NONFINITE,
+          "failed": _FAILED}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's own overflows
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_FUNCTIONS)),
+    schedule=_schedules,
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 1e3, 1e160]),
+    paired_tol=st.sampled_from([1e-20, 1e-6, 1.0, 1e4]),
+)
+# At alpha = 2/L the quadratic's iterate flips sign, so its gradients cancel.
+@example(name="quadratic", schedule=FixedAlpha(0.02), seed=0, scale=1.0, paired_tol=1e-6)
+@example(name="oscillatory", schedule=FixedAlpha(0.02), seed=2, scale=1e3, paired_tol=1.0)
+def test_engine_paired_stops_equal_the_reference(name, schedule, seed, scale, paired_tol):
+    # Block runs with the paired rule on give the reference's counts and
+    # stop reasons exactly, and a single run its termination.
+    f = _FUNCTIONS[name]
+    tol, max_iter = 1e-12, 300
+    x0 = np.random.default_rng(seed).uniform(-scale, scale, 12)
+    reference = [_reference(f, float(x), schedule, tol, max_iter, paired_tol) for x in x0]
+    counts, reasons = _block_runner(f, schedule, tol, max_iter, paired_tol)(x0)
+    assert counts.tolist() == [
+        k + 1 if reason in ("met", "paired") else max_iter for k, reason in reference]
+    assert reasons.tolist() == [_CODES[reason] for _, reason in reference]
+
+    runner = gd_run if isinstance(schedule, (FixedAlpha, ArmijoAlpha)) else gsgd_run
+    stops = [GradNorm(tol), PairedGrad(paired_tol), MaxIter(max_iter)]
+    ended = [(x, k, reason) for x, (k, reason) in zip(x0, reference)
+             if reason in ("met", "paired", "cap")]
+    for x, k, reason in ended[:3]:
+        trace = runner(f, np.array([x]), schedule, stops)
+        assert trace.iterations == k
+        assert trace.termination is list(Termination)[_CODES[reason]]
+
+
+def _vecdot_reference(f, x, alpha, tol, paired_tol, max_iter):
+    """``(count, code)`` of one fixed-step run from the row ``x``, its stop
+    tests on the row's own ``np.vecdot``: the grad-norm rule first, then
+    the sum of consecutive gradients."""
+    g, g_prev = f.gradient(x), None
+    for k in range(max_iter + 1):
+        if math.sqrt(np.vecdot(g, g)) < tol:
+            return k + 1, _MET
+        if g_prev is not None and np.vecdot(g + g_prev, g + g_prev) < paired_tol:
+            return k + 1, _PAIRED
+        if k == max_iter:
+            return max_iter, _CAP
+        x = x - alpha * g
+        if not np.isfinite(x).all():
+            return max_iter, _NONFINITE
+        g_prev, g = g, f.gradient(x)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's own overflows
+@pytest.mark.parametrize("alpha", [0.02, 0.019, 0.0200001])
+def test_diag_quadratic_stop_codes_equal_a_per_row_vecdot_reference(alpha):
+    # Row A = (1e-6, 0) sets tol to its own first gradient norm, so it is
+    # not met at k = 0; at k = 1 its gradient is smaller and its gradient
+    # sum below paired_tol, so both rules fire and the grad-norm rule wins.
+    # Row B sets paired_tol to its own sum at k = 1, so it is not paired
+    # there. Row C pairs below it at k = 1, row D overflows. The seeded
+    # rows span magnitudes, so some run to the cap.
+    f = diag_quadratic(1.0, 100.0)
+    rows = np.array([[1e-6, 0.0], [5e-5, 1e-3], [4e-5, 1e-3], [1.0, 1.7e308]])
+    g_a, g_b = f.gradient(rows[0]), f.gradient(rows[1])
+    tol = math.sqrt(np.vecdot(g_a, g_a))
+    g_b1 = f.gradient(rows[1] - alpha * g_b)
+    paired_tol = float(np.vecdot(g_b1 + g_b, g_b1 + g_b))
+    rng = np.random.default_rng(7)
+    seeded = rng.uniform(-1.0, 1.0, (12, 2)) * 10.0 ** rng.integers(-6, 4, (12, 1))
+    x0 = np.concatenate([rows, seeded])
+    max_iter = 600
+    want = [_vecdot_reference(f, x, alpha, tol, paired_tol, max_iter) for x in x0]
+    counts, reasons = _block_runner(f, FixedAlpha(alpha), tol, max_iter, paired_tol)(x0)
+    assert list(zip(counts.tolist(), reasons.tolist())) == want
+    if alpha == 0.02:
+        assert want[:3] == [(2, _MET), (3, _PAIRED), (2, _PAIRED)]
+        assert {_CAP, _PAIRED} <= {code for _, code in want[4:]}
+    # One-row blocks take the same tests.
+    for x, (count, code) in zip(x0, want):
+        one = _block_runner(f, FixedAlpha(alpha), tol, max_iter, paired_tol)(x[None])
+        assert (one[0].tolist(), one[1].tolist()) == ([count], [code])
 
 
 _BUILTINS = [oscillatory(1.0, 100.0), quadratic(100.0), diag_quadratic(1.0, 100.0)]

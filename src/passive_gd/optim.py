@@ -377,12 +377,16 @@ def _run_block(step, grad, value, x0, tol, paired_tol, max_iter, trace=None):
     row, gets ``(x, g, t)`` at the start (t None) and after each update.
     Overflow is left to the finiteness tests, so numpy does not warn.
 
-    A one-row block pays mostly numpy's per-call cost: masks are read with
-    ``np.count_nonzero``, finiteness counts finite entries (a sum of finite
-    entries may overflow), and ``GradNorm`` compares <g, g> with ``_sqrt_bound(tol)``.
+    A one-row block pays mostly numpy's per-call cost, so each update makes
+    few numpy calls. A mask is read through its bytes, since numpy stores a
+    bool as one byte, 0 or 1: ``1 in mask.tobytes()`` is a fifth of the cost
+    of ``np.count_nonzero`` on one row and is no slower on a large block.
+    Finiteness looks for a 0 in ``np.isfinite(x)`` (a sum of finite entries
+    may overflow), and ``GradNorm`` compares <g, g> with ``_sqrt_bound(tol)``.
     With both rules on a block of rows, one stacked test takes them: g and
     g + g_prev share one ``(2, n, dim)`` array, whose row dots are compared
-    with the ``(2, 1)`` column of both thresholds and counted in one call.
+    with the ``(2, 1)`` column of both thresholds, and one mask read tells
+    whether either fired.
     """
     gate = None if tol is None else np.array(tol if x0.ndim == 1 else _sqrt_bound(tol))
     paired_tol = None if paired_tol is None else np.array(paired_tol)
@@ -401,7 +405,7 @@ def _run_block(step, grad, value, x0, tol, paired_tol, max_iter, trace=None):
                 pair = np.array((g, g + g_prev))
                 hits = _row_dot(pair, pair) < gates
                 done = met = None
-                if np.count_nonzero(hits):
+                if 1 in hits.tobytes():
                     met, paired = hits
                     done = met | paired
             else:
@@ -411,7 +415,7 @@ def _run_block(step, grad, value, x0, tol, paired_tol, max_iter, trace=None):
                     gsum = g + g_prev
                     paired = _row_dot(gsum, gsum) < paired_tol
                     done = paired if met is None else met | paired
-            if done is not None and np.count_nonzero(done):
+            if done is not None and 1 in done.tobytes():
                 counts[idx[done]] = k + 1
                 if paired_tol is not None:
                     reasons[idx[done if met is None else done & ~met]] = _PAIRED
@@ -423,8 +427,8 @@ def _run_block(step, grad, value, x0, tol, paired_tol, max_iter, trace=None):
                 fx = value(x)
             k += 1
             t, x, fx, g_new, failed = step(x, g, fx)
-            if (np.count_nonzero(np.isfinite(x)) < x.size
-                    or failed is not None and np.count_nonzero(failed)):
+            if (0 in np.isfinite(x).tobytes()
+                    or failed is not None and 1 in failed.tobytes()):
                 drop = ~np.isfinite(x) if x.ndim == 1 else ~np.isfinite(x).all(axis=1)
                 reasons[idx[drop]] = _NONFINITE
                 if failed is not None:

@@ -246,15 +246,16 @@ def test_diag_quadratic_stop_codes_equal_a_per_row_vecdot_reference(alpha):
     x0 = np.concatenate([rows, seeded])
     max_iter = 600
     want = [_vecdot_reference(f, x, alpha, tol, paired_tol, max_iter) for x in x0]
-    counts, reasons = _block_runner(f, FixedAlpha(alpha), tol, max_iter, paired_tol)(x0)
+    runner = _block_runner(f, FixedAlpha(alpha), tol, max_iter, paired_tol)
+    counts, reasons = runner(x0)
     assert list(zip(counts.tolist(), reasons.tolist())) == want
     if alpha == 0.02:
         assert want[:3] == [(2, _MET), (3, _PAIRED), (2, _PAIRED)]
         assert {_CAP, _PAIRED} <= {code for _, code in want[4:]}
     # One-row blocks take the same tests.
     for x, (count, code) in zip(x0, want):
-        one = _block_runner(f, FixedAlpha(alpha), tol, max_iter, paired_tol)(x[None])
-        assert (one[0].tolist(), one[1].tolist()) == ([count], [code])
+        counts, reasons = runner(x[None])
+        assert (counts.tolist(), reasons.tolist()) == ([count], [code])
 
 
 _BUILTINS = [oscillatory(1.0, 100.0), quadratic(100.0), diag_quadratic(1.0, 100.0)]

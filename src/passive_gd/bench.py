@@ -20,15 +20,13 @@ bit-identical for any thread count.
 from __future__ import annotations
 
 import csv
-import queue
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, _count, _interval, _positive
+from .errors import InvalidParameterError, _count, _grad_norm_tolerance, _interval
 from .functions import _BLOCK_ROWS, SectorFunction, builtin_function
 from .optim import ArmijoAlpha, ArmijoParams, ArmijoS, FixedAlpha, FixedS
 from .optim import _CAP, DEFAULT_MAX_ITER, _block_runner, _check_schedule
@@ -70,7 +68,7 @@ class MonteCarloSpec:
         _count("n_samples", self.n_samples, 1)
         _count("seed", self.seed, 0)
         _interval(self.x0_low, self.x0_high, "initial-condition")
-        _positive("tolerance", self.tol)
+        _grad_norm_tolerance(self.tol)
         _count("max_iter", self.max_iter, 1)
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -105,40 +103,20 @@ def _summarize(label: str, counts: np.ndarray, flagged: np.ndarray) -> SummarySt
 
 
 def _run_chunks(runner, chunks: list, n_threads: int) -> list:
-    """``runner`` of each chunk, in chunk order, on ``n_threads`` threads.
+    """``runner`` of each chunk, in chunk order, on ``min(n_threads, chunks)``
+    pool threads, or inline when that is 1.
 
-    The calling thread is one of them. It and ``min(n_threads, chunks) - 1``
-    pool helpers take chunk indices from one queue and store each result
-    by its index. After a failure in any thread the others take no new
-    chunk; every helper has stopped when the failure is raised here.
+    After a failure no chunk that has not started runs, and every worker
+    has stopped when the failure is raised here.
     """
-    helpers = min(n_threads, len(chunks)) - 1
-    if helpers == 0:
+    workers = min(n_threads, len(chunks))
+    if workers <= 1:
         return [runner(c) for c in chunks]
-    todo = queue.SimpleQueue()
-    for i in range(len(chunks)):
-        todo.put(i)
-    parts = [None] * len(chunks)
-    failed = threading.Event()
-
-    def work():
-        try:
-            while not failed.is_set():
-                try:
-                    i = todo.get_nowait()
-                except queue.Empty:
-                    return
-                parts[i] = runner(chunks[i])
-        except BaseException:
-            failed.set()
-            raise
-
-    with ThreadPoolExecutor(max_workers=helpers) as pool:
-        futures = [pool.submit(work) for _ in range(helpers)]
-        work()
-    for future in futures:
-        future.result()
-    return parts
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(runner, c) for c in chunks]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        pool.shutdown(cancel_futures=True)
+    return [f.result() for f in futures]
 
 
 def run_monte_carlo(
@@ -148,7 +126,7 @@ def run_monte_carlo(
 ) -> list[SummaryStats]:
     """Run every configured method on the same x0 sequence and summarize.
 
-    ``threads`` counts the calling thread. Results do not depend on it.
+    ``threads`` threads run the sample chunks. Results do not depend on it.
     Each method's chunks all finish before the next method starts, so only
     one method's counts are held at a time.
     """

@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out-dir", required=True)
     p_bench.add_argument("--seed", type=int, help="override the config seed")
     p_bench.add_argument("--threads", type=int, default=1,
-                         help="threads to run, the calling thread included")
+                         help="threads that run the sample chunks")
     p_bench.add_argument("--json", action="store_true")
     return parser
 

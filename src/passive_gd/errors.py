@@ -1,6 +1,7 @@
 """Exception types, and the validators that decide what a valid parameter is."""
 
 import math
+import sys
 from numbers import Integral
 
 
@@ -55,6 +56,16 @@ def _positive_entries(name, values):
     ok = (0.0 < values) & (values < math.inf)
     if not ok.all():
         _positive(name, values[ok.argmin()])
+
+
+def _grad_norm_tolerance(v):
+    """Refuse a grad-norm tolerance unless it is positive and its square is a
+    normal double: a block of dimension 2 or more compares <g, g> with the
+    square, which is the norm test only in that range."""
+    _positive("tolerance", v)
+    if not sys.float_info.min <= float(v) * float(v) < math.inf:
+        raise InvalidParameterError("tolerance must have a square that is a normal "
+                                    f"double (about 1.5e-154 to 1.3e154), got {v}")
 
 
 def _count(name, v, minimum):

@@ -153,7 +153,7 @@ def _solve_fixed_point(f: SectorFunction, d: float, u: np.ndarray) -> np.ndarray
         done = largest(y_next - y) <= np.maximum(_TOL, floor)
         # Finished rows are copied out and the active block compacted only
         # on iterations where some finish.
-        if np.count_nonzero(done):
+        if 1 in done.tobytes():
             out[rows[done]] = y_next[done]
             keep = ~done
             rows, z, y_next = rows[keep], z[keep], y_next[keep]
@@ -298,7 +298,7 @@ def run_transformed(
         xi = states[k]
         y2[k] = grad((v_offset[k] + xi) + f.minimizer)
         states[k + 1] = xi + alpha_col * (r1_steps[k] - y2[k])
-        if np.count_nonzero(np.isfinite(states[k + 1])) < xi.size:
+        if 0 in np.isfinite(states[k + 1]).tobytes():
             row = np.flatnonzero(~np.isfinite(states[k + 1]).all(axis=1))[0]
             raise DivergenceError(
                 f"loop state became non-finite at step {k + 1}",

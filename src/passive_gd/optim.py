@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError, LineSearchError
-from .errors import _count, _finite, _positive
+from .errors import _count, _finite, _grad_norm_tolerance, _positive
 from .functions import SectorFunction, _row_dot, row_gradient, row_value
 
 __all__ = [
@@ -138,7 +138,7 @@ class GradNorm:
     tol: float
 
     def __post_init__(self):
-        _positive("tolerance", self.tol)
+        _grad_norm_tolerance(self.tol)
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,7 @@ def _backtrack(trial, x: np.ndarray, fx: np.ndarray, start: float, shrink: float
     """
     t = np.full(fx.shape, start)
     failed = ~np.isfinite(fx)
-    if np.count_nonzero(failed):
+    if 1 in failed.tobytes():
         rows, tries = np.nonzero(~failed)[0], MAX_BACKTRACKS + 1
         x_new, f_new, g_new = x.copy(), fx.copy(), None
     else:
@@ -326,7 +326,7 @@ def _step_rule(f: SectorFunction, schedule, grad, value):
             # Where <g, g> overflows, c*a*gg is inf at every trial; there
             # the decrease is <c*a*g, g>, finite once a is small enough.
             over = np.isinf(gg)
-            over = over if np.count_nonzero(over) else None
+            over = over if 1 in over.tobytes() else None
 
             def trial(rows, a):
                 xr, gr = x[rows], g[rows]

@@ -465,14 +465,14 @@ def test_determinism_across_thread_counts():
 @pytest.mark.parametrize("threads, n, helpers", [
     (1, 3 * _BLOCK_ROWS, []),
     (4, 100, []),
-    (2, 3 * _BLOCK_ROWS, [1]),
-    (3, 3 * _BLOCK_ROWS, [2]),
-    (8, 3 * _BLOCK_ROWS, [2]),
+    (2, 3 * _BLOCK_ROWS, [2]),
+    (3, 3 * _BLOCK_ROWS, [3]),
+    (8, 3 * _BLOCK_ROWS, [3]),
 ])
 def test_threads_count_the_calling_thread(threads, n, helpers):
-    # --threads N runs N threads, the caller included, and never more
-    # than there are chunks: one pool of min(N, chunks) - 1 helpers per
-    # method, none when that is 0.
+    # --threads N runs the chunks on N threads, never more than there are
+    # chunks: the calling thread alone when min(N, chunks) is 1, else one
+    # pool of min(N, chunks) helpers per method while the caller waits.
     sizes = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -487,38 +487,27 @@ def test_threads_count_the_calling_thread(threads, n, helpers):
     assert sizes == helpers * 2
 
 
-def _fake_runner(fail_in, ran):
-    """A ``_block_runner`` stand-in whose runners sleep briefly, record the
-    chunk and raise in the threads that ``fail_in`` picks."""
-
-    def make(*args):
-        def runner(chunk):
-            ran.append(len(chunk))
-            if fail_in(threading.current_thread()):
-                raise ZeroDivisionError("chunk failed")
-            time.sleep(0.01)
-            return np.ones(len(chunk), dtype=np.int64), np.zeros(len(chunk), dtype=np.int8)
-
-        return runner
-
-    return make
-
-
-@pytest.mark.parametrize("where", ["caller", "helper"])
-def test_a_failing_chunk_stops_every_thread_and_is_raised(where):
-    # 10 chunks on 3 threads; the first chunk that the caller (or a
-    # helper) runs raises. The failure reaches the caller, the other
-    # threads take no new chunk, and no helper is left running.
-    main = threading.main_thread()
-    fail_in = (lambda t: t is main) if where == "caller" else (lambda t: t is not main)
+@pytest.mark.parametrize("fail", [0, 4], ids=["first", "later"])
+def test_a_failing_chunk_stops_every_thread_and_is_raised(fail):
+    # 10 chunks on 3 threads; chunk ``fail`` raises at once, the others
+    # sleep briefly. The failure reaches the caller, no chunk that had not
+    # started runs, and every pool thread has stopped when it is raised.
     ran = []
-    spec = _small_spec([MethodSpec("a", "gd", FixedAlpha(1.0))], n=10 * _BLOCK_ROWS)
+
+    def runner(chunk):
+        ran.append(chunk)
+        if chunk == fail:
+            raise ZeroDivisionError("chunk failed")
+        time.sleep(0.02)
+        return chunk
+
     before = set(threading.enumerate())
-    with mock.patch.object(bench_mod, "_block_runner", _fake_runner(fail_in, ran)):
-        with pytest.raises(ZeroDivisionError, match="chunk failed"):
-            run_monte_carlo(quadratic(1.0), spec, threads=3)
+    with pytest.raises(ZeroDivisionError, match="chunk failed"):
+        _run_chunks(runner, list(range(10)), 3)
+    started = list(ran)
+    time.sleep(0.05)
+    assert ran == started and len(started) < 10
     assert set(threading.enumerate()) <= before
-    assert len(ran) < 10
 
 
 def test_chunks_come_back_in_order_under_contention():

@@ -138,7 +138,7 @@ def test_run_loop_mode_trace_holds_the_recursion_and_the_wiring(tmp_path, functi
               "--x0", ",".join(map(str, x0)), "--alpha", str(alpha)]
     path, iterate_path = tmp_path / "loop.csv", tmp_path / "iterates.csv"
     assert main(common + ["--mode", "loop", "--steps", str(steps), "--trace", str(path)]) == 0
-    assert main(common + ["--method", "gd", "--max-iter", str(steps), "--tol", "1e-300",
+    assert main(common + ["--method", "gd", "--max-iter", str(steps), "--tol", "1e-150",
                           "--trace", str(iterate_path)]) == 0
     rows, iterates = ([*csv.DictReader(p.read_text().splitlines())] for p in (path, iterate_path))
     f = builtin_function(function, 1.0, 100.0)
@@ -552,6 +552,11 @@ def test_run_with_a_nan_tolerance_prints_one_error_line(capsys, flag):
      "step size must have a finite reciprocal, got alpha=1e-320"),
     (["certify", "--m", "1", "--L", "100", "--alpha", "5e-324"],
      "step size must have a finite reciprocal, got alpha=5e-324"),
+    # <g, g> would underflow to 0 here and stop the run at |g| = 1e-165.
+    (["run", "--function", "diag-quadratic", "--L", "100", "--x0", "1e-165,0",
+      "--alpha", "0.001", "--tol", "1e-170", "--max-iter", "50", "--json"],
+     "tolerance must have a square that is a normal double (about 1.5e-154 to 1.3e154), "
+     "got 1e-170"),
 ])
 def test_non_finite_parameters_print_one_error_line(capsys, argv, message):
     assert main(argv) == 1

@@ -59,6 +59,12 @@ NOT_A_NUMBER = ("2", None)
 # the next double up is the least L with a finite one.
 _LEAST_REFUSED_L = 1.0 / sys.float_info.max
 RECIPROCAL_OVERFLOWS = (5e-324, 1e-310, _LEAST_REFUSED_L)
+# A grad-norm tolerance whose square is subnormal, zero or infinite; the
+# outer two are next to the least and the greatest allowed tolerance.
+_LEAST_TOL = math.sqrt(sys.float_info.min)
+_GREATEST_TOL = math.sqrt(sys.float_info.max)
+SQUARE_NOT_NORMAL = (math.nextafter(_LEAST_TOL, 0.0), 1e-170, 5e-324, 1e200,
+                     math.nextafter(_GREATEST_TOL, INF))
 
 F = quadratic(1.0)
 
@@ -89,6 +95,8 @@ SITES = [
     ("ArmijoParams.trial", "trial", lambda v: ArmijoParams(trial=v), POSITIVE),
     ("ArmijoS.cap", "cap", lambda v: ArmijoS(cap=v), POSITIVE),
     ("GradNorm.tol", "tolerance", GradNorm, POSITIVE),
+    ("GradNorm.tol", "tolerance must have a square that is a normal double",
+     GradNorm, SQUARE_NOT_NORMAL),
     ("PairedGrad.tol", "tolerance", PairedGrad, POSITIVE),
     ("MaxIter.cap", "iteration cap", MaxIter, COUNT),
     ("gd_run.x0", "x0", lambda v: gd_run(F, [v], FixedAlpha(0.1), [MaxIter(5)]),
@@ -105,6 +113,8 @@ SITES = [
     ("MonteCarloSpec.x0_low", "initial-condition range",
      lambda v: _spec(x0_low=v, x0_high=1e308), (-1e308,)),
     ("MonteCarloSpec.tol", "tolerance", lambda v: _spec(tol=v), POSITIVE),
+    ("MonteCarloSpec.tol", "tolerance must have a square that is a normal double",
+     lambda v: _spec(tol=v), SQUARE_NOT_NORMAL),
     ("MonteCarloSpec.max_iter", "max_iter", lambda v: _spec(max_iter=v), COUNT),
     ("run_monte_carlo.threads", "threads", lambda v: run_monte_carlo(F, _spec(), v),
      COUNT + (0, -3)),
@@ -220,6 +230,16 @@ def test_bad_parameter_raises_an_error_naming_it(call, value, fragment):
 def test_unknown_suite_raises_an_invalid_parameter_error():
     with pytest.raises(InvalidParameterError, match="unknown suite 'nonsense'"):
         run_suite("nonsense")
+
+
+def test_the_grad_norm_tolerance_range_is_the_normal_squares():
+    # The least and the greatest tolerance whose square is a normal double
+    # are valid; PairedGrad compares its tolerance with the squared sum
+    # itself, so it keeps the rule of any positive number.
+    for tol in (_LEAST_TOL, _GREATEST_TOL):
+        assert GradNorm(tol).tol == _spec(tol=tol).tol == tol
+    for tol in SQUARE_NOT_NORMAL:
+        assert PairedGrad(tol).tol == tol
 
 
 def test_a_negative_scheduling_value_and_a_finite_start_point_are_valid():

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -9,34 +10,25 @@ from numpy.testing import assert_allclose
 from passive_gd.errors import InvalidParameterError, ShapeError
 from passive_gd.functions import diag_quadratic, quadratic
 from passive_gd.interconnect import run_transformed
-from passive_gd.lti import (
-    PositiveRealCertificate,
-    _block_matrix,
-    _positive_real,
-    gd_passivity_certificate,
-)
+from passive_gd.lti import PositiveRealCertificate, gd_passivity_certificate
 
 
-def _controller(alpha, d, dim=1):
-    """The controller (I, alpha*I, I, d*I) as one-element stacks of A, B, C, D."""
-    eye = np.eye(dim)[None]
+def _controller(alpha, d):
+    """The controller (I, alpha*I, I, d*I) at dim 1, as the matrices A, B, C, D."""
+    eye = np.eye(1)
     return eye, alpha * eye, eye, d * eye
-
-
-def _check(A, B, C, D, p):
-    """The stacked positive-real test on the one realization in the stacks."""
-    feasible, max_eig = _positive_real(A, B, C, D, np.array([p]))
-    return bool(feasible[0]), float(max_eig[0])
 
 
 def test_modified_gd_realization():
     # On the modified controller (I, alpha*I, I, alpha/2*I) the candidate
-    # p = 1/alpha zeroes every block: A'PA - P, A'PB - C' and B'PB - 2d.
+    # p = 1/alpha zeroes every block: A'PA - P, A'PB - C' and B'PB - 2d, so
+    # the largest eigenvalue is 0. At d = 0.003 the corner is 0.01 - 0.006.
     for alpha in (0.01, 2.0):
-        M = _block_matrix(*_controller(alpha, alpha / 2.0), np.array([1.0 / alpha]))
-        assert_allclose(M, np.zeros((1, 2, 2)), atol=1e-15)
-    M = _block_matrix(*_controller(0.01, 0.003), np.array([100.0]))
-    assert_allclose(M[0], [[0.0, 0.0], [0.0, 0.004]], atol=1e-15)
+        cert = gd_passivity_certificate(alpha, alpha / 2.0)
+        assert cert.feasible and abs(cert.max_eigenvalue_M) <= 1e-15
+    cert = gd_passivity_certificate(0.01, 0.003)
+    assert not cert.feasible
+    assert_allclose(cert.max_eigenvalue_M, 0.004, rtol=1e-12)
     with pytest.raises(InvalidParameterError):
         gd_passivity_certificate(0.01, 0.0)
 
@@ -99,28 +91,12 @@ def test_simulate_dimension_mismatch():
         run_transformed(f, 0.5, 0.0, np.zeros(1), 3)
 
 
-def test_strictly_proper_system_never_certifies():
-    # A zero feedthrough leaves B'PB positive definite, so no scalar
-    # storage matrix can work.
-    for alpha in (0.01, 0.5, 1.0):
-        for p in (0.1, 1.0, 1.0 / alpha, 100.0):
-            feasible, eig = _check(*_controller(alpha, 0.0, dim=2), p)
-            assert not feasible and eig > 0.0
-
-
 def test_positive_real_check_boundary_cases():
-    feasible, eig = _check(*_controller(0.01, 0.005), 100.0)
-    assert feasible and abs(eig) < 1e-12
-    feasible, eig = _check(*_controller(0.01, 0.004), 100.0)
-    assert not feasible and eig > 1e-4
-    feasible, _ = _check(*_controller(1.0, 1.0), 1.0)
-    assert feasible
-
-
-def test_positive_real_check_requires_square():
-    A, B, C, D = np.eye(1), np.ones((1, 2)), np.ones((1, 1)), np.zeros((1, 2))
-    with pytest.raises(ShapeError):
-        _check(A[None], B[None], C[None], D[None], 1.0)
+    cert = gd_passivity_certificate(0.01, 0.005)
+    assert cert.feasible and abs(cert.max_eigenvalue_M) < 1e-12
+    cert = gd_passivity_certificate(0.01, 0.004)
+    assert not cert.feasible and cert.max_eigenvalue_M > 1e-4
+    assert gd_passivity_certificate(1.0, 1.0).feasible
 
 
 def test_certificate_examples():
@@ -154,7 +130,7 @@ def test_certificate_soundness():
         d = alpha / 2.0 * float(rng.uniform(1.0, 4.0))
         result = gd_passivity_certificate(alpha, d)
         assert result.feasible
-        ok, eig = _check(*_controller(alpha, d), result.p_scalar)
+        ok, eig = _reference_check(*_controller(alpha, d), result.p_scalar)
         assert ok and eig <= 1e-10 * (1.0 + max(1.0, result.p_scalar))
 
 
@@ -241,32 +217,38 @@ def _reference_check(A, B, C, D, p):
     return max_eig <= 1e-10 * (1.0 + float(np.max(np.abs(M)))), max_eig
 
 
-def _assert_check_equals_reference(A, B, C, D, p):
-    """The stacked test on one-element stacks against the reference, bit for bit."""
-    ok, eig = _check(A[None], B[None], C[None], D[None], p)
-    want_ok, want_eig = _reference_check(A, B, C, D, p)
-    assert ok is want_ok
-    assert struct.pack("d", eig) == struct.pack("d", want_eig)
+def _assert_certificate_equals_reference(alpha, d):
+    """The certificates of the ``(n,)`` arrays against the reference on each
+    pair's realization with P = 1/alpha, bit for bit."""
+    for a, dd, cert in zip(alpha, d, gd_passivity_certificate(alpha, d), strict=True):
+        want_ok, want_eig = _reference_check(*_controller(a, dd), 1.0 / a)
+        assert cert.feasible is want_ok
+        assert struct.pack("d", cert.max_eigenvalue_M) == struct.pack("d", want_eig)
+        assert struct.pack("d", cert.p_scalar) == struct.pack("d", 1.0 / a)
 
 
-def test_positive_real_check_equals_a_per_matrix_reference_on_dim_2():
+def test_certificate_equals_a_per_matrix_reference_over_the_double_range():
+    # alpha log-uniform over 600 decades, d/alpha in (0, 3] and a run of
+    # exact half steps d = alpha/2.
     rng = np.random.default_rng(29)
-    for _ in range(200):
-        alpha = float(10 ** rng.uniform(-4, 1))
-        p = float(10 ** rng.uniform(-2, 3))
-        for d in (alpha * float(rng.uniform(0.01, 3.0)), alpha / 2.0, 0.0):
-            _assert_check_equals_reference(*(m[0] for m in _controller(alpha, d, 2)), p)
+    alpha = 10.0 ** rng.uniform(-300.0, 300.0, 2000)
+    d = alpha * (3.0 - rng.uniform(0.0, 3.0, 2000))
+    d[:100] = alpha[:100] / 2.0
+    _assert_certificate_equals_reference(alpha, d)
+
+
+def test_certificate_equals_a_per_matrix_reference_below_the_half_step():
     # Just below d = alpha/2 the largest eigenvalue is alpha*r, which crosses
     # the scaled tolerance 1e-10 at r = 1e-8.
-    for r in np.geomspace(1e-12, 1e-4, 17):
-        _assert_check_equals_reference(
-            *(m[0] for m in _controller(0.01, 0.005 * (1 - r), 2)), 100.0)
+    r = np.geomspace(1e-12, 1e-4, 17)
+    for alpha in (0.01, 1.0, 3e5):
+        _assert_certificate_equals_reference(np.full(17, alpha), alpha / 2.0 * (1 - r))
 
 
-def test_positive_real_check_equals_a_per_matrix_reference_on_general_systems():
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
-        C, D = rng.standard_normal((m, n)), rng.standard_normal((m, m))
-        _assert_check_equals_reference(A, B, C, D, float(10 ** rng.uniform(-2, 2)))
+def test_certificate_at_the_top_of_the_double_range_is_finite():
+    # alpha*p*alpha is about alpha itself, so the corner is near DBL_MAX and
+    # doubling it would overflow; the block matrix is built symmetric.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = gd_passivity_certificate(1.7e308, 1e300)
+    assert np.isfinite(cert.max_eigenvalue_M) and not cert.feasible

@@ -45,6 +45,17 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _print_json(doc) -> None:
+    """Print ``doc`` as strict JSON; a non-finite value ends in one error line."""
+    try:
+        text = json.dumps(doc, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise InvalidParameterError(
+            "the result holds a non-finite value, which strict JSON cannot encode"
+        ) from None
+    print(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="passive-gd",
@@ -124,7 +135,7 @@ def _cmd_certify(args) -> int:
         ),
     }
     if args.json:
-        print(json.dumps(doc, sort_keys=True))
+        _print_json(doc)
     else:
         print(f"verdict: {verdict.verdict.value.upper()}")
         print(f"  alpha = {_fmt(args.alpha)}, d = alpha/2 = {_fmt(verdict.d)}, "
@@ -174,7 +185,7 @@ def _cmd_run(args) -> int:
             "final_x": final.tolist(),
         }
         if args.json:
-            print(json.dumps(doc, sort_keys=True))
+            _print_json(doc)
         else:
             print(f"loop steps: {trace.steps}")
             print(f"final x: [{', '.join(_fmt(v) for v in final)}]")
@@ -215,7 +226,7 @@ def _cmd_run(args) -> int:
         "final_grad_norm": grad_norm,
     }
     if args.json:
-        print(json.dumps(doc, sort_keys=True))
+        _print_json(doc)
     else:
         print(f"iterations: {trace.iterations} ({trace.termination.value})")
         print(f"final x: [{', '.join(_fmt(v) for v in final)}], "
@@ -226,7 +237,7 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     reports = verify_mod.run_suite(args.suite, args.seed)
     if args.json:
-        print(json.dumps([r.as_dict() for r in reports], sort_keys=True))
+        _print_json([r.as_dict() for r in reports])
     else:
         for report in reports:
             status = "PASS" if report.passed else "FAIL"
@@ -265,7 +276,7 @@ def _cmd_bench(args) -> int:
         bench_mod.export_histogram(s, out_dir / f"hist-{_slug(s.label)}.csv")
     bench_mod.write_summary_csv(stats, out_dir / "summary.csv")
     if args.json:
-        print(json.dumps(
+        _print_json(
             [
                 {
                     "label": s.label,
@@ -276,9 +287,8 @@ def _cmd_bench(args) -> int:
                     "flagged": s.flagged,
                 }
                 for s in stats
-            ],
-            sort_keys=True,
-        ))
+            ]
+        )
     else:
         print(f"{'label':<20} {'mean':>10} {'median':>8} {'mode':>6} "
               f"{'n':>8} {'flagged':>8}")

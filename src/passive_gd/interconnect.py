@@ -36,8 +36,10 @@ row 0 of the block's arrays. Their exogenous inputs are ``(horizon,
 dim)`` arrays shared by every row. ``evaluate_delta_bar`` takes one d for
 a point or for every row of a block.
 
-Which side of 1/L the feedthrough is on is decided by the verdict's rule,
-``passivity._feedthrough_class``.
+Which side of 1/L the feedthrough is on is decided exactly by the
+verdict's rule, ``passivity._feedthrough_class``: the double nearest 1/L
+is the edge. A transformed row's d must equal alpha/2 exactly, which
+halving a double gives wherever alpha/2 is normal.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .errors import (
     _positive,
 )
 from .functions import SectorFunction, _row_norms, row_gradient
-from .passivity import Classification, _close, _feedthrough_class
+from .passivity import Classification, _feedthrough_class
 from .signals import Signal
 
 __all__ = [
@@ -102,7 +104,7 @@ def _check_feedthrough(f: SectorFunction, d) -> None:
     _positive("feedthrough", d)
     if _feedthrough_class(f.L, d) is not Classification.VSP:
         raise ContractionError(
-            f"d*L = {d * f.L} is not below 1 (boundary tolerance 1e-12): "
+            f"d = {d} is not below 1/L = {1.0 / f.L}: "
             "the standalone fixed point is not contractive"
         )
 
@@ -218,7 +220,7 @@ def _loop_rows(f: SectorFunction, alpha, d, x0, steps: int):
         if v == 0.0:
             continue
         _positive("feedthrough", v)
-        if not _close(v, a / 2.0):
+        if v != a / 2.0:
             raise InvalidParameterError(
                 "this loop is configured with d = alpha/2, or d = 0 for the "
                 f"untransformed loop; got d={v}, alpha={a}"
@@ -282,7 +284,7 @@ def run_transformed(
     # As in _check_feedthrough, the largest d decides whether any row is past 1/L.
     if _feedthrough_class(f.L, d.max()) is Classification.NONE:
         raise ContractionError(
-            f"d*L = {d.max() * f.L} > 1: past d = 1/L the transformed loop is not certified"
+            f"d = {d.max()} is past 1/L = {1.0 / f.L}: the transformed loop is not certified"
         )
     y2 = np.empty((steps, n, dim))
     states = np.empty((steps + 1, n, dim))

@@ -3,15 +3,14 @@
 For a gradient in the sector [m, L], the shifted-gradient operator is
 very strictly passive with input index delta = mL/(m+L) and output index
 epsilon = 1/(m+L). Closing positive feedback d*I around it rescales the
-indices. With d = alpha/2 the controller is passive, and the side of 1/L
-that d is on, decided only by ``_feedthrough_class``, gives the verdict.
+indices; each index is the double nearest its exact value. With d = alpha/2
+the controller is passive, and the side of 1/L that d is on, decided
+exactly by ``_feedthrough_class``, gives the verdict.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -40,8 +39,6 @@ __all__ = [
     "certify_step_size",
     "empirical_passivity_margin",
 ]
-
-_REL_TOL = 1e-12
 
 
 class Classification(enum.Enum):
@@ -77,75 +74,58 @@ class StepSizeVerdict:
     certificate: PositiveRealCertificate
 
 
-def _close(a: float, b: float, rel: float = _REL_TOL) -> bool:
-    return abs(a - b) <= rel * max(abs(a), abs(b))
-
-
-def _normal(v: float) -> bool:
-    """Whether ``v`` is a finite double at or above the least normal one."""
-    return sys.float_info.min <= v < math.inf
-
-
 def _feedthrough_class(l: float, d: float) -> Classification:
-    """ISP at d = 1/L (relative tolerance 1e-12), VSP below it, NONE above it."""
-    if _close(d, 1.0 / l):
+    """ISP at d == 1.0 / l, VSP below it, NONE above it. That double is the
+    one nearest 1/L, so the side is exact; ISP reads its half-ulp as 1/L."""
+    inv = 1.0 / l
+    if d == inv:
         return Classification.ISP
-    return Classification.VSP if d < 1.0 / l else Classification.NONE
+    return Classification.VSP if d < inv else Classification.NONE
+
+
+def _nearest(name: str, num: int, den: int) -> float:
+    """The double nearest num/den, which int/int division rounds once."""
+    try:
+        return num / den
+    except OverflowError:
+        raise InvalidParameterError(f"{name} is past the double range") from None
 
 
 def nabla_indices(m: float, l: float) -> PassivityIndices:
-    """Indices of the shifted gradient, which is VSP."""
+    """Indices of the shifted gradient, which is VSP, each nearest its exact value."""
     _sector(m, l)
-    # mL/(m+L) keeps its bits wherever m*L is a normal double. Where the
-    # product overflows or loses bits, m/(1 + m/L) has neither problem;
-    # m + L can overflow only where m*L does.
-    p = m * l
-    return PassivityIndices(
-        delta=p / (m + l) if _normal(p) else m / (1.0 + m / l),
-        epsilon=1.0 / (m + l),
-        classification=Classification.VSP,
-    )
+    (mp, mq), (lp, lq) = float(m).as_integer_ratio(), float(l).as_integer_ratio()
+    s = mp * lq + lp * mq
+    return PassivityIndices(mp * lp / s, mq * lq / s, Classification.VSP)
 
 
 def transformed_indices(m: float, l: float, d: float) -> PassivityIndices:
     """Indices after closing positive feedback d*I around the shifted gradient.
 
-    delta_bar = delta / (1 - 2*delta*d)
-    epsilon_bar = (epsilon - d + delta*d^2) / (1 - 2*delta*d)
+    delta_bar = delta / (1 - 2*delta*d) = mL / D
+    epsilon_bar = (epsilon - d + delta*d^2) / (1 - 2*delta*d) = (1 - dm)(1 - dL) / D
 
-    Classified VSP for d < 1/L, ISP exactly at d = 1/L (m < L required),
-    NONE past the VSP root. At d = 1/L the indices take their closed forms
-    delta_bar = mL/(L - m) and epsilon_bar = 0: evaluated there, the
-    denominator 1 - 2*delta*d cancels to rounding noise, and to zero or
-    below when m is within a few ulps of L.
+    with D = m + L - 2mLd, each the double nearest its exact value. The
+    class is VSP for d < 1/L and NONE past it. At the double nearest 1/L
+    it is ISP (m < L required) and d is taken as 1/L exactly, so
+    epsilon_bar = 0 and delta_bar = mL/(L - m). D <= 0 is m == L at ISP
+    and past the VSP root elsewhere.
     """
     _sector(m, l)
     _positive("feedthrough", d)
     classification = _feedthrough_class(l, d)
-    if classification is Classification.ISP:
-        if m == l:
-            raise DegenerateSectorError(
-                f"d = 1/L = {d} with m == L leaves no ISP margin"
-            )
-        # As in nabla_indices: m*(L/(L - m)) where m*L is not a normal double.
-        p = m * l
-        return PassivityIndices(
-            delta=p / (l - m) if _normal(p) else m * (l / (l - m)),
-            epsilon=0.0,
-            classification=classification,
-        )
-    base = nabla_indices(m, l)
-    delta, epsilon = base.delta, base.epsilon
-    contraction = 1.0 - 2.0 * delta * d
-    if contraction <= 0.0:
-        raise ContractionError(
-            f"d={d} violates d < (m+L)/(2mL) = {(m + l) / (2 * m * l)}"
-        )
-    delta_bar = delta / contraction
-    epsilon_bar = (epsilon - d + delta * d * d) / contraction
+    isp = classification is Classification.ISP
+    (mp, mq), (lp, lq) = float(m).as_integer_ratio(), float(l).as_integer_ratio()
+    # At ISP, d is taken as 1/L exactly.
+    dp, dq = (lq, lp) if isp else float(d).as_integer_ratio()
+    den = dq * (lp * mq + mp * lq) - 2 * mp * dp * lp
+    if den <= 0:
+        if isp:
+            raise DegenerateSectorError(f"d = 1/L = {d} with m == L leaves no ISP margin")
+        raise ContractionError(f"d={d} violates 2*d*m*L < m + L for m={m}, L={l}")
     return PassivityIndices(
-        delta=delta_bar,
-        epsilon=epsilon_bar,
+        delta=_nearest("delta_bar", mp * lp * dq, den),
+        epsilon=_nearest("epsilon_bar", (dq * mq - dp * mp) * (dq * lq - dp * lp), dq * den),
         classification=classification,
     )
 

@@ -22,9 +22,13 @@ from passive_gd.optim import ArmijoAlpha, ArmijoParams, GradNorm, MaxIter, gd_ru
 
 
 def test_certify_exit_codes(capsys):
-    # 0.0201 is just past 2/L = 0.02, where the verdict drops to NONE.
+    # 0.0201 is just past 2/L = 0.02, where the verdict drops to NONE. The
+    # edge is the double nearest 2/L alone: 5e-15 above it is NONE, and
+    # 1e-14 below it is STRONG.
     for alpha, code, verdict in [("0.01", 0, "STRONG"), ("0.02", 0, "WEAK"),
-                                 ("0.0201", 2, "NONE"), ("0.05", 2, "NONE")]:
+                                 ("0.0201", 2, "NONE"), ("0.05", 2, "NONE"),
+                                 ("0.020000000000005", 2, "NONE"),
+                                 ("0.01999999999999", 0, "STRONG")]:
         assert main(["certify", "--m", "1", "--L", "100", "--alpha", alpha]) == code
         out, err = capsys.readouterr()
         assert f"verdict: {verdict}" in out.splitlines() and err == ""
@@ -58,6 +62,8 @@ def _strict_json(text):
     ("1e308", "1e308", "1e-300", 2, "none", 5e307),
     # m*L underflows to zero.
     ("1e-300", "1e-300", "1", 0, "strong", 5e-301),
+    # d is past 1/L, and 2*m*L underflows to 0 in (m + L)/(2mL).
+    ("1e-200", "1e-200", "1e201", 2, "none", 5e-201),
 ])
 def test_certify_at_extreme_sector_bounds(capsys, m, L, alpha, code, verdict, delta):
     # The indices stay finite and nonzero, so the verdict follows d against
@@ -557,6 +563,14 @@ def test_run_with_a_nan_tolerance_prints_one_error_line(capsys, flag):
       "--alpha", "0.001", "--tol", "1e-170", "--max-iter", "50", "--json"],
      "tolerance must have a square that is a normal double (about 1.5e-154 to 1.3e154), "
      "got 1e-170"),
+    # Outputs past the double range, which strict JSON cannot hold: delta_bar's
+    # exact value is about 2.5e311, and the gradient (1.485e308, 1.5e308) has
+    # no finite norm.
+    (["certify", "--m", "1e300", "--L", "1e300", "--alpha", "1.999999999996e-300", "--json"],
+     "delta_bar is past the double range"),
+    (["run", "--function", "diag-quadratic", "--m", "99", "--L", "100",
+      "--x0", "1.5e306,1.5e306", "--alpha", "1e-300", "--max-iter", "1", "--json"],
+     "the result holds a non-finite value, which strict JSON cannot encode"),
 ])
 def test_non_finite_parameters_print_one_error_line(capsys, argv, message):
     assert main(argv) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -330,11 +331,12 @@ def test_run_transformed_requires_halfstep_feedthrough():
 
 def test_untransformed_rejects_feedthrough():
     # A row takes d = 0, the untransformed loop, or the transformation's
-    # d = alpha/2; a block with any other feedthrough is refused whole.
+    # d = alpha/2 exactly; a block with any other feedthrough, one ulp off
+    # alpha/2 included, is refused whole.
     f = quadratic(100.0)
     alpha = np.array([0.02, 0.02, 0.02])
     run_transformed(f, alpha, np.array([0.0, 0.01, 0.0]), np.ones((3, 1)), 3)
-    for bad in (0.004, 0.02):
+    for bad in (0.004, 0.02, math.nextafter(0.01, math.inf)):
         with pytest.raises(InvalidParameterError, match="d = 0 for the untransformed loop"):
             run_transformed(f, alpha, np.array([0.0, 0.0, bad]), np.ones((3, 1)), 3)
 

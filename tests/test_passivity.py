@@ -1,5 +1,4 @@
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +12,8 @@ from passive_gd.errors import (
     InvalidParameterError,
     ShapeError,
 )
-from passive_gd.functions import diag_quadratic, oscillatory
-from passive_gd.interconnect import delta_bar_operator
+from passive_gd.functions import diag_quadratic, oscillatory, quadratic
+from passive_gd.interconnect import delta_bar_operator, run_transformed
 from passive_gd.lti import gd_passivity_certificate
 from passive_gd.passivity import (
     Classification,
@@ -43,9 +42,6 @@ def test_nabla_indices_values():
         nabla_indices(3.0, 2.0)
 
 
-_NORMAL = (Fraction(sys.float_info.min), Fraction(sys.float_info.max))
-
-
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(
     exponents=st.lists(st.floats(-308.25, 308.25), min_size=2, max_size=2),
@@ -57,7 +53,8 @@ def test_indices_are_their_exact_values_at_any_sector_scale(exponents, gap):
     # 10**-308.25 <= m <= L <= 10**308.25, the valid sector range, where m
     # may be subnormal and m*L overflows or underflows on much of it;
     # ``gap`` puts m within 2**-gap of L, where L - m cancels. Each must be
-    # within 1e-15 relative wherever the exact value is a normal double.
+    # the double nearest its exact value, and an ISP delta_bar past the
+    # double range is refused.
     m, l = sorted(10.0 ** np.array(exponents))
     if gap is not None:
         m = l * (1.0 - 2.0**-gap)
@@ -66,14 +63,17 @@ def test_indices_are_their_exact_values_at_any_sector_scale(exponents, gap):
     assume(1.0 / l < math.inf)
     M, L = Fraction(m), Fraction(l)
     base = nabla_indices(m, l)
-    pairs = [(base.delta, M * L / (M + L)), (base.epsilon, 1 / (M + L))]
+    assert (base.delta, base.epsilon) == (float(M * L / (M + L)), float(1 / (M + L))), (m, l)
     if m < l:
-        isp = transformed_indices(m, l, 1.0 / l)
-        assert isp.classification is Classification.ISP
-        pairs.append((isp.delta, M * L / (L - M)))
-    for got, exact in pairs:
-        if _NORMAL[0] <= exact <= _NORMAL[1]:
-            assert abs(Fraction(got) - exact) <= Fraction(1, 10**15) * exact, (m, l)
+        try:
+            exact = float(M * L / (L - M))
+        except OverflowError:
+            with pytest.raises(InvalidParameterError, match="delta_bar is past the double range"):
+                transformed_indices(m, l, 1.0 / l)
+        else:
+            isp = transformed_indices(m, l, 1.0 / l)
+            assert isp.classification is Classification.ISP
+            assert (isp.delta, isp.epsilon) == (exact, 0.0), (m, l)
 
 
 @pytest.mark.parametrize("m, l, alpha, verdict", [
@@ -91,7 +91,7 @@ def test_certify_at_extreme_sector_bounds_gives_finite_indices(m, l, alpha, verd
     base = nabla_indices(m, l)
     assert 0.0 < base.delta < math.inf
     exact = Fraction(m) * Fraction(l) / (Fraction(m) + Fraction(l))
-    assert base.delta == pytest.approx(float(exact), rel=1e-15)
+    assert base.delta == float(exact)
     if result.transformed_indices is not None:
         assert math.isfinite(result.transformed_indices.delta)
         assert math.isfinite(result.transformed_indices.epsilon)
@@ -99,15 +99,13 @@ def test_certify_at_extreme_sector_bounds_gives_finite_indices(m, l, alpha, verd
 
 def test_transformed_indices_vsp_case():
     idx = transformed_indices(1.0, 100.0, 0.005)
-    assert idx.delta == pytest.approx(1.0, rel=1e-12)
-    assert idx.epsilon == pytest.approx(0.004975, rel=1e-12)
+    assert (idx.delta, idx.epsilon) == (1.0, 0.004975)
     assert idx.classification is Classification.VSP
 
 
 def test_transformed_indices_isp_root():
     idx = transformed_indices(1.0, 100.0, 0.01)
-    assert abs(idx.epsilon) <= 1e-12
-    assert idx.delta == pytest.approx(100.0 / 99.0, rel=1e-12)
+    assert (idx.delta, idx.epsilon) == (float(Fraction(100, 99)), 0.0)
     assert idx.classification is Classification.ISP
 
 
@@ -124,6 +122,73 @@ def test_transformed_indices_errors():
         transformed_indices(2.0, 2.0, 0.5)  # d = 1/L with m == L
     with pytest.raises(InvalidParameterError):
         transformed_indices(1.0, 100.0, 0.0)
+    # 2*m*L underflows to 0 here; the refusal divides by nothing.
+    with pytest.raises(ContractionError, match="violates 2"):
+        transformed_indices(1e-200, 1e-200, 1e201)
+    # delta_bar = mL/(m + L - 2mLd) is about 2.5e311.
+    with pytest.raises(InvalidParameterError, match="delta_bar is past the double range"):
+        transformed_indices(1e300, 1e300, 9.99999999998e-301)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(
+    exponent=st.floats(-308.25, 308.25),
+    ratio=st.one_of(st.just(1.0), st.floats(1e-8, 1.0)),
+    where=st.one_of(st.just(0), st.integers(-4, 4), st.floats(1e-3, 10.0)),
+)
+def test_transformed_indices_are_the_doubles_nearest_their_exact_values(exponent, ratio, where):
+    # delta_bar = mL/D and epsilon_bar = (1 - dm)(1 - dL)/D, D = m + L - 2mLd,
+    # against exact fractions over log-uniform L in the valid sector range,
+    # m/L in [1e-8, 1] or m == L, and d either ``where`` ulps from 1.0 / l or
+    # ``where`` times it. At 1.0 / l itself the indices are taken at d = 1/L.
+    l = float(10.0**exponent)
+    assume(1.0 / l < math.inf)
+    m, inv = min(ratio * l, l), 1.0 / l
+    if isinstance(where, int):
+        d = inv
+        for _ in range(abs(where)):
+            d = math.nextafter(d, math.inf if where > 0 else 0.0)
+    else:
+        d = where * inv
+    assume(0.0 < d < math.inf)
+    M, L = Fraction(m), Fraction(l)
+    d_exact = 1 / L if d == inv else Fraction(d)
+    den = M + L - 2 * M * L * d_exact
+    if den <= 0:
+        with pytest.raises(DegenerateSectorError if d == inv else ContractionError):
+            transformed_indices(m, l, d)
+        return
+    try:
+        exact = (float(M * L / den), float((1 - d_exact * M) * (1 - d_exact * L) / den))
+    except OverflowError:
+        with pytest.raises(InvalidParameterError, match="past the double range"):
+            transformed_indices(m, l, d)
+        return
+    idx = transformed_indices(m, l, d)
+    assert (idx.delta, idx.epsilon) == exact, (m, l, d)
+    cls = (Classification.ISP if d == inv
+           else Classification.VSP if d_exact < 1 / L else Classification.NONE)
+    assert idx.classification is cls
+
+
+@pytest.mark.parametrize("l", [100.0, 0.3, 7e-300, 3e250])
+def test_the_verdict_edge_is_the_double_nearest_two_over_l(l):
+    # Below the double nearest 2/L is STRONG, at it WEAK, one ulp above NONE,
+    # where the transformed loop is refused too.
+    edge = 2.0 / l
+    below, above = math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)
+    for alpha, verdict in [(below, Verdict.STRONG), (edge, Verdict.WEAK),
+                           (above, Verdict.NONE)]:
+        assert certify_step_size(l / 3.0, l, alpha).verdict is verdict
+    run_transformed(quadratic(l), edge, edge / 2.0, np.ones(1), 3)
+    with pytest.raises(ContractionError, match="is past 1/L"):
+        run_transformed(quadratic(l), above, above / 2.0, np.ones(1), 3)
+    # With m == L the ISP edge is degenerate, but one ulp below it is still
+    # VSP: D = 2L(1 - dL) is positive, if small.
+    assert certify_step_size(l, l, edge).verdict is Verdict.NONE
+    strong = certify_step_size(l, l, below)
+    assert strong.verdict is Verdict.STRONG
+    assert strong.transformed_indices.classification is Classification.VSP
 
 
 def test_quadratic_root_structure():

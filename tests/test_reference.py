@@ -324,11 +324,15 @@ def test_certified_step_sizes_end_at_two_over_L(L, ratio, frac):
 
 
 # Step sizes at and around 2/L: the boundary itself, its float neighbours,
-# and relative offsets just outside the 1e-12 equality tolerance.
+# and relative offsets of 5e-13 and 2e-12 on both sides. The boundary is
+# the double nearest 2/L alone, so every other step here is on its exact
+# side of 2/L.
 _NEAR_TWO_OVER_L = {
     "at": lambda b: b,
     "ulp above": lambda b: float(np.nextafter(b, np.inf)),
     "ulp below": lambda b: float(np.nextafter(b, 0.0)),
+    "5e-13 above": lambda b: b * (1.0 + 5e-13),
+    "5e-13 below": lambda b: b * (1.0 - 5e-13),
     "2e-12 above": lambda b: b * (1.0 + 2e-12),
     "2e-12 below": lambda b: b * (1.0 - 2e-12),
 }

@@ -12,15 +12,15 @@ This module holds the specs, the sampling, the threading, the statistics,
 the CSV export and the config parsing. The iterations themselves run in
 ``optim``'s batched engine, the one that ``gd_run``/``gsgd_run`` run on a
 single row, so each sample's count is theirs. The samples run in chunks
-of the package's one block size. A sample's arithmetic never depends on
-its neighbors, and the chunk layout is fixed, so results are
-bit-identical for any thread count.
+of the package's one block size, on up to ``threads`` threads, the caller
+included. A sample's arithmetic never depends on its neighbors, and the
+chunk layout is fixed, so results are bit-identical for any thread count.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -103,20 +103,37 @@ def _summarize(label: str, counts: np.ndarray, flagged: np.ndarray) -> SummarySt
 
 
 def _run_chunks(runner, chunks: list, n_threads: int) -> list:
-    """``runner`` of each chunk, in chunk order, on ``min(n_threads, chunks)``
-    pool threads, or inline when that is 1.
-
-    After a failure no chunk that has not started runs, and every worker
-    has stopped when the failure is raised here.
+    """``runner`` of each chunk, in chunk order, on the calling thread and
+    ``min(n_threads, chunks) - 1`` helpers, which take indices from one iterator.
+    After a failure no thread takes a new chunk, and every helper has stopped
+    when an interrupt or exit, or else the lowest-index exception, is raised.
     """
-    workers = min(n_threads, len(chunks))
-    if workers <= 1:
-        return [runner(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(runner, c) for c in chunks]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        pool.shutdown(cancel_futures=True)
-    return [f.result() for f in futures]
+    todo, lock = iter(range(len(chunks))), threading.Lock()
+    parts, failures = [None] * len(chunks), {}
+
+    def work():
+        try:
+            while not failures:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                try:
+                    parts[i] = runner(chunks[i])
+                except Exception as exc:
+                    failures[i] = exc
+        except BaseException as exc:  # an interrupt or exit, in any thread
+            failures[-1] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(min(n_threads, len(chunks)) - 1)]
+    for t in helpers:
+        t.start()
+    work()
+    for t in helpers:
+        t.join()
+    if failures:
+        raise failures[min(failures)]
+    return parts
 
 
 def run_monte_carlo(
@@ -126,7 +143,7 @@ def run_monte_carlo(
 ) -> list[SummaryStats]:
     """Run every configured method on the same x0 sequence and summarize.
 
-    ``threads`` threads run the sample chunks. Results do not depend on it.
+    ``threads`` counts the calling thread. Results do not depend on it.
     Each method's chunks all finish before the next method starts, so only
     one method's counts are held at a time.
     """

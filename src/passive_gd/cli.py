@@ -138,8 +138,10 @@ def _cmd_certify(args) -> int:
         _print_json(doc)
     else:
         print(f"verdict: {verdict.verdict.value.upper()}")
-        print(f"  alpha = {_fmt(args.alpha)}, d = alpha/2 = {_fmt(verdict.d)}, "
-              f"1/L = {_fmt(1.0 / args.L)}")
+        # Six digits can print a d beside 1/L as 1/L itself; then both print in full.
+        d, inv_l = verdict.d, 1.0 / args.L
+        fmt = repr if d != inv_l and _fmt(d) == _fmt(inv_l) else _fmt
+        print(f"  alpha = {_fmt(args.alpha)}, d = alpha/2 = {fmt(d)}, 1/L = {fmt(inv_l)}")
         if doc["p_scalar"] is not None:
             print(f"  certificate scalar p = 1/alpha = {_fmt(doc['p_scalar'])}")
         else:

@@ -141,7 +141,15 @@ def certify_step_size(m: float, l: float, alpha: float) -> StepSizeVerdict:
     _positive("step size", alpha)
     # The certificate's storage is p = 1/alpha.
     _finite_reciprocal("step size", "alpha", alpha)
-    d = alpha / 2.0
+    d, inv, edge = alpha / 2.0, 1.0 / l, 2.0 / l
+    # The class is d's side of 1.0 / l; the verdict is alpha's side of 2.0 / l.
+    # Below 2^-1021 alpha/2 can round and 2.0 / l need not be 2 * (1.0 / l),
+    # so the two sides can disagree.
+    if (d > inv) - (d < inv) != (alpha > edge) - (alpha < edge):
+        raise InvalidParameterError(
+            f"step size alpha={alpha} is below 2^-1021, where alpha/2 = {d} does not "
+            f"place it against 2/L (1/L = {inv})"
+        )
     try:
         indices = transformed_indices(m, l, d)
     except (ContractionError, DegenerateSectorError):

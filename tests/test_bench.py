@@ -463,28 +463,38 @@ def test_determinism_across_thread_counts():
 
 
 @pytest.mark.parametrize("threads, n, helpers", [
-    (1, 3 * _BLOCK_ROWS, []),
-    (4, 100, []),
-    (2, 3 * _BLOCK_ROWS, [2]),
-    (3, 3 * _BLOCK_ROWS, [3]),
-    (8, 3 * _BLOCK_ROWS, [3]),
+    (1, 3 * _BLOCK_ROWS, [0, 0]),
+    (4, 100, [0, 0]),
+    (2, 3 * _BLOCK_ROWS, [1, 1]),
+    (3, 3 * _BLOCK_ROWS, [2, 2]),
+    (8, 3 * _BLOCK_ROWS, [2, 2]),
 ])
 def test_threads_count_the_calling_thread(threads, n, helpers):
-    # --threads N runs the chunks on N threads, never more than there are
-    # chunks: the calling thread alone when min(N, chunks) is 1, else one
-    # pool of min(N, chunks) helpers per method while the caller waits.
-    sizes = []
+    # --threads N runs each method's chunks on min(N, chunks) threads: the
+    # calling thread and ``helpers`` helper threads, or the caller alone.
+    # A method's first min(N, chunks) chunk calls wait for one another, so
+    # they run on as many threads and every helper runs a chunk.
+    seen = []
 
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kw):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kw)
+    def recording_runner(*args):
+        runner, idents = _block_runner(*args), []
+        barrier = threading.Barrier(1 + helpers[len(seen)], timeout=10)
+        seen.append(idents)
 
-    f = quadratic(1.0)
+        def run(chunk):
+            idents.append(threading.get_ident())
+            if len(idents) <= barrier.parties:
+                barrier.wait()
+            return runner(chunk)
+
+        return run
+
     spec = _small_spec([MethodSpec("a", "gd", FixedAlpha(1.0))] * 2, n=n)
-    with mock.patch.object(bench_mod, "ThreadPoolExecutor", RecordingPool):
-        run_monte_carlo(f, spec, threads=threads)
-    assert sizes == helpers * 2
+    with mock.patch.object(bench_mod, "_block_runner", recording_runner):
+        run_monte_carlo(quadratic(1.0), spec, threads=threads)
+    caller = threading.get_ident()
+    assert all(caller in idents for idents in seen)
+    assert [len(set(idents) - {caller}) for idents in seen] == helpers
 
 
 @pytest.mark.parametrize("fail", [0, 4], ids=["first", "later"])
@@ -503,6 +513,32 @@ def test_a_failing_chunk_stops_every_thread_and_is_raised(fail):
 
     before = set(threading.enumerate())
     with pytest.raises(ZeroDivisionError, match="chunk failed"):
+        _run_chunks(runner, list(range(10)), 3)
+    started = list(ran)
+    time.sleep(0.05)
+    assert ran == started and len(started) < 10
+    assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("in_caller, error", [
+    (True, ZeroDivisionError), (True, KeyboardInterrupt), (False, SystemExit),
+], ids=["caller-error", "caller-interrupt", "helper-exit"])
+def test_a_failing_chunk_in_the_caller_or_a_helper_stops_every_thread(in_caller, error):
+    # 10 chunks on 3 threads; the caller's chunks, or the helpers', raise at
+    # once, the others sleep briefly. The failure, an interrupt or an exit
+    # (which is no Exception) reaches the caller, no chunk that had not
+    # started runs, and no helper is left.
+    caller, ran = threading.get_ident(), []
+
+    def runner(chunk):
+        ran.append(chunk)
+        if (threading.get_ident() == caller) == in_caller:
+            raise error("a chunk failed")
+        time.sleep(0.02)
+        return chunk
+
+    before = set(threading.enumerate())
+    with pytest.raises(error, match="a chunk failed"):
         _run_chunks(runner, list(range(10)), 3)
     started = list(ran)
     time.sleep(0.05)

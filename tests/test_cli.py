@@ -36,6 +36,18 @@ def test_certify_exit_codes(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_certify_text_prints_d_and_one_over_l_in_full_when_six_digits_tie(capsys):
+    # Six digits print d = 0.0100000000000025, past 1/L, and the d below it
+    # as 0.01 too; at the edge itself d == 1/L keeps the short form.
+    for alpha, line in [
+        ("0.020000000000005", "alpha = 0.02, d = alpha/2 = 0.0100000000000025, 1/L = 0.01"),
+        ("0.01999999999999", "alpha = 0.02, d = alpha/2 = 0.009999999999995, 1/L = 0.01"),
+        ("0.02", "alpha = 0.02, d = alpha/2 = 0.01, 1/L = 0.01"),
+    ]:
+        main(["certify", "--m", "1", "--L", "100", "--alpha", alpha])
+        assert capsys.readouterr().out.splitlines()[1] == f"  {line}"
+
+
 def test_certify_json_contents(capsys):
     assert main(["certify", "--m", "1", "--L", "100", "--alpha", "0.01", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -571,6 +583,17 @@ def test_run_with_a_nan_tolerance_prints_one_error_line(capsys, flag):
     (["run", "--function", "diag-quadratic", "--m", "99", "--L", "100",
       "--x0", "1.5e306,1.5e306", "--alpha", "1e-300", "--max-iter", "1", "--json"],
      "the result holds a non-finite value, which strict JSON cannot encode"),
+    # One ulp above the double nearest 2/L, below 2^-1021: alpha/2 rounds onto
+    # 1/L in the first, and is exactly the double nearest 1/L in the second,
+    # so both gave WEAK above 2/L.
+    (["certify", "--m", "1", "--L", "1.2422515488563675e308", "--alpha",
+      "1.609979880356137e-308"],
+     "step size alpha=1.609979880356137e-308 is below 2^-1021, where alpha/2 = "
+     "8.049899401780683e-309 does not place it against 2/L (1/L = 8.049899401780683e-309)"),
+    (["certify", "--m", "1", "--L", "1.5545243077560105e308", "--alpha",
+      "1.2865672090306803e-308", "--json"],
+     "step size alpha=1.2865672090306803e-308 is below 2^-1021, where alpha/2 = "
+     "6.4328360451534e-309 does not place it against 2/L (1/L = 6.4328360451534e-309)"),
 ])
 def test_non_finite_parameters_print_one_error_line(capsys, argv, message):
     assert main(argv) == 1

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import passive_gd
@@ -23,3 +26,15 @@ def test_every_module_defines_its_exports_and_the_package_imports_existing_names
         module = importlib.import_module(f"passive_gd.{node.module}")
         missing = [a.name for a in node.names if not hasattr(module, a.name)]
         assert not missing, f"passive_gd/__init__.py imports {missing} from {node.module}"
+
+
+def test_importing_the_cli_loads_neither_concurrent_futures_nor_logging():
+    # Import time is most of a fresh process's set-up; bench threads with
+    # ``threading`` alone, which numpy loads anyway.
+    env = {**os.environ, "PYTHONPATH": str(Path(passive_gd.__file__).resolve().parents[1])}
+    code = ("import passive_gd.cli, sys; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

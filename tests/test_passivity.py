@@ -191,6 +191,36 @@ def test_the_verdict_edge_is_the_double_nearest_two_over_l(l):
     assert strong.transformed_indices.classification is Classification.VSP
 
 
+def test_a_step_below_two_to_the_minus_1021_is_on_its_side_of_two_over_l_or_refused():
+    # For L in [9.1e307, 1.7e308], 2/L is subnormal: alpha/2 can round, and
+    # 2.0 / l need not be twice 1.0 / l. A step is refused exactly when the
+    # verdict its half would read off 1.0 / l is not its exact side's (WEAK at
+    # 2.0 / l itself); every other step gets that verdict, so one ulp above
+    # 2.0 / l is never WEAK. A subnormal step far below 2/L is STRONG.
+    def exact(l, alpha):
+        if alpha == 2.0 / l:
+            return Verdict.WEAK
+        return Verdict.STRONG if Fraction(alpha) < 2 / Fraction(l) else Verdict.NONE
+
+    def read_off_half(l, alpha):
+        d, inv = alpha / 2.0, 1.0 / l
+        return Verdict.WEAK if d == inv else Verdict.STRONG if d < inv else Verdict.NONE
+
+    refused = 0
+    for l in np.random.default_rng(33).uniform(9.1e307, 1.7e308, 1000):
+        l, edge = float(l), 2.0 / float(l)
+        for alpha in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+            if read_off_half(l, alpha) is not exact(l, alpha):
+                with pytest.raises(InvalidParameterError, match="below 2\\^-1021"):
+                    certify_step_size(1.0, l, alpha)
+                refused += 1
+            else:
+                assert certify_step_size(1.0, l, alpha).verdict is exact(l, alpha), (l, alpha)
+    assert refused > 0
+    for alpha in (6e-309, 1e-308, math.nextafter(1e-308, math.inf)):
+        assert certify_step_size(1.0, 100.0, alpha).verdict is Verdict.STRONG
+
+
 def test_quadratic_root_structure():
     rng = np.random.default_rng(9)
     for _ in range(100):

@@ -1,6 +1,6 @@
 """Monte Carlo benchmark over uniformly sampled initial conditions.
 
-Every method sees the same seeded x0 sequence, drawn from
+Every method sees the same seeded x0 sequence, drawn chunk by chunk from
 [x0_low, x0_high]^dim, so the per-method statistics form a paired
 comparison. Iteration counts are 1-based: the convergence check that
 passes is counted, so a sample that starts at the minimizer records 1.
@@ -13,8 +13,8 @@ the CSV export and the config parsing. The iterations themselves run in
 ``optim``'s batched engine, the one that ``gd_run``/``gsgd_run`` run on a
 single row, so each sample's count is theirs. The samples run in chunks
 of the package's one block size, on up to ``threads`` threads, the caller
-included. A sample's arithmetic never depends on its neighbors, and the
-chunk layout is fixed, so results are bit-identical for any thread count.
+included, in 9 bytes per sample plus one chunk per thread. Samples never
+interact and the chunks are fixed, so any thread count gives the same bits.
 """
 
 from __future__ import annotations
@@ -102,30 +102,31 @@ def _summarize(label: str, counts: np.ndarray, flagged: np.ndarray) -> SummarySt
     )
 
 
-def _run_chunks(runner, chunks: list, n_threads: int) -> list:
+def _run_chunks(runner, chunks, n_chunks: int, n_threads: int) -> list:
     """``runner`` of each chunk, in chunk order, on the calling thread and
-    ``min(n_threads, chunks) - 1`` helpers, which take indices from one iterator.
+    ``min(n_threads, n_chunks) - 1`` helpers, which take ``(index, chunk)`` pairs
+    from the one iterator ``chunks`` under one lock, so only running chunks are held.
     After a failure no thread takes a new chunk, and every helper has stopped
     when an interrupt or exit, or else the lowest-index exception, is raised.
     """
-    todo, lock = iter(range(len(chunks))), threading.Lock()
-    parts, failures = [None] * len(chunks), {}
+    lock = threading.Lock()
+    parts, failures = [None] * n_chunks, {}
 
     def work():
         try:
             while not failures:
                 with lock:
-                    i = next(todo, None)
+                    i, chunk = next(chunks, (None, None))
                 if i is None:
                     return
                 try:
-                    parts[i] = runner(chunks[i])
+                    parts[i] = runner(chunk)
                 except Exception as exc:
                     failures[i] = exc
         except BaseException as exc:  # an interrupt or exit, in any thread
             failures[-1] = exc
 
-    helpers = [threading.Thread(target=work) for _ in range(min(n_threads, len(chunks)) - 1)]
+    helpers = [threading.Thread(target=work) for _ in range(min(n_threads, n_chunks) - 1)]
     for t in helpers:
         t.start()
     work()
@@ -144,22 +145,28 @@ def run_monte_carlo(
     """Run every configured method on the same x0 sequence and summarize.
 
     ``threads`` counts the calling thread. Results do not depend on it.
-    Each method's chunks all finish before the next method starts, so only
-    one method's counts are held at a time.
+    Each method draws x0 one chunk at a time, as ``sector_membership_scan``
+    does, and writes its counts and stop codes in place: a run holds 9 bytes
+    per sample plus one chunk's working set per thread.
     """
     _count("threads", threads, 1)
-    n = spec.n_samples
-    rng = np.random.default_rng(spec.seed)
-    # For dim == 1 the flat draw is the same sequence as an (n, 1) draw.
-    x0 = rng.uniform(spec.x0_low, spec.x0_high, n if f.dim == 1 else (n, f.dim))
-    chunks = [x0[i : i + _BLOCK_ROWS] for i in range(0, n, _BLOCK_ROWS)]
+    n, row = spec.n_samples, () if f.dim == 1 else (f.dim,)
+    counts, reasons = np.empty(n, np.int64), np.empty(n, np.int8)
+
+    def run(chunk):
+        rows, x0 = chunk
+        counts[rows], reasons[rows] = runner(x0)
+
     results = []
     for method in spec.methods:
         runner = _block_runner(f, method.schedule, spec.tol, spec.max_iter)
-        parts = _run_chunks(runner, chunks, threads)
-        counts = np.concatenate([p[0] for p in parts])
-        flagged = np.concatenate([p[1] for p in parts]) >= _CAP
-        results.append(_summarize(method.label, counts, flagged))
+        # Blocks drawn in sequence are bitwise one (n, dim) draw, or one flat draw.
+        rng, starts = np.random.default_rng(spec.seed), range(0, n, _BLOCK_ROWS)
+        draws = ((i, (slice(s, s + _BLOCK_ROWS), rng.uniform(
+            spec.x0_low, spec.x0_high, (min(_BLOCK_ROWS, n - s), *row))))
+            for i, s in enumerate(starts))
+        _run_chunks(run, draws, len(starts), threads)
+        results.append(_summarize(method.label, counts, reasons >= _CAP))
     return results
 
 
@@ -262,13 +269,15 @@ def _schedule_from_config(doc, where: str):
 
 
 def _methods_from_config(method_docs) -> tuple[MethodSpec, ...]:
-    if not isinstance(method_docs, list):
-        raise InvalidParameterError("config.methods must be a JSON list")
+    if not isinstance(method_docs, list) or not method_docs:
+        raise InvalidParameterError("config.methods must be a JSON list of at least one method")
     methods = []
     for i, m in enumerate(method_docs):
         where = f"methods[{i}]"
+        if not isinstance(label := _field(m, "label", where), str):
+            raise InvalidParameterError(f"{where}.label must be a string, got {label!r}")
         methods.append(MethodSpec(
-            _field(m, "label", where),
+            label,
             _field(m, "kind", where),
             _schedule_from_config(_field(m, "schedule", where), f"{where}.schedule"),
         ))

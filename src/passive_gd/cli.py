@@ -269,8 +269,13 @@ def _cmd_bench(args) -> int:
     if args.seed is not None and isinstance(doc, dict):
         doc["seed"] = args.seed
     f, spec = bench_mod.spec_from_config(doc)
-    # Checked before the output directory exists, so a refused count leaves none.
+    # Checked before the output directory exists, so a refused input leaves none.
     _count("threads", args.threads, 1)
+    slugs = [_slug(m.label) for m in spec.methods]
+    for i, s in enumerate(slugs):
+        if (j := slugs.index(s)) < i:
+            raise InvalidParameterError(f"method labels {spec.methods[j].label!r} and "
+                                        f"{spec.methods[i].label!r} both write hist-{s}.csv")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats = bench_mod.run_monte_carlo(f, spec, threads=args.threads)

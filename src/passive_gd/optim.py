@@ -435,7 +435,8 @@ def _run_block(step, grad, value, x0, tol, paired_tol, max_iter, trace=None):
                     reasons[idx[failed]] = _FAILED
                     drop |= failed
                 idx, x, g, fx, g_new = _keep(~drop, idx, x, g, fx, g_new)
-            g_prev, g = g, grad(x) if g_new is None else g_new
+            # Only the paired rule reads g_prev; without it no stale gradient block stays alive.
+            g_prev, g = None if paired_tol is None else g, grad(x) if g_new is None else g_new
             if trace is not None and idx.size:
                 trace.append((x, g, t))
 

@@ -3,6 +3,7 @@ import dataclasses
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -513,7 +514,7 @@ def test_a_failing_chunk_stops_every_thread_and_is_raised(fail):
 
     before = set(threading.enumerate())
     with pytest.raises(ZeroDivisionError, match="chunk failed"):
-        _run_chunks(runner, list(range(10)), 3)
+        _run_chunks(runner, enumerate(range(10)), 10, 3)
     started = list(ran)
     time.sleep(0.05)
     assert ran == started and len(started) < 10
@@ -539,7 +540,7 @@ def test_a_failing_chunk_in_the_caller_or_a_helper_stops_every_thread(in_caller,
 
     before = set(threading.enumerate())
     with pytest.raises(error, match="a chunk failed"):
-        _run_chunks(runner, list(range(10)), 3)
+        _run_chunks(runner, enumerate(range(10)), 10, 3)
     started = list(ran)
     time.sleep(0.05)
     assert ran == started and len(started) < 10
@@ -559,11 +560,85 @@ def test_chunks_come_back_in_order_under_contention():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        parts = _run_chunks(runner, chunks, 8)
+        parts = _run_chunks(runner, enumerate(chunks), len(chunks), 8)
     finally:
         sys.setswitchinterval(interval)
     assert sorted(ran) == list(range(200))
     assert all(np.array_equal(p, c * 2) for p, c in zip(parts, chunks, strict=True))
+
+
+def test_the_chunk_iterator_is_advanced_once_per_chunk_in_index_order():
+    # Eight threads take (index, chunk) pairs from one generator under a short
+    # switch interval: it is advanced exactly once per chunk, in index order,
+    # never by two threads at once (a generator raises then), and every
+    # chunk's result lands at its index.
+    advanced = []
+
+    def chunks():
+        for i in range(200):
+            advanced.append(i)
+            yield i, i * 3
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parts = _run_chunks(lambda chunk: chunk + 1, chunks(), 200, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert advanced == list(range(200))
+    assert parts == [i * 3 + 1 for i in range(200)]
+
+
+@pytest.mark.parametrize("f, kind, schedule", [
+    (oscillatory(1.0, 100.0), "gd", FixedAlpha(0.02)),
+    (diag_quadratic(1.0, 100.0), "gsgd", FixedS(0.1)),
+], ids=["dim1", "dim2"])
+def test_streamed_x0_blocks_are_one_draw_of_the_whole_run(f, kind, schedule):
+    # Two full chunks and a partial one: each method's blocks, joined, are
+    # bitwise the one draw of the whole run, flat for dim == 1.
+    n, seen = 2 * _BLOCK_ROWS + 123, []
+
+    def recording_runner(*args):
+        runner, blocks = _block_runner(*args), []
+        seen.append(blocks)
+
+        def run(x0):
+            blocks.append(x0.copy())
+            return runner(x0)
+
+        return run
+
+    spec = dataclasses.replace(
+        _small_spec([MethodSpec("a", kind, schedule)] * 2, n=n, seed=4), max_iter=5)
+    with mock.patch.object(bench_mod, "_block_runner", recording_runner):
+        run_monte_carlo(f, spec)
+    whole = np.random.default_rng(4).uniform(-1e5, 1e5, n if f.dim == 1 else (n, f.dim))
+    for blocks in seen:
+        assert [len(b) for b in blocks] == [_BLOCK_ROWS, _BLOCK_ROWS, 123]
+        joined = np.concatenate(blocks)
+        assert joined.shape == whole.shape and joined.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("kind, schedule", [
+    ("gd", FixedAlpha(0.02)), ("gsgd", ArmijoS(ArmijoParams())),
+], ids=["fixed-alpha", "armijo-s"])
+def test_a_run_holds_at_most_16_bytes_per_sample_beyond_its_chunk(kind, schedule):
+    # At 1 thread a run holds one chunk's working set plus 9 bytes per sample
+    # (the int64 counts and int8 stop codes), and the summary's sort adds a
+    # transient copy. From 2 to 8 chunks of one method, the traced peak may
+    # grow by at most 16 bytes per added sample.
+    f, method = oscillatory(1.0, 100.0), MethodSpec("a", kind, schedule)
+    run_monte_carlo(f, _small_spec([method], n=_BLOCK_ROWS))
+    peaks = []
+    for chunks in (2, 8):
+        spec = _small_spec([method], n=chunks * _BLOCK_ROWS, seed=3)
+        tracemalloc.start()
+        try:
+            run_monte_carlo(f, spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (6 * _BLOCK_ROWS) <= 16
 
 
 def test_determinism_repeated_run():

@@ -405,6 +405,32 @@ def test_bench_rejects_a_thread_count_below_one(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+def _relabel(*labels):
+    return lambda methods: [m.update(label=l) for m, l in zip(methods, labels)]
+
+
+@pytest.mark.parametrize("edit, fragments", [
+    (_relabel(5), ["methods[0].label must be a string, got 5"]),
+    (_relabel(None), ["methods[0].label must be a string, got None"]),
+    (_relabel([1]), ["methods[0].label must be a string, got [1]"]),
+    (_relabel("a b", "a-b"), ["method labels 'a b' and 'a-b' both write hist-a-b.csv"]),
+    (_relabel("x", "y", "x"), ["method labels 'x' and 'x' both write hist-x.csv"]),
+    (list.clear, ["config.methods must be a JSON list of at least one method"]),
+], ids=["int-label", "null-label", "list-label", "one-file-name", "one-label", "no-methods"])
+def test_bench_refuses_method_labels_it_cannot_write(tmp_path, capsys, edit, fragments):
+    # Refused before any sample runs or the output directory exists: a label
+    # that is no string names no file, and two labels with one file name
+    # would leave one histogram written over the other.
+    doc = default_config()
+    doc["n_samples"] = 10
+    edit(doc["methods"])
+    cfg, out = tmp_path / "config.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    _assert_one_error_line(capsys, *fragments)
+    assert not out.exists()
+
+
 def test_run_armijo_from_overflowing_start(capsys):
     code = main([
         "run", "--function", "oscillatory", "--m", "1", "--L", "100",

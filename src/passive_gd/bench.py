@@ -84,21 +84,23 @@ class SummaryStats:
     flagged: int = 0
 
 
-def _summarize(label: str, counts: np.ndarray, flagged: np.ndarray) -> SummaryStats:
+def _summarize(label: str, counts: np.ndarray, reasons: np.ndarray) -> SummaryStats:
+    """One method's statistics from its counts and stop codes, with one sort."""
     vals, freq = np.unique(counts, return_counts=True)
     hist = {int(v): int(c) for v, c in zip(vals, freq)}
     # Median of an even-length sample is the lower middle order statistic,
-    # so it is always an observed count.
-    median = int(np.sort(counts)[(counts.size - 1) // 2])
+    # so it is always an observed count: the first value whose cumulative
+    # count passes that statistic's index.
+    middle = np.searchsorted(np.cumsum(freq), (counts.size - 1) // 2, side="right")
     return SummaryStats(
         label=label,
         mean=float(counts.mean()),
-        median=median,
+        median=int(vals[middle]),
         # np.unique sorts vals, so argmax breaks ties toward the smallest value.
         mode=int(vals[np.argmax(freq)]),
         count_histogram=hist,
         n=int(counts.size),
-        flagged=int(flagged.sum()),
+        flagged=int(np.count_nonzero(reasons >= _CAP)),
     )
 
 
@@ -166,7 +168,7 @@ def run_monte_carlo(
             spec.x0_low, spec.x0_high, (min(_BLOCK_ROWS, n - s), *row))))
             for i, s in enumerate(starts))
         _run_chunks(run, draws, len(starts), threads)
-        results.append(_summarize(method.label, counts, reasons >= _CAP))
+        results.append(_summarize(method.label, counts, reasons))
     return results
 
 

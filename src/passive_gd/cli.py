@@ -166,7 +166,27 @@ def _parse_x0(text: str) -> np.ndarray:
         ) from None
 
 
+def _refuse_dropped_options(args) -> None:
+    """Refuse an option that this ``run`` would drop, in one line naming it."""
+    s, cap, armijo = args.s is not None, args.cap is not None, args.armijo
+    if args.mode == "loop":
+        checks = [(option, given, "with --mode loop") for option, given in (
+            ("--method gsgd", args.method == "gsgd"), ("--s", s), ("--cap", cap),
+            ("--armijo", armijo), ("--paired-tol", args.paired_tol is not None))]
+    elif args.method == "gd":
+        checks = [("--s", s, "with --method gd"), ("--cap", cap, "with --method gd"),
+                  ("--alpha", args.alpha is not None and armijo, "with --armijo")]
+    else:
+        checks = [("--alpha", args.alpha is not None, "with --method gsgd"),
+                  ("--s", s and armijo, "with --armijo"),
+                  ("--cap", cap and not armijo, "without --armijo")]
+    for option, given, where in checks:
+        if given:
+            raise InvalidParameterError(f"{option} is not used {where}")
+
+
 def _cmd_run(args) -> int:
+    _refuse_dropped_options(args)
     f = builtin_function(args.function, args.m, args.L)
     x0 = _parse_x0(args.x0)
     if args.mode == "loop":
@@ -273,6 +293,9 @@ def _cmd_bench(args) -> int:
     _count("threads", args.threads, 1)
     slugs = [_slug(m.label) for m in spec.methods]
     for i, s in enumerate(slugs):
+        if not s:
+            raise InvalidParameterError(f"method label {spec.methods[i].label!r} has no "
+                                        "letter or digit to name its hist-*.csv file")
         if (j := slugs.index(s)) < i:
             raise InvalidParameterError(f"method labels {spec.methods[j].label!r} and "
                                         f"{spec.methods[i].label!r} both write hist-{s}.csv")

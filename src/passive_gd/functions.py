@@ -64,7 +64,9 @@ class SectorFunction:
         Block callables, for any ``dim``: they map a flat ``(n,)`` block
         when ``dim == 1`` and an ``(n, dim)`` block otherwise to ``(n,)``
         values and to gradients of the block's shape. Used through
-        ``row_gradient`` and ``row_value`` by the batched engines.
+        ``row_gradient`` and ``row_value`` by every kernel, each of which
+        hands a one-dimensional objective flat blocks: the engine, the
+        fixed-point solve, the loop simulator and the scans.
 
     ``oscillatory`` also carries a private fused block oracle,
     ``_value_and_gradient``, which returns both block callables' results

@@ -34,7 +34,9 @@ block runs once for all rows, and each row's result is bitwise that of
 its point. A point is the block's one-row case: its ``LoopTrace`` holds
 row 0 of the block's arrays. Their exogenous inputs are ``(horizon,
 dim)`` arrays shared by every row. ``evaluate_delta_bar`` takes one d for
-a point or for every row of a block.
+a point or for every row of a block. The loop, the report and the solve
+hand a one-dimensional objective's gradient flat ``(n,)`` blocks, as its
+``SectorFunction`` documents; their results keep their ``dim`` axis.
 
 Which side of 1/L the feedthrough is on is decided exactly by the
 verdict's rule, ``passivity._feedthrough_class``: the double nearest 1/L
@@ -124,6 +126,8 @@ def _check_block(f: SectorFunction, x, n: int) -> np.ndarray:
 def _solve_fixed_point(f: SectorFunction, d: float, u: np.ndarray) -> np.ndarray:
     """Solve y = grad_shift(u + d*y) for every row of the ``(n, dim)`` block ``u``.
 
+    A one-dimensional objective iterates on the flat ``(n,)`` block, as the
+    engine does, and the result is reshaped to ``(n, 1)`` once, on return.
     Each row starts at grad_shift(u), stops on its own once its update's
     largest entry is within ``_TOL`` and leaves the active set; the others
     keep iterating. An iterate that is not finite raises ConvergenceError at
@@ -131,12 +135,11 @@ def _solve_fixed_point(f: SectorFunction, d: float, u: np.ndarray) -> np.ndarray
     """
     grad = row_gradient(f)
     # Each row is measured by its largest absolute entry, finite on every
-    # finite row; a width-1 row's is its absolute value, with no reduction.
-    largest = ((lambda a: np.abs(a[:, 0])) if f.dim == 1
-               else (lambda a: np.abs(a).max(axis=1)))
+    # finite row; a flat block's rows are its entries.
+    largest = np.abs if f.dim == 1 else (lambda a: np.abs(a).max(axis=1))
     # The shift to the minimizer is hoisted out of the loop; for the zero
     # minimizer of every built-in, (u + x*) + d*y is bitwise (u + d*y) + x*.
-    z = u + f.minimizer
+    z = (u[:, 0] if f.dim == 1 else u) + f.minimizer
     y = grad(z)
     n = len(u)
     out, rows = np.empty_like(y), np.arange(n)
@@ -160,7 +163,7 @@ def _solve_fixed_point(f: SectorFunction, d: float, u: np.ndarray) -> np.ndarray
             keep = ~done
             rows, z, y_next = rows[keep], z[keep], y_next[keep]
             if not rows.size:
-                return out
+                return out.reshape(n, f.dim)
         y = y_next
     raise ConvergenceError(
         f"fixed point did not reach tol={_TOL} within {_MAX_ITER} iterations "
@@ -286,13 +289,15 @@ def run_transformed(
         raise ContractionError(
             f"d = {d.max()} is past 1/L = {1.0 / f.L}: the transformed loop is not certified"
         )
-    y2 = np.empty((steps, n, dim))
-    states = np.empty((steps + 1, n, dim))
-    states[0] = x0 - f.minimizer
-    d_col, alpha_col = d[:, None], alpha[:, None]
-    r1_steps = r1[:, None]
+    # A one-dimensional objective runs on flat (n,) rows, and its signals get
+    # their dim axis after the run.
+    shape = (n,) if dim == 1 else (n, dim)
+    y2, states = np.empty((steps, *shape)), np.empty((steps + 1, *shape))
+    states[0] = (x0 - f.minimizer).reshape(shape)
+    d_col, alpha_col, r1_steps, r2_steps = (
+        a if dim == 1 else a[:, None] for a in (d, alpha, r1, r2))
     # v = r2_bar + d*r1 + C xi, with r2_bar = r2 - d*r1; at d = 0 it is r2 + C xi.
-    v_offset = (r2[:, None] - d_col * r1_steps) + d_col * r1_steps
+    v_offset = (r2_steps - d_col * r1_steps) + d_col * r1_steps
     grad = row_gradient(f)
     # The time loop carries only the recursion; the other signals are
     # formed after it over all steps, bitwise their per-step values.
@@ -301,7 +306,7 @@ def run_transformed(
         y2[k] = grad((v_offset[k] + xi) + f.minimizer)
         states[k + 1] = xi + alpha_col * (r1_steps[k] - y2[k])
         if 0 in np.isfinite(states[k + 1]).tobytes():
-            row = np.flatnonzero(~np.isfinite(states[k + 1]).all(axis=1))[0]
+            row = np.flatnonzero(~np.isfinite(states[k + 1].reshape(n, dim)).all(axis=1))[0]
             raise DivergenceError(
                 f"loop state became non-finite at step {k + 1}",
                 last_iterate=xi[row] + f.minimizer,
@@ -309,7 +314,7 @@ def run_transformed(
     u1 = r1_steps - y2
     u2 = (v_offset + states[:-1]) - d_col * y2
     y1 = states[:-1] + d_col * u1
-    signals = (u1, y1, u2, y2, states)
+    signals = [a.reshape(len(a), n, dim) for a in (u1, y1, u2, y2, states)]
     for a in signals:
         a.setflags(write=False)
     return LoopTrace(*(signals if block else (a[:, 0] for a in signals)))
@@ -344,7 +349,9 @@ def loop_equivalence_report(
         f, np.concatenate([alpha, alpha]), d, np.concatenate([x0, x0]), steps, r1, r2
     )
     y2 = trace.y2
-    y = row_gradient(f)(trace.u2 + d[:, None] * y2 + f.minimizer)
+    # One gradient call over every step and row, as one block of rows.
+    z = (trace.u2 + d[:, None] * y2 + f.minimizer).reshape(-1, f.dim)
+    y = row_gradient(f)(z[:, 0] if f.dim == 1 else z).reshape(y2.shape)
     relation = _row_norms(y - y2) / (_ONE + _row_norms(y2))
     # np.max, unlike max(), keeps a NaN, which fails a check on it.
     states = trace.states

@@ -384,13 +384,13 @@ def _run_block(step, grad, value, x0, tol, paired_tol, max_iter, trace=None):
     Finiteness looks for a 0 in ``np.isfinite(x)`` (a sum of finite entries
     may overflow), and ``GradNorm`` compares <g, g> with ``_sqrt_bound(tol)``.
     With both rules on a block of rows, one stacked test takes them: g and
-    g + g_prev share one ``(2, n, dim)`` array, whose row dots are compared
-    with the ``(2, 1)`` column of both thresholds, and one mask read tells
-    whether either fired.
+    g + g_prev are written into one ``(2, n, dim)`` buffer, allocated again
+    only when rows leave, whose row dots are compared with the ``(2, 1)``
+    column of both thresholds, and one mask read tells whether either fired.
     """
     gate = None if tol is None else np.array(tol if x0.ndim == 1 else _sqrt_bound(tol))
     paired_tol = None if paired_tol is None else np.array(paired_tol)
-    gates = None
+    gates = pair = None
     if x0.ndim == 2 and gate is not None and paired_tol is not None:
         gates = np.array([[gate], [paired_tol]])
     counts = np.full(len(x0), max_iter, dtype=np.int64)
@@ -402,7 +402,11 @@ def _run_block(step, grad, value, x0, tol, paired_tol, max_iter, trace=None):
             trace.append((x, g, None))
         while True:
             if gates is not None and g_prev is not None:
-                pair = np.array((g, g + g_prev))
+                if pair is None or pair.shape[1] != len(g):
+                    pair = np.empty((2, *g.shape))
+                    g_now, g_sum = pair
+                g_now[...] = g
+                np.add(g, g_prev, out=g_sum)
                 hits = _row_dot(pair, pair) < gates
                 done = met = None
                 if 1 in hits.tobytes():

@@ -119,8 +119,9 @@ def suite_passivity(seed: int) -> SuiteReport:
 
     grad = row_gradient(f)
 
+    # The objective is one-dimensional, so the gradient takes flat samples.
     def nabla_op(u: Signal) -> Signal:
-        return Signal(grad(u.samples + f.minimizer))
+        return Signal(grad(u.samples[:, 0] + f.minimizer))
 
     margin = empirical_passivity_margin(nabla_op, nabla_indices(m, L), inputs, 50)
     report.add_min("shifted gradient margin (100 inputs, T=50)", margin, -1e-9 * (1 + L))

@@ -61,12 +61,29 @@ def _small_spec(methods, n=300, seed=11):
 def test_mode_of_examples():
     def mode(counts):
         counts = np.array(counts)
-        return _summarize("x", counts, np.zeros(counts.size, dtype=bool)).mode
+        return _summarize("x", counts, np.zeros(counts.size, dtype=np.int8)).mode
 
     assert mode([3, 3, 5]) == 3
     assert mode([2, 2, 7, 7]) == 2
     assert mode([7, 7, 2, 2]) == 2
     assert mode([9]) == 9
+
+
+@pytest.mark.parametrize("n, high", [(1, 5), (2, 3), (7, 3), (8, 3), (1001, 40), (1000, 40),
+                                     (4096, 2)])
+def test_summary_median_and_mode_equal_a_sorted_reference(n, high):
+    # The median is read off np.unique's cumulative counts and flagged off
+    # the stop codes; both equal their direct forms on odd and even lengths,
+    # a single value and samples of few distinct counts, so many ties.
+    rng = np.random.default_rng(n)
+    counts = rng.integers(1, high + 1, n)
+    reasons = rng.integers(_MET, _FAILED + 1, n).astype(np.int8)
+    stats = _summarize("x", counts, reasons)
+    assert stats.median == np.sort(counts)[(n - 1) // 2]
+    freq = np.bincount(counts)
+    assert stats.mode == np.flatnonzero(freq == freq.max())[0]
+    assert stats.flagged == sum(code >= _CAP for code in reasons.tolist())
+    assert (stats.n, stats.mean) == (n, counts.mean())
 
 
 def test_histogram_export_round_trip(tmp_path):

@@ -257,6 +257,33 @@ def test_run_without_its_step_flag_prints_one_error_line(capsys, argv, message):
     _assert_one_error_line(capsys, message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "loop", "--alpha", "0.01", "--paired-tol", "1e-3"],
+     "--paired-tol is not used with --mode loop"),
+    (["--mode", "loop", "--alpha", "0.01", "--s", "0.1"], "--s is not used with --mode loop"),
+    (["--mode", "loop", "--alpha", "0.01", "--cap", "0.1"],
+     "--cap is not used with --mode loop"),
+    (["--mode", "loop", "--alpha", "0.01", "--armijo"], "--armijo is not used with --mode loop"),
+    (["--mode", "loop", "--alpha", "0.01", "--method", "gsgd"],
+     "--method gsgd is not used with --mode loop"),
+    (["--alpha", "0.01", "--s", "0.1"], "--s is not used with --method gd"),
+    (["--armijo", "--cap", "0.1"], "--cap is not used with --method gd"),
+    (["--armijo", "--alpha", "0.01"], "--alpha is not used with --armijo"),
+    (["--method", "gsgd", "--s", "0.1", "--alpha", "0.01"],
+     "--alpha is not used with --method gsgd"),
+    (["--method", "gsgd", "--armijo", "--s", "0.1"], "--s is not used with --armijo"),
+    (["--method", "gsgd", "--s", "0.1", "--cap", "0.1"], "--cap is not used without --armijo"),
+], ids=["loop-paired-tol", "loop-s", "loop-cap", "loop-armijo", "loop-gsgd", "gd-s",
+        "gd-cap", "gd-armijo-alpha", "gsgd-alpha", "gsgd-armijo-s", "gsgd-cap"])
+def test_run_refuses_an_option_it_would_drop(tmp_path, capsys, argv, message):
+    # Each of these ran with the option ignored and exit 0; now the run is
+    # refused in one line that names the option, and writes no trace.
+    trace = tmp_path / "trace.csv"
+    assert main(_OSCILLATORY + ["--x0", "5", "--trace", str(trace)] + argv) == 1
+    _assert_one_error_line(capsys, message)
+    assert not trace.exists()
+
+
 def test_run_gd_armijo_json_matches_the_library(capsys):
     code = main(["run", "--method", "gd", "--armijo", "--m", "1", "--L", "100",
                  "--x0", "5", "--json"])
@@ -416,11 +443,15 @@ def _relabel(*labels):
     (_relabel("a b", "a-b"), ["method labels 'a b' and 'a-b' both write hist-a-b.csv"]),
     (_relabel("x", "y", "x"), ["method labels 'x' and 'x' both write hist-x.csv"]),
     (list.clear, ["config.methods must be a JSON list of at least one method"]),
-], ids=["int-label", "null-label", "list-label", "one-file-name", "one-label", "no-methods"])
+    (_relabel("***"), ["method label '***' has no letter or digit"]),
+    (_relabel("a", ""), ["method label '' has no letter or digit"]),
+], ids=["int-label", "null-label", "list-label", "one-file-name", "one-label", "no-methods",
+        "no-alnum-label", "empty-label"])
 def test_bench_refuses_method_labels_it_cannot_write(tmp_path, capsys, edit, fragments):
     # Refused before any sample runs or the output directory exists: a label
-    # that is no string names no file, and two labels with one file name
-    # would leave one histogram written over the other.
+    # that is no string names no file, one with no letter or digit would
+    # write hist-.csv, and two labels with one file name would leave one
+    # histogram written over the other.
     doc = default_config()
     doc["n_samples"] = 10
     edit(doc["methods"])

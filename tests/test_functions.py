@@ -24,7 +24,24 @@ from passive_gd.functions import (
     quadratic,
     sector_membership_scan,
 )
-from passive_gd.interconnect import evaluate_delta_bar, run_transformed
+from passive_gd.bench import MonteCarloSpec, default_methods, run_monte_carlo
+from passive_gd.interconnect import (
+    delta_bar_operator,
+    evaluate_delta_bar,
+    loop_equivalence_report,
+    run_transformed,
+)
+from passive_gd.optim import (
+    ArmijoAlpha,
+    ArmijoS,
+    FixedAlpha,
+    FixedS,
+    GradNorm,
+    MaxIter,
+    gd_run,
+    gsgd_run,
+)
+from passive_gd.signals import Signal
 from passive_gd.verify import suite_sector
 
 
@@ -479,3 +496,62 @@ def test_builtin_lookup():
     assert builtin_function("diag-quadratic", 1.0, 100.0).dim == 2
     with pytest.raises(InvalidParameterError):
         builtin_function("cubic", 1.0, 100.0)
+
+
+def _flat_only(fn):
+    """``fn`` behind a check that it gets a flat block, as ``SectorFunction``
+    documents for a one-dimensional objective's callables."""
+    def strict(x):
+        if np.ndim(x) != 1:
+            raise AssertionError(f"a dim-1 callable got shape {np.shape(x)}")
+        return fn(x)
+
+    return strict
+
+
+def _equal(a, b) -> bool:
+    """Bitwise equality of results: arrays, floats, and dataclasses, tuples
+    or lists of them."""
+    if dataclasses.is_dataclass(a):
+        a, b = dataclasses.astuple(a), dataclasses.astuple(b)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(_equal(x, y) for x, y in zip(a, b))
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@pytest.mark.parametrize("base", [oscillatory(1.0, 100.0), quadratic(100.0)],
+                         ids=lambda f: f.name)
+def test_a_dim1_objective_gets_flat_blocks_at_every_entry_point(base):
+    # A copy whose callables refuse anything but a flat block gives the
+    # built-in's results bit for bit through every kernel. Before the loop
+    # simulator and the fixed-point solve passed flat blocks, the loop calls
+    # and evaluate_delta_bar handed it (n, 1) blocks.
+    f = SectorFunction(
+        dim=1, m=base.m, L=base.L, minimizer=base.minimizer,
+        value=_flat_only(base.value), gradient=_flat_only(base.gradient),
+        elementwise_value=_flat_only(base.elementwise_value),
+        elementwise_gradient=_flat_only(base.elementwise_gradient), name=base.name)
+    alpha, x0 = np.array([0.012, 0.017, 0.006]), np.array([[3.0], [-0.4], [1.5]])
+    r1, r2 = (np.random.default_rng(i).standard_normal((20, 1)) for i in (1, 2))
+    stops = [GradNorm(1e-10), MaxIter(300)]
+    spec = MonteCarloSpec(n_samples=40, x0_low=-5.0, x0_high=5.0, seed=3, tol=1e-12,
+                          methods=default_methods(base.m, base.L), max_iter=2000)
+    calls = [
+        lambda g: run_transformed(g, 0.01, 0.005, [2.0], 20),
+        lambda g: run_transformed(g, alpha, alpha / 2.0, x0, 20, r1, r2),
+        lambda g: loop_equivalence_report(g, 0.01, [2.0], 20),
+        lambda g: loop_equivalence_report(g, alpha, x0, 20, r1, r2),
+        lambda g: evaluate_delta_bar(g, 0.005, [0.7]),
+        lambda g: evaluate_delta_bar(g, 0.005, x0),
+        lambda g: delta_bar_operator(g, 0.005)(Signal(x0)).samples,
+        lambda g: sector_membership_scan(g, -10.0, 10.0, 1000, 4),
+        lambda g: central_difference_gradient(g, [0.3]),
+        lambda g: central_difference_gradient(g, x0),
+        lambda g: gd_run(g, [3.0], FixedAlpha(0.01), stops),
+        lambda g: gd_run(g, [3.0], ArmijoAlpha(), stops),
+        lambda g: gsgd_run(g, [3.0], FixedS(0.1), stops),
+        lambda g: gsgd_run(g, [3.0], ArmijoS(), stops),
+        lambda g: run_monte_carlo(g, spec, threads=2),
+    ]
+    for call in calls:
+        assert _equal(call(f), call(base))

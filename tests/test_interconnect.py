@@ -18,6 +18,7 @@ from passive_gd.errors import (
 )
 from passive_gd.functions import (
     SectorFunction,
+    builtin_function,
     diag_quadratic,
     oscillatory,
     quadratic,
@@ -255,6 +256,50 @@ def test_delta_bar_operator_equals_per_sample_solves(name, d, samples):
             delta_bar_operator(f, d)(u)
     else:
         assert np.array_equal(delta_bar_operator(f, d)(u).samples, expected)
+
+
+def _reference_solve(f, d, u):
+    """One point's fixed-point iteration on its ``(dim,)`` vector, with the
+    solve's start, order of operations and stopping test."""
+    z = u + f.minimizer
+    y = f.gradient(z)
+    for _ in range(1000):
+        y_next = f.gradient(z + d * y)
+        floor = 8.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(y_next)))
+        if np.max(np.abs(y_next - y)) <= max(1e-12, floor):
+            return y_next
+        y = y_next
+    raise AssertionError(f"the reference did not converge from {u}")
+
+
+@pytest.mark.parametrize("name, scale", [
+    ("oscillatory", 2.0), ("quadratic", 1e3), ("diag-quadratic", 1e3)])
+def test_a_block_solve_equals_its_point_solves_bit_for_bit(name, scale):
+    # A one-dimensional block is solved flat and a diag-quadratic block by
+    # rows; each row is its point call's result and the per-point
+    # reference's, bit for bit, at amplitudes from 1e-3 to the scale.
+    f, d = builtin_function(name, 1.0, 100.0), 0.004
+    rng = np.random.default_rng(3)
+    u = rng.uniform(-1.0, 1.0, (40, f.dim)) * scale * 10.0 ** rng.integers(-3, 1, (40, 1))
+    y = evaluate_delta_bar(f, d, u)
+    assert y.shape == u.shape
+    assert np.array_equal(y, [evaluate_delta_bar(f, d, row) for row in u])
+    assert np.array_equal(y, [_reference_solve(f, d, row) for row in u])
+
+
+@pytest.mark.parametrize("f, u, message", [
+    (quadratic(100.0), [[1e307], [1.0], [-1e307]], "iterate is not finite for 2 of 3 points"),
+    (diag_quadratic(1.0, 100.0), [[1.0, 1e307], [1.0, 1.0], [2.0, 1.0]],
+     "iterate is not finite for 1 of 3 points"),
+    (oscillatory(1.0, 100.0), [[-30.0], [0.5], [-29.0], [1.0]],
+     "within 1000 iterations for 2 of 4 points"),
+], ids=["non-finite-flat", "non-finite-rows", "no-convergence"])
+def test_the_solve_errors_count_their_rows(f, u, message):
+    # At d = 0.005 the quadratics' fixed points 200*u overflow past 1e307,
+    # and oscillatory does not contract at -30 and -29; the message counts
+    # the failing rows against the block's.
+    with pytest.raises(ConvergenceError, match=message):
+        evaluate_delta_bar(f, 0.005, np.array(u))
 
 
 def test_delta_bar_operator_nan_sample_raises():
@@ -511,7 +556,8 @@ def test_the_loop_suite_makes_no_fixed_point_solve(monkeypatch):
 
 
 def test_the_loop_takes_one_gradient_call_per_step():
-    # One call for all rows of a block, d = alpha/2 and d = 0 rows alike.
+    # One call for all rows of a block, d = alpha/2 and d = 0 rows alike,
+    # on a flat block, as SectorFunction documents for dim == 1.
     base = oscillatory(1.0, 100.0)
     calls = []
 
@@ -525,7 +571,7 @@ def test_the_loop_takes_one_gradient_call_per_step():
     alpha = np.array([0.012, 0.017, 0.006])
     run_transformed(f, alpha, np.array([0.006, 0.0, 0.003]),
                     np.array([[37.0], [-4.0], [0.5]]), 25)
-    assert calls == [(3, 1)] * 25
+    assert calls == [(3,)] * 25
 
 
 def test_the_report_reaches_the_loop_through_its_module_attribute(monkeypatch):
